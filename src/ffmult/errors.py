@@ -59,9 +59,14 @@ class UnsatisfiedCountHypothesis(FFMultError):
     pass
 
 
-class InternalNoSolution(FFMultError):
+class InternalDefect(FFMultError):
+    """An internal invariant or cross-check failed.  This indicates a defect,
+    never an expected outcome."""
+
+
+class InternalNoSolution(InternalDefect):
     """Interpolation found no kernel vector although the count hypothesis
-    held.  This indicates a defect, never an expected outcome."""
+    held, or its verification failed."""
 
 
 # -- kakeya -------------------------------------------------------------------

@@ -69,8 +69,9 @@ def _modulus_table() -> dict[tuple[int, int], tuple[int, ...]]:
 class FieldElement:
     """An element of F_q in canonical (fully reduced) representation.
 
-    Equality and hashing are on (field, code); the coefficient vector is
-    available via :attr:`coeffs`.
+    Equality is on (field, code), and a bare int code compares equal to the
+    element it encodes, so the hash is the hash of the code.  The coefficient
+    vector is available via :attr:`coeffs`.
     """
 
     __slots__ = ("spec", "code")
@@ -144,7 +145,8 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.spec), self.code))
+        # equal to the hash of the int code, since __eq__ accepts bare codes
+        return hash(self.code)
 
     def __bool__(self):
         return self.code != 0
@@ -167,6 +169,7 @@ class FieldSpec:
         self.modulus = modulus  # length e+1, low-to-high, monic; unused for e=1
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._vec: VecOps | None = None
 
     # -- element codecs -------------------------------------------------------
 
@@ -323,6 +326,13 @@ class FieldSpec:
             return self._exp[(self._log[a] * n) % (self.q - 1)]
         return self._pow_raw(a, n)
 
+    @property
+    def vec(self) -> "VecOps":
+        """Arithmetic on numpy arrays of codes; built on first use."""
+        if self._vec is None:
+            self._vec = _make_vec_ops(self)
+        return self._vec
+
     # -- misc ------------------------------------------------------------------
 
     def __repr__(self):
@@ -344,6 +354,130 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+# -- array arithmetic -------------------------------------------------------------
+#
+# ``FieldSpec.vec`` applies F_q arithmetic elementwise to numpy arrays of codes,
+# with numpy broadcasting (a bare int is a 0-d operand).  Each field family has
+# its own implementation; the scalar FieldSpec methods are the reference.
+
+
+class VecOps:
+    """Elementwise arithmetic by calls to the scalar ops: the fallback for
+    extension fields beyond the log-table cap."""
+
+    # How many chained sub_mul calls an entry may take before ``reduce`` is
+    # due; None where sub_mul already returns codes.
+    lazy_steps: int | None = None
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        # resolve the scalar ops at call time, so patches on FieldSpec apply
+        self._mul = np.frompyfunc(lambda a, b: spec.mul(a, b), 2, 1)
+        self._sub = np.frompyfunc(lambda a, b: spec.sub(a, b), 2, 1)
+        self._neg = np.frompyfunc(lambda a: spec.neg(a), 1, 1)
+
+    def mul(self, a, b) -> np.ndarray:
+        return np.asarray(self._mul(a, b), dtype=np.int64)
+
+    def sub(self, a, b) -> np.ndarray:
+        return np.asarray(self._sub(a, b), dtype=np.int64)
+
+    def neg(self, a) -> np.ndarray:
+        return np.asarray(self._neg(a), dtype=np.int64)
+
+    def inv(self, a: int) -> int:
+        return self.spec.inv(a)
+
+    def sub_mul(self, a, f, b) -> np.ndarray:
+        """A representative of a - f*b; ``a`` may itself be a representative,
+        f and b are codes."""
+        return self.sub(a, self.mul(f, b))
+
+    def reduce(self, a) -> np.ndarray:
+        """Codes from representatives."""
+        return a
+
+
+class _PrimeVecOps(VecOps):
+    """F_p as int64 arithmetic mod p.  Products of codes are at most
+    (p-1)^2 < 2^40.  sub_mul skips the reduction, so each call moves an entry
+    by at most (p-1)^2; lazy_steps calls keep it below 2^62."""
+
+    def __init__(self, spec: FieldSpec):
+        self.spec, self.p = spec, spec.p
+        self.lazy_steps = (2 ** 62 - self.p) // (self.p - 1) ** 2
+
+    def mul(self, a, b):
+        return np.multiply(a, b, dtype=np.int64) % self.p
+
+    def sub(self, a, b):
+        return np.subtract(a, b, dtype=np.int64) % self.p
+
+    def neg(self, a):
+        return np.negative(a, dtype=np.int64) % self.p
+
+    def sub_mul(self, a, f, b):
+        prod = np.multiply(f, b, dtype=np.int64)
+        return np.subtract(a, prod, out=prod)
+
+    def reduce(self, a):
+        return np.remainder(a, self.p)
+
+
+class _LogVecOps(VecOps):
+    """GF(2^e) with q <= 2^16: XOR subtraction, log/exp multiplication.
+
+    ``log[0]`` is the sentinel 2(q-1) and ``exp`` is zero from that index on,
+    so ``exp[log[a] + log[b]]`` is the product even when a or b is zero.
+    ``exp`` holds codes in the smallest unsigned dtype that fits them.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        spec._ensure_tables()
+        self.spec, self.n1 = spec, spec.q - 1
+        self.log = np.array(spec._log, dtype=np.int32)
+        self.log[0] = 2 * self.n1
+        self.exp = np.zeros(4 * self.n1 + 1, dtype=np.min_scalar_type(self.n1))
+        self.exp[: self.n1] = spec._exp
+        self.exp[self.n1 : 2 * self.n1] = spec._exp
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def sub(self, a, b):
+        return np.bitwise_xor(a, b)
+
+    def neg(self, a):
+        return np.asarray(a)
+
+
+class _ZechVecOps(_LogVecOps):
+    """Odd p^e with q <= 2^16: log/exp multiplication, and subtraction by Zech
+    logarithms (Huber, 1990): g^i - g^j = g^(i + Z(j - i)) with
+    Z(d) = log(1 - g^d), which is the zero sentinel at d = 0."""
+
+    def __init__(self, spec: FieldSpec):
+        super().__init__(spec)
+        self.half = self.n1 // 2  # g^half = -1
+        self.zech = self.log[[spec.sub(1, x) for x in spec._exp]]
+
+    def sub(self, a, b):
+        la, lb = self.log[a], self.log[b]
+        diff = self.exp[la + self.zech[(lb - la) % self.n1]]
+        return np.where(b == 0, a, np.where(a == 0, self.neg(b), diff))
+
+    def neg(self, a):
+        return self.exp[self.log[a] + self.half]
+
+
+def _make_vec_ops(spec: FieldSpec) -> VecOps:
+    if spec.e == 1:
+        return _PrimeVecOps(spec)
+    if spec.q > _LOG_TABLE_CAP:
+        return VecOps(spec)
+    return _LogVecOps(spec) if spec.p == 2 else _ZechVecOps(spec)
 
 
 def field_make(p: int, e: int = 1) -> FieldSpec:

@@ -108,36 +108,75 @@ def vanishing_constraints(problem: InterpolationProblem) -> list[list[int]]:
     The column for monomial r carries C(r, i) * a^(r - i), zero when r < i
     coordinatewise; columns follow the basis order.
     """
-    spec = problem.spec
-    p = spec.p
-    monomials = problem.basis.monomials()
-    maxdeg = [max((r[j] for r in monomials), default=0) for j in range(problem.n)]
+    spec, n = problem.spec, problem.n
+    vec = spec.vec
+    monomials = np.array(problem.basis.monomials(), dtype=np.int64).reshape(-1, n)
+    orders = np.array(list(exponents_below_weight(problem.m, n)), dtype=np.int64)
+    points = np.array(problem.points, dtype=np.int64).reshape(-1, n)
+    top = int(monomials.max(initial=0))
+    binom = _binomial_table(max(top, problem.m), spec.p)
+    # C(r, i) mod p is in the prime subfield, whose codes are 0..p-1
+    coef = np.ones((len(orders), len(monomials)), dtype=np.int64)
+    shifts, powers = [], []
+    for j in range(n):
+        r, i = monomials[:, j], orders[:, j, None]
+        coef = coef * binom[r, i] % spec.p
+        shifts.append(np.maximum(r - i, 0))
+        pw = np.ones((len(points), top + 1), dtype=np.int64)  # pw[a, k] = a_j^k
+        for k in range(1, top + 1):
+            pw[:, k] = vec.mul(pw[:, k - 1], points[:, j])
+        powers.append(pw)
     rows: list[list[int]] = []
-    for a in problem.points:
-        powtab = []
-        for j in range(problem.n):
-            tab = [1] * (maxdeg[j] + 1)
-            for e in range(1, maxdeg[j] + 1):
-                tab[e] = spec.mul(tab[e - 1], a[j])
-            powtab.append(tab)
-        for i in exponents_below_weight(problem.m, problem.n):
-            row = []
-            for r in monomials:
-                if any(rk < ik for rk, ik in zip(r, i)):
-                    row.append(0)
-                    continue
-                b = 1
-                for rk, ik in zip(r, i):
-                    b = (b * comb(rk, ik)) % p
-                    if not b:
-                        break
-                val = spec.from_int(b)
-                for j, (rk, ik) in enumerate(zip(r, i)):
-                    if val and rk > ik:
-                        val = spec.mul(val, powtab[j][rk - ik])
-                row.append(val)
-            rows.append(row)
+    for a in range(len(points)):
+        block = coef
+        for pw, shift in zip(powers, shifts):
+            block = vec.mul(block, pw[a, shift])
+        rows += block.tolist()
     return rows
+
+
+def _binomial_table(top: int, p: int) -> np.ndarray:
+    """C(r, i) mod p for 0 <= r, i <= top; zero when i > r."""
+    table = np.zeros((top + 1, top + 1), dtype=np.int64)
+    table[:, 0] = 1
+    for r in range(1, top + 1):
+        table[r, 1:] = (table[r - 1, 1:] + table[r - 1, :-1]) % p
+    return table
+
+
+def _eliminate(rows: list[list[int]], ncols: int, spec: FieldSpec):
+    """Reduced row echelon form, as (matrix, [(pivot row, pivot column)]).
+
+    The pivot for column c is the first row at or below the current one that
+    is nonzero there.  Columns left of c are already zero in the pivot row,
+    so each step touches only columns >= c of the rows it must clear.  Row
+    updates may leave representatives (see ``VecOps.sub_mul``); a column is
+    reduced to codes when it becomes current.
+    """
+    vec = spec.vec
+    A = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(A):
+            break
+        A[:, c] = vec.reduce(A[:, c])
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            A[[r, pr], c:] = A[[pr, r], c:]
+        A[r, c:] = vec.mul(vec.reduce(A[r, c:]), vec.inv(int(A[r, c])))
+        clear = np.flatnonzero(A[:, c])
+        clear = clear[clear != r]
+        if clear.size:
+            A[clear, c:] = vec.sub_mul(A[clear, c:], A[clear, c, None], A[r, c:])
+        pivots.append((r, c))
+        r += 1
+        if vec.lazy_steps and len(pivots) % vec.lazy_steps == 0:
+            A = vec.reduce(A)
+    return vec.reduce(A), pivots
 
 
 def nullspace_vector(rows: list[list[int]], ncols: int, spec: FieldSpec):
@@ -147,39 +186,7 @@ def nullspace_vector(rows: list[list[int]], ncols: int, spec: FieldSpec):
     nonzero entry there, and the returned vector sets the first free column
     to one, making the choice canonical.
     """
-    if ncols == 0:
-        return None
-    if not rows:
-        vec = [0] * ncols
-        vec[0] = 1
-        return vec
-    if spec.e == 1:
-        return _nullspace_prime(rows, ncols, spec.p)
-    return _nullspace_generic(rows, ncols, spec)
-
-
-def _nullspace_prime(rows, ncols, p):
-    A = np.array(rows, dtype=np.int64) % p
-    nrows = A.shape[0]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        factors = A[:, c].copy()
-        factors[r] = 0
-        if np.any(factors):
-            A = (A - np.outer(factors, A[r])) % p
-        pivots.append((r, c))
-        r += 1
+    A, pivots = _eliminate(rows, ncols, spec)
     pivot_cols = {c for _, c in pivots}
     free = next((c for c in range(ncols) if c not in pivot_cols), None)
     if free is None:
@@ -187,64 +194,13 @@ def _nullspace_prime(rows, ncols, p):
     vec = [0] * ncols
     vec[free] = 1
     for rr, cc in pivots:
-        vec[cc] = (-int(A[rr, free])) % p
-    return vec
-
-
-def _nullspace_generic(rows, ncols, spec: FieldSpec):
-    A = [list(row) for row in rows]
-    nrows = len(A)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((idx for idx in range(r, nrows) if A[idx][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            A[r], A[pr] = A[pr], A[r]
-        inv = spec.inv(A[r][c])
-        A[r] = [spec.mul(inv, x) for x in A[r]]
-        for idx in range(nrows):
-            if idx != r and A[idx][c]:
-                f = A[idx][c]
-                A[idx] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(A[idx], A[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(ncols) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    vec = [0] * ncols
-    vec[free] = 1
-    for rr, cc in pivots:
-        vec[cc] = spec.neg(A[rr][free])
+        vec[cc] = spec.neg(int(A[rr, free]))
     return vec
 
 
 def matrix_rank(rows: list[list[int]], ncols: int, spec: FieldSpec) -> int:
     """Rank over F_q, by the same elimination used for kernel extraction."""
-    if not rows or ncols == 0:
-        return 0
-    A = [list(row) for row in rows]
-    nrows = len(A)
-    rank = 0
-    for c in range(ncols):
-        if rank == nrows:
-            break
-        pr = next((idx for idx in range(rank, nrows) if A[idx][c]), None)
-        if pr is None:
-            continue
-        A[rank], A[pr] = A[pr], A[rank]
-        inv = spec.inv(A[rank][c])
-        A[rank] = [spec.mul(inv, x) for x in A[rank]]
-        for idx in range(nrows):
-            if idx != rank and A[idx][c]:
-                f = A[idx][c]
-                A[idx] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(A[idx], A[rank])]
-        rank += 1
-    return rank
+    return len(_eliminate(rows, ncols, spec)[1])
 
 
 def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False) -> MultiPoly:
@@ -274,12 +230,14 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
     if verify:
         from .mvpoly import multiplicity
 
-        assert not poly.is_zero, "kernel vector produced the zero polynomial"
+        if poly.is_zero:
+            raise InternalNoSolution("kernel vector produced the zero polynomial")
         for a in problem.points:
             got = multiplicity(poly, a)
-            assert got >= problem.m, (
-                f"constructed polynomial has multiplicity {got} < {problem.m} at {a}"
-            )
+            if got < problem.m:
+                raise InternalNoSolution(
+                    f"constructed polynomial has multiplicity {got} < {problem.m} at {a}"
+                )
     return poly
 
 

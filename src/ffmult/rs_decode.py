@@ -17,8 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
+import numpy as np
+
 from .errors import (
     BelowJohnsonRadius,
+    InternalDefect,
     InvalidParameters,
     NoFeasibleM,
     SearchSpaceTooLarge,
@@ -36,6 +39,7 @@ from .mvpoly import MultiPoly
 M_SEARCH_CAP = 10 ** 4
 CROSS_VALIDATE_CAP = 10 ** 4
 BRUTE_FORCE_CAP = 10 ** 6
+ROOT_SCAN_BLOCK = 2 ** 12  # field elements per pass of the Y-root scan
 
 # Auto cross-validation: on desk-scale fields the recursive root finder is
 # checked against exhaustive enumeration on every call.
@@ -235,9 +239,10 @@ def y_roots(Q: MultiPoly, k: int, cross_validate: bool | None = None) -> list[tu
     result = sorted(set(found), key=lambda f: tuple(reversed(f)))
     if cross_validate:
         brute = y_roots_bruteforce(Q, k)
-        assert result == brute, (
-            f"root finder disagrees with enumeration: {result} vs {brute}"
-        )
+        if result != brute:
+            raise InternalDefect(
+                f"root finder disagrees with enumeration: {result} vs {brute}"
+            )
     return result
 
 
@@ -264,13 +269,10 @@ def _rr_search(terms, depth, k, prefix, out, spec: FieldSpec):
     for (i, j), c in terms.items():
         if i == 0:
             layer[j] = c
-    q = spec.q
     coeffs = [0] * (max(layer) + 1)
     for j, c in layer.items():
         coeffs[j] = c
-    for y0 in range(q):
-        if poly_eval_univariate(coeffs, y0, spec):
-            continue
+    for y0 in _field_roots(coeffs, spec):
         if depth == k:
             if _vanishes_at_constant(terms, y0, spec):
                 out.append(prefix + (y0,))
@@ -278,6 +280,21 @@ def _rr_search(terms, depth, k, prefix, out, spec: FieldSpec):
             _rr_search(
                 _substitute_shift(terms, y0, spec), depth + 1, k, prefix + (y0,), out, spec
             )
+
+
+def _field_roots(coeffs, spec: FieldSpec) -> list[int]:
+    """Every y in F_q with sum coeffs[j] y^j = 0, in code order: Horner's rule
+    over a block of F_q at a time."""
+    vec = spec.vec
+    negs = [spec.neg(c) for c in reversed(coeffs[:-1])]
+    roots: list[int] = []
+    for lo in range(0, spec.q, ROOT_SCAN_BLOCK):
+        ys = np.arange(lo, min(lo + ROOT_SCAN_BLOCK, spec.q), dtype=np.int32)
+        acc = np.full(len(ys), coeffs[-1], dtype=np.int32)
+        for neg_c in negs:
+            acc = vec.sub(vec.mul(acc, ys), neg_c)
+        roots += (lo + np.flatnonzero(acc == 0)).tolist()
+    return roots
 
 
 def _vanishes_at_constant(terms, y0: int, spec: FieldSpec) -> bool:

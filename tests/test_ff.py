@@ -187,3 +187,13 @@ def test_element_wrapper_identity():
     e = FieldElement(f4, 2)
     assert repr(e) == "F4(2)"
     assert bool(e) and not bool(f4.zero())
+
+
+def test_element_hash_agrees_with_int_equality():
+    f5 = field_make(5)
+    x = f5.element(3)
+    assert x == 3 and hash(x) == hash(3)
+    assert 3 in {x} and x in {3}
+    assert {x: "x"}[3] == "x"
+    assert {3: "three"}[x] == "three"
+    assert len({f5.element(c) for c in range(5)} | set(range(5))) == 5

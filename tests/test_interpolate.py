@@ -160,6 +160,18 @@ def test_interpolation_double_point():
     assert multiplicity(poly, (1, 2)) >= 2
 
 
+def test_interpolation_verify_raises_on_failed_postcondition(monkeypatch):
+    from ffmult import interpolate, mvpoly
+
+    prob = InterpolationProblem(F3, 2, ((0, 0),), 1, TotalDegreeBasis(2, 1))
+    monkeypatch.setattr(mvpoly, "multiplicity", lambda P, a: 0)
+    with pytest.raises(errors.InternalNoSolution, match="multiplicity 0 < 1"):
+        vanishing_interpolation(prob, verify=True)
+    monkeypatch.setattr(interpolate, "nullspace_vector", lambda rows, n, spec: [0] * n)
+    with pytest.raises(errors.InternalNoSolution, match="zero polynomial"):
+        vanishing_interpolation(prob, verify=True)
+
+
 def test_interpolation_count_hypothesis_violation():
     points = tuple((a, b) for a in range(2) for b in range(2))
     prob = InterpolationProblem(F2, 2, points, 1, TotalDegreeBasis(2, 1))

@@ -1,8 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+
+import ffmult
 
 from ffmult import errors
 from ffmult import rs_decode as rs
@@ -161,6 +168,46 @@ def test_y_roots_matches_bruteforce_random():
         got = rs.y_roots(Q, k, cross_validate=False)
         want = rs.y_roots_bruteforce(Q, k)
         assert got == want
+
+
+def test_y_roots_cross_check_raises_on_disagreement(monkeypatch):
+    Q = MultiPoly(F3, 2, {(0, 1): 1, (1, 0): F3.neg(1)})  # Y - X
+    monkeypatch.setattr(rs, "y_roots_bruteforce", lambda Q, k: [])
+    with pytest.raises(errors.InternalDefect):
+        rs.y_roots(Q, 1, cross_validate=True)
+
+
+def test_internal_checks_survive_optimize_flag():
+    # the same disagreements, in an interpreter that strips assert statements
+    script = textwrap.dedent("""
+        import sys
+        from ffmult import errors, interpolate, mvpoly, rs_decode as rs
+        from ffmult.ff import field_make
+        from ffmult.mvpoly import MultiPoly
+
+        assert sys.flags.optimize, "not running under -O"
+        F3 = field_make(3)
+        rs.y_roots_bruteforce = lambda Q, k: []
+        try:
+            rs.y_roots(MultiPoly(F3, 2, {(0, 1): 1, (1, 0): 2}), 1, cross_validate=True)
+            sys.exit("y_roots cross-check did not raise")
+        except errors.InternalDefect:
+            pass
+        mvpoly.multiplicity = lambda P, a: 0
+        problem = interpolate.InterpolationProblem(
+            F3, 2, ((0, 0),), 1, interpolate.TotalDegreeBasis(2, 1))
+        try:
+            interpolate.vanishing_interpolation(problem, verify=True)
+            sys.exit("vanishing_interpolation verification did not raise")
+        except errors.InternalNoSolution:
+            pass
+        print("ok")
+    """)
+    src = str(Path(ffmult.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,251 @@
+"""Differential tests of the array arithmetic (``FieldSpec.vec``) and of the
+code built on it against the scalar ``FieldSpec`` operations."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from ffmult import rs_decode as rs
+from ffmult.ff import _modulus_table, field_make, rng_stream
+from ffmult.interpolate import (
+    InterpolationProblem,
+    TotalDegreeBasis,
+    WeightedDegreeBasis,
+    matrix_rank,
+    nullspace_vector,
+    vanishing_constraints,
+)
+from ffmult.mvpoly import exponents_below_weight
+
+SMALL_EXTENSIONS = sorted(
+    (p, e) for (p, e) in _modulus_table() if p ** e <= 2 ** 10
+)
+PRIMES = [(2, 1), (3, 1), (257, 1), (1048573, 1)]
+EXHAUSTIVE_CAP = 256
+SAMPLE = 10 ** 5
+
+
+def _operands(q: int, seed: int):
+    """Every (a, b) pair for q <= 256, else a seeded sample that includes
+    the extremes 0, 1, q-2 and q-1."""
+    if q <= EXHAUSTIVE_CAP:
+        a, b = np.array(list(itertools.product(range(q), repeat=2))).T
+        return a, b
+    rng = rng_stream(seed, q)
+    a, b = rng.integers(q, size=(2, SAMPLE))
+    edges = np.array([0, 1, q - 2, q - 1])
+    a[: 16], b[: 16] = np.repeat(edges, 4), np.tile(edges, 4)
+    return a, b
+
+
+@pytest.mark.parametrize("p,e", SMALL_EXTENSIONS + PRIMES)
+def test_vec_ops_match_scalar(p, e):
+    spec = field_make(p, e)
+    vec = spec.vec
+    a, b = _operands(spec.q, 31)
+    al, bl = a.tolist(), b.tolist()
+    assert vec.mul(a, b).tolist() == list(map(spec.mul, al, bl))
+    assert vec.sub(a, b).tolist() == list(map(spec.sub, al, bl))
+    assert vec.neg(a).tolist() == list(map(spec.neg, al))
+    # a 0-d operand broadcasts
+    assert vec.sub(a, bl[0]).tolist() == [spec.sub(x, bl[0]) for x in al]
+    nonzero = range(1, spec.q) if spec.q <= 2 ** 10 else sorted(set(al) - {0})
+    for x in nonzero:
+        assert spec.mul(x, vec.inv(x)) == 1
+
+
+def test_prime_intermediates_stay_below_2_62():
+    p = 1048573  # the largest prime field under the 2^20 size cap
+    vec = field_make(p).vec
+    # mul multiplies two codes; sub_mul moves an entry by at most one such
+    # product per call, and elimination reduces after lazy_steps calls
+    assert (p - 1) ** 2 < 2 ** 40
+    assert p + vec.lazy_steps * (p - 1) ** 2 < 2 ** 62
+    top = np.array([p - 1, p - 2])
+    assert vec.mul(top, top).tolist() == [field_make(p).mul(x, x) for x in (p - 1, p - 2)]
+    rep = vec.sub_mul(np.array([p - 1]), np.array([p - 1]), np.array([p - 1]))
+    assert int(vec.reduce(rep)[0]) == field_make(p).sub(p - 1, field_make(p).mul(p - 1, p - 1))
+
+
+# ---------------------------------------------------------------------------
+# elimination against the scalar reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_nullspace(rows, ncols, spec):
+    """Scalar Gauss-Jordan elimination, kept as the reference."""
+    if ncols == 0:
+        return None
+    if not rows:
+        vec = [0] * ncols
+        vec[0] = 1
+        return vec
+    A = [list(row) for row in rows]
+    nrows = len(A)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((idx for idx in range(r, nrows) if A[idx][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            A[r], A[pr] = A[pr], A[r]
+        inv = spec.inv(A[r][c])
+        A[r] = [spec.mul(inv, x) for x in A[r]]
+        for idx in range(nrows):
+            if idx != r and A[idx][c]:
+                f = A[idx][c]
+                A[idx] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(A[idx], A[r])]
+        pivots.append((r, c))
+        r += 1
+    pivot_cols = {c for _, c in pivots}
+    free = next((c for c in range(ncols) if c not in pivot_cols), None)
+    if free is None:
+        return None
+    vec = [0] * ncols
+    vec[free] = 1
+    for rr, cc in pivots:
+        vec[cc] = spec.neg(A[rr][free])
+    return vec
+
+
+def _ref_rank(rows, ncols, spec):
+    if not rows or ncols == 0:
+        return 0
+    A = [list(row) for row in rows]
+    nrows = len(A)
+    rank = 0
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        pr = next((idx for idx in range(rank, nrows) if A[idx][c]), None)
+        if pr is None:
+            continue
+        A[rank], A[pr] = A[pr], A[rank]
+        inv = spec.inv(A[rank][c])
+        A[rank] = [spec.mul(inv, x) for x in A[rank]]
+        for idx in range(nrows):
+            if idx != rank and A[idx][c]:
+                f = A[idx][c]
+                A[idx] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(A[idx], A[rank])]
+        rank += 1
+    return rank
+
+
+def _random_system(spec, rng, nrows, ncols, rank=None, zero_cols=()):
+    """Random rows; with ``rank`` given, combinations of that many random
+    rows, so the rank is at most ``rank``."""
+    def draw():
+        return [int(rng.integers(spec.q)) for _ in range(ncols)]
+
+    if rank is None:
+        rows = [draw() for _ in range(nrows)]
+    else:
+        basis = [draw() for _ in range(rank)]
+        rows = []
+        for _ in range(nrows):
+            row = [0] * ncols
+            for base in basis:
+                f = int(rng.integers(spec.q))
+                row = [spec.add(x, spec.mul(f, y)) for x, y in zip(row, base)]
+            rows.append(row)
+    for row in rows:
+        for c in zero_cols:
+            row[c] = 0
+    return rows
+
+
+FAMILIES = [(7, 1), (257, 1), (2, 6), (3, 3), (2, 17)]
+
+
+@pytest.mark.parametrize("p,e", FAMILIES)
+def test_elimination_matches_scalar_reference(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(404, p ** e)
+    cases = [([], 0), ([], 3), ([[]], 0), ([[], []], 0), ([[0, 0, 0]], 3), ([[1]], 1)]
+    for trial in range(24):
+        nrows, ncols = 1 + int(rng.integers(9)), 1 + int(rng.integers(9))
+        rank = None if trial % 3 == 0 else int(rng.integers(min(nrows, ncols) + 1))
+        zero_cols = [c for c in range(ncols) if trial % 4 == 1 and c % 3 == 0]
+        cases.append((_random_system(spec, rng, nrows, ncols, rank, zero_cols), ncols))
+    cases.append((_random_system(spec, rng, 12, 5), 5))  # ncols < nrows
+    cases.append((_random_system(spec, rng, 12, 5, rank=3), 5))
+    for rows, ncols in cases:
+        assert nullspace_vector(rows, ncols, spec) == _ref_nullspace(rows, ncols, spec)
+        assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
+
+
+def test_elimination_with_intermediate_reductions(monkeypatch):
+    # force the periodic reduction of lazily updated entries after every pivot pair
+    spec = field_make(257)
+    monkeypatch.setattr(spec.vec, "lazy_steps", 2)
+    rng = rng_stream(405, 0)
+    for trial in range(10):
+        rows = _random_system(spec, rng, 9, 10, rank=None if trial % 2 else 6)
+        assert nullspace_vector(rows, 10, spec) == _ref_nullspace(rows, 10, spec)
+        assert matrix_rank(rows, 10, spec) == _ref_rank(rows, 10, spec)
+
+
+# ---------------------------------------------------------------------------
+# constraint rows and the Y-root scan against scalar references
+# ---------------------------------------------------------------------------
+
+
+def _ref_constraints(problem):
+    """Scalar row build: C(r, i) * a^(r - i) one cell at a time."""
+    from math import comb
+
+    spec, p = problem.spec, problem.spec.p
+    monomials = problem.basis.monomials()
+    rows = []
+    for a in problem.points:
+        for i in exponents_below_weight(problem.m, problem.n):
+            row = []
+            for r in monomials:
+                val = 1
+                for rk, ik, ak in zip(r, i, a):
+                    val = spec.mul(val, comb(rk, ik) % p) if rk >= ik else 0
+                    if rk > ik:
+                        val = spec.mul(val, spec.pow(ak, rk - ik))
+                row.append(val)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 3), (3, 2), (2, 17)])
+def test_constraint_rows_match_scalar_build(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(406, spec.q)
+    for trial in range(8):
+        n = 2 if trial % 2 else 1 + int(rng.integers(3))
+        points = {tuple(int(x) for x in rng.integers(spec.q, size=n)) for _ in range(4)}
+        points.add((0,) * n)
+        if trial % 2:
+            basis = WeightedDegreeBasis(d=6 + trial, k=2, ydeg_cap=3)
+        else:
+            basis = TotalDegreeBasis(n, int(rng.integers(7)))
+        m = 1 + int(rng.integers(3))
+        problem = InterpolationProblem(spec, n, tuple(sorted(points)), m, basis)
+        assert vanishing_constraints(problem) == _ref_constraints(problem)
+    empty = InterpolationProblem(spec, 2, (), 2, TotalDegreeBasis(2, 2))
+    assert vanishing_constraints(empty) == []
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (1048573, 1), (2, 6), (3, 3), (2, 16)])
+def test_root_scan_matches_scalar_evaluation(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(407, spec.q)
+    ys = range(spec.q) if spec.q <= 2 ** 12 else [0, 1, spec.q - 1] + [
+        int(y) for y in rng.integers(spec.q, size=300)
+    ]
+    for _ in range(3):
+        coeffs = [int(c) for c in rng.integers(spec.q, size=4)] + [1]
+        # plant a root so the scan has something to find
+        coeffs[0] = spec.sub(coeffs[0], rs.poly_eval_univariate(coeffs, ys[-1], spec))
+        roots = rs._field_roots(coeffs, spec)
+        assert roots == sorted(roots)
+        for y in ys:
+            assert (y in roots) == (rs.poly_eval_univariate(coeffs, y, spec) == 0)
