@@ -170,20 +170,39 @@ def cmd_kakeya_stat(args) -> dict:
     }
 
 
-def _load_source(spec, n: int, num_blocks: int, text: str) -> mg.SourceSpec:
-    data = json.loads(text)
+def _json_arg(text: str):
+    """argparse type for JSON options: unparsable text is a usage error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
+
+
+def _source_list(data: dict, key: str, default=None) -> list:
+    value = data.get(key, default)
+    if not isinstance(value, list):
+        raise InvalidParameters(f"source field {key!r} must be a JSON list")
+    return value
+
+
+def _load_source(spec, n: int, num_blocks: int, data) -> mg.SourceSpec:
+    if not isinstance(data, dict):
+        raise InvalidParameters("source must be a JSON object")
     kind = data.get("type")
     if kind == "identical":
         factory = lambda: mg.IdentityMap()
     elif kind == "constant":
-        value = tuple(data.get("value", [0] * n))
+        value = tuple(_source_list(data, "value", [0] * n))
         factory = lambda: mg.ConstantMap(value)
     elif kind == "permutation":
-        perm = tuple(data.get("perm", [(j + 1) % n for j in range(n)]))
+        perm = tuple(_source_list(data, "perm", [(j + 1) % n for j in range(n)]))
         factory = lambda: mg.CoordinatePermutationMap(perm)
     elif kind == "affine":
-        matrix = data["matrix"]
-        offset = tuple(data.get("offset", [0] * n))
+        matrix = _source_list(data, "matrix")
+        for row in matrix:
+            if not isinstance(row, list):
+                raise InvalidParameters("affine matrix rows must be JSON lists")
+        offset = tuple(_source_list(data, "offset", [0] * n))
         factory = lambda: mg.AffineMap(matrix, offset)
     else:
         raise InvalidParameters(f"unknown source type {kind!r}")
@@ -383,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--lambda", dest="num_blocks", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--source", required=True, help='JSON, e.g. {"type": "constant"}')
+    p.add_argument("--source", required=True, type=_json_arg,
+                   help='JSON, e.g. {"type": "constant"}')
     p.set_defaults(fn=cmd_merger_run)
 
     p = sub.add_parser("merger-verify", parents=[common], help="merger theorem over the adversarial family")

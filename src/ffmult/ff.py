@@ -374,9 +374,13 @@ class VecOps:
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         # resolve the scalar ops at call time, so patches on FieldSpec apply
+        self._add = np.frompyfunc(lambda a, b: spec.add(a, b), 2, 1)
         self._mul = np.frompyfunc(lambda a, b: spec.mul(a, b), 2, 1)
         self._sub = np.frompyfunc(lambda a, b: spec.sub(a, b), 2, 1)
         self._neg = np.frompyfunc(lambda a: spec.neg(a), 1, 1)
+
+    def add(self, a, b) -> np.ndarray:
+        return np.asarray(self._add(a, b), dtype=np.int64)
 
     def mul(self, a, b) -> np.ndarray:
         return np.asarray(self._mul(a, b), dtype=np.int64)
@@ -399,6 +403,14 @@ class VecOps:
         """Codes from representatives."""
         return a
 
+    def poly_eval(self, coeffs, xs) -> np.ndarray:
+        """The polynomial with low-to-high coefficient codes ``coeffs`` (at
+        least one) at every code of xs, by Horner's rule."""
+        acc = np.full(np.shape(xs), coeffs[-1], dtype=np.int64)
+        for c in reversed(coeffs[:-1]):
+            acc = self.add(self.mul(acc, xs), c)
+        return acc
+
 
 class _PrimeVecOps(VecOps):
     """F_p as int64 arithmetic mod p.  Products of codes are at most
@@ -408,6 +420,9 @@ class _PrimeVecOps(VecOps):
     def __init__(self, spec: FieldSpec):
         self.spec, self.p = spec, spec.p
         self.lazy_steps = (2 ** 62 - self.p) // (self.p - 1) ** 2
+
+    def add(self, a, b):
+        return np.add(a, b, dtype=np.int64) % self.p
 
     def mul(self, a, b):
         return np.multiply(a, b, dtype=np.int64) % self.p
@@ -443,6 +458,9 @@ class _LogVecOps(VecOps):
         self.exp[: self.n1] = spec._exp
         self.exp[self.n1 : 2 * self.n1] = spec._exp
 
+    def add(self, a, b):
+        return np.bitwise_xor(a, b)
+
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
 
@@ -462,6 +480,9 @@ class _ZechVecOps(_LogVecOps):
         super().__init__(spec)
         self.half = self.n1 // 2  # g^half = -1
         self.zech = self.log[[spec.sub(1, x) for x in spec._exp]]
+
+    def add(self, a, b):
+        return self.sub(a, self.neg(b))
 
     def sub(self, a, b):
         la, lb = self.log[a], self.log[b]
@@ -532,6 +553,45 @@ def field_sample(spec: FieldSpec, rng: np.random.Generator) -> FieldElement:
 def sample_point(spec: FieldSpec, n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform point of F_q^n, as a tuple of element codes."""
     return tuple(int(c) for c in rng.integers(spec.q, size=n))
+
+
+# -- univariate polynomials on coefficient lists (low-to-high codes) -----------
+
+
+def uni_trim(coeffs: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def uni_add(a, b, spec: FieldSpec) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = spec.add(out[i], c)
+    return uni_trim(out)
+
+
+def uni_mul(a, b, spec: FieldSpec) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = spec.add(out[i + j], spec.mul(ai, bj))
+    return uni_trim(out)
+
+
+def poly_eval_univariate(coeffs, x: int, spec: FieldSpec) -> int:
+    """Horner evaluation of a coefficient list at a code x."""
+    acc = 0
+    for c in reversed(list(coeffs)):
+        acc = spec.add(spec.mul(acc, x), c)
+    return acc
 
 
 # -- modulus verification (used by the self-test suite) ------------------------

@@ -10,20 +10,25 @@ the excess-mass distance.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from numbers import Integral
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
     DuplicateNodes,
     EnumerationTooLarge,
+    InternalDefect,
     InvalidParameters,
     TooFewFieldElements,
     UniverseMismatch,
     UniverseTooSmall,
 )
-from .ff import FieldSpec, field_make
+from .ff import FieldSpec, field_make, poly_eval_univariate, uni_add, uni_mul
 from .mvpoly import coerce_point
 
 ENUMERATION_CAP = 10 ** 7
@@ -43,16 +48,21 @@ class Distribution:
 
     def __init__(self, probs: dict, universe_size: int):
         clean = {}
-        total = Fraction(0)
+        parts = []  # (numerator, denominator) of each nonzero mass
         for outcome, mass in probs.items():
-            mass = Fraction(mass)
-            if mass < 0:
+            if not isinstance(mass, Fraction):
+                mass = Fraction(mass)
+            num = mass.numerator
+            if num < 0:
                 raise InvalidParameters(f"negative probability for {outcome}")
-            if mass:
+            if num:
                 clean[outcome] = mass
-                total += mass
-        if total != 1:
-            raise InvalidParameters(f"probabilities sum to {total}, not 1")
+                parts.append((num, mass.denominator))
+        # the exact sum, as an integer over the common denominator
+        den = lcm(*(d for _, d in parts))
+        total = sum(num * (den // d) for num, d in parts)
+        if total != den:
+            raise InvalidParameters(f"probabilities sum to {Fraction(total, den)}, not 1")
         if len(clean) > universe_size:
             raise InvalidParameters("support exceeds the declared universe")
         self.probs = clean
@@ -186,24 +196,12 @@ class MergerSpec:
     def mix_coeffs(self, u) -> tuple[int, ...]:
         """(c_1(u), ..., c_L(u)) for a seed element u."""
         uc = self.spec.coerce(u)
-        return tuple(_uni_eval(c, uc, self.spec) for c in self.basis)
+        return tuple(poly_eval_univariate(c, uc, self.spec) for c in self.basis)
 
-
-def _uni_eval(coeffs, x: int, spec: FieldSpec) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = spec.add(spec.mul(acc, x), c)
-    return acc
-
-
-def _uni_mul(a, b, spec: FieldSpec) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = spec.add(out[i + j], spec.mul(ai, bj))
-    return out
+    def mix_table(self) -> np.ndarray:
+        """c_i(u) for every block i and seed u, as an (L, q) code array."""
+        seeds = np.arange(self.spec.q, dtype=np.int64)
+        return np.stack([self.spec.vec.poly_eval(c, seeds) for c in self.basis])
 
 
 def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerSpec:
@@ -233,7 +231,7 @@ def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerS
         for j, gj in enumerate(gamma):
             if j == i:
                 continue
-            num = _uni_mul(num, [spec.neg(gj), 1], spec)
+            num = uni_mul(num, [spec.neg(gj), 1], spec)
             denom = spec.mul(denom, spec.sub(gi, gj))
         inv = spec.inv(denom)
         coeffs = tuple(spec.mul(c, inv) for c in num)
@@ -241,14 +239,15 @@ def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerS
     ms = MergerSpec(spec, n, num_blocks, gamma, tuple(basis))
 
     # construction invariants: interpolation conditions and partition of unity
-    for i, gi in enumerate(gamma):
+    for i, coeffs in enumerate(ms.basis):
         for j, gj in enumerate(gamma):
-            want = 1 if i == j else 0
-            assert _uni_eval(ms.basis[i], gj, spec) == want
-    total = [0] * num_blocks
+            if poly_eval_univariate(coeffs, gj, spec) != (1 if i == j else 0):
+                raise InternalDefect(f"Lagrange basis {i} is wrong at node {gj}")
+    total: list[int] = []
     for coeffs in ms.basis:
-        total = [spec.add(a, c) for a, c in zip(total, coeffs)]
-    assert total[0] == 1 and not any(total[1:])
+        total = uni_add(total, coeffs, spec)
+    if total != [1]:
+        raise InternalDefect(f"Lagrange basis sums to {total}, not 1")
     return ms
 
 
@@ -275,6 +274,15 @@ def f_dw(ms: MergerSpec, blocks, u) -> tuple[int, ...]:
 # -- adversarial sources ----------------------------------------------------------
 
 
+def _check_codes(spec: FieldSpec, codes, n: int, what: str) -> None:
+    """Raise unless ``codes`` is a tuple or list of n codes of spec."""
+    if not isinstance(codes, (tuple, list)) or len(codes) != n:
+        raise DimensionMismatch(f"{what} must hold {n} coordinates, got {codes!r}")
+    for c in codes:
+        if not isinstance(c, Integral) or not 0 <= c < spec.q:
+            raise InvalidParameters(f"{what} holds {c!r}, not a code in [0, {spec.q})")
+
+
 class BlockMap:
     """A deterministic map F_q^n -> F_q^n used as a correlated block."""
 
@@ -282,6 +290,14 @@ class BlockMap:
 
     def apply(self, spec: FieldSpec, point: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def apply_all(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
+        """``apply`` on every row of an (N, n) code array; the result
+        broadcasts to (N, n)."""
+        raise NotImplementedError
+
+    def validate(self, spec: FieldSpec, n: int) -> None:
+        """Raise unless the map sends F_q^n into F_q^n."""
 
     def describe(self) -> dict:
         return {"type": self.kind}
@@ -293,6 +309,9 @@ class IdentityMap(BlockMap):
     def apply(self, spec, point):
         return point
 
+    def apply_all(self, spec, pts):
+        return pts
+
 
 class ConstantMap(BlockMap):
     kind = "constant"
@@ -302,6 +321,12 @@ class ConstantMap(BlockMap):
 
     def apply(self, spec, point):
         return self.value
+
+    def apply_all(self, spec, pts):
+        return np.array(self.value, dtype=np.int64)
+
+    def validate(self, spec, n):
+        _check_codes(spec, self.value, n, "constant value")
 
     def describe(self):
         return {"type": self.kind, "value": list(self.value)}
@@ -315,6 +340,15 @@ class CoordinatePermutationMap(BlockMap):
 
     def apply(self, spec, point):
         return tuple(point[j] for j in self.perm)
+
+    def apply_all(self, spec, pts):
+        return pts[:, list(self.perm)]
+
+    def validate(self, spec, n):
+        if len(self.perm) != n:
+            raise DimensionMismatch(f"permutation of {len(self.perm)} coordinates, expected {n}")
+        if not all(isinstance(j, Integral) for j in self.perm) or sorted(self.perm) != list(range(n)):
+            raise InvalidParameters(f"{list(self.perm)} is not a permutation of range({n})")
 
     def describe(self):
         return {"type": self.kind, "perm": list(self.perm)}
@@ -336,6 +370,23 @@ class AffineMap(BlockMap):
             out.append(acc)
         return tuple(out)
 
+    def apply_all(self, spec, pts):
+        vec = spec.vec
+        out = np.empty(pts.shape, dtype=np.int64)
+        for r, (row, off) in enumerate(zip(self.matrix, self.offset)):
+            acc = off
+            for a, col in zip(row, pts.T):
+                acc = vec.add(acc, vec.mul(a, col))
+            out[:, r] = acc
+        return out
+
+    def validate(self, spec, n):
+        if len(self.matrix) != n:
+            raise DimensionMismatch(f"affine matrix has {len(self.matrix)} rows, expected {n}")
+        for row in self.matrix:
+            _check_codes(spec, row, n, "affine matrix row")
+        _check_codes(spec, self.offset, n, "affine offset")
+
     def describe(self):
         return {
             "type": self.kind,
@@ -352,6 +403,18 @@ class TableMap(BlockMap):
 
     def apply(self, spec, point):
         return self.table[point]
+
+    def apply_all(self, spec, pts):
+        images = [self.table[point] for point in map(tuple, pts.tolist())]
+        return np.array(images, dtype=np.int64).reshape(pts.shape)
+
+    def validate(self, spec, n):
+        # q^n distinct valid keys: the table is defined on all of F_q^n
+        if len(self.table) != spec.q ** n:
+            raise InvalidParameters(f"table has {len(self.table)} entries, expected {spec.q ** n}")
+        for point, image in self.table.items():
+            _check_codes(spec, point, n, "table point")
+            _check_codes(spec, image, n, "table image")
 
     def describe(self):
         return {"type": self.kind, "entries": len(self.table)}
@@ -370,6 +433,8 @@ class SourceSpec:
     label: str = ""
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InvalidParameters(f"block dimension {self.n} is negative")
         if not 0 <= self.uniform_index < self.num_blocks:
             raise InvalidParameters(f"uniform block index {self.uniform_index} out of range")
         missing = [
@@ -379,10 +444,21 @@ class SourceSpec:
         ]
         if missing:
             raise InvalidParameters(f"missing block maps for indices {missing}")
+        for j, bm in self.block_maps.items():
+            if not isinstance(bm, BlockMap):
+                raise InvalidParameters(f"block {j} is not a BlockMap: {bm!r}")
+            bm.validate(self.spec, self.n)
 
     def realize(self, v: tuple[int, ...]) -> list[tuple[int, ...]]:
         return [
             v if j == self.uniform_index else self.block_maps[j].apply(self.spec, v)
+            for j in range(self.num_blocks)
+        ]
+
+    def realize_all(self, pts: np.ndarray) -> list[np.ndarray]:
+        """``realize`` for every row of an (N, n) array of uniform blocks."""
+        return [
+            pts if j == self.uniform_index else self.block_maps[j].apply_all(self.spec, pts)
             for j in range(self.num_blocks)
         ]
 
@@ -398,33 +474,31 @@ class SourceSpec:
 
 def exact_output_distribution(ms: MergerSpec, src: SourceSpec) -> Distribution:
     """The exact distribution of the merger output, enumerating all q^n
-    values of the uniform block against all q seeds with weight q^-(n+1)."""
+    values of the uniform block against all q seeds with weight q^-(n+1).
+
+    Each seed mixes all q^n block tuples at once on code arrays: c*x is a
+    lookup in the row c*(0..q-1).  An output is counted under its base-q
+    number, first coordinate most significant, which is its index in
+    itertools.product order.
+    """
     if src.spec is not ms.spec or src.n != ms.n or src.num_blocks != ms.num_blocks:
         raise DimensionMismatch("source and merger dimensions differ")
     spec, n, q = ms.spec, ms.n, ms.spec.q
-    # scalar multiplication tables per seed: mix_tabs[u][i][code]
-    mix_tabs = []
-    for u in range(q):
-        mix = ms.mix_coeffs(u)
-        mix_tabs.append([[spec.mul(ci, x) for x in range(q)] for ci in mix])
-    add = spec.add
-    counts: dict[tuple[int, ...], int] = {}
-    for v in itertools.product(range(q), repeat=n):
-        blocks = src.realize(v)
-        for u in range(q):
-            tabs = mix_tabs[u]
-            out = []
-            for coord in range(n):
-                acc = 0
-                for i, blk in enumerate(blocks):
-                    acc = add(acc, tabs[i][blk[coord]])
-                out.append(acc)
-            key = tuple(out)
-            counts[key] = counts.get(key, 0) + 1
+    vec, size = spec.vec, q ** n
+    pts = np.indices((q,) * n, dtype=np.int64).reshape(n, size).T
+    blocks = src.realize_all(pts)
+    codes = np.arange(q, dtype=np.int64)
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    for mix in ms.mix_table().T.tolist():
+        out = reduce(vec.add, [vec.mul(c, codes)[blk] for c, blk in zip(mix, blocks)])
+        counts += np.bincount(out @ place, minlength=size)
+    support = np.flatnonzero(counts)
+    outcomes = map(tuple, (support[:, None] // place % q).tolist())
+    hits = counts[support].tolist()
     total = q ** (n + 1)
-    return Distribution(
-        {o: Fraction(c, total) for o, c in counts.items()}, q ** n
-    )
+    masses = {c: Fraction(c, total) for c in set(hits)}  # few distinct counts
+    return Distribution({o: masses[c] for o, c in zip(outcomes, hits)}, size)
 
 
 def seed_length(delta, eps, num_blocks: int) -> int:

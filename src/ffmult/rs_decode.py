@@ -27,7 +27,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldSpec
+from .ff import FieldSpec, poly_eval_univariate, uni_add, uni_mul, uni_trim
 from .interpolate import (
     InterpolationProblem,
     WeightedDegreeBasis,
@@ -158,43 +158,6 @@ def gs_interpolate(inst: RSInstance, params: GSParams, verify: bool = False) -> 
     return vanishing_interpolation(problem, verify=verify)
 
 
-# -- univariate helpers on coefficient lists --------------------------------------
-
-
-def _uni_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _uni_add(a, b, spec) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = spec.add(out[i], c)
-    return _uni_trim(out)
-
-
-def _uni_mul(a, b, spec) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = spec.add(out[i + j], spec.mul(ai, bj))
-    return _uni_trim(out)
-
-
-def poly_eval_univariate(coeffs, x: int, spec: FieldSpec) -> int:
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = spec.add(spec.mul(acc, x), c)
-    return acc
-
-
 def compose_bivariate(Q: MultiPoly, fcoeffs, spec: FieldSpec) -> list[int]:
     """Q(X, f(X)) as a univariate coefficient list, by Horner in Y."""
     by_j: dict[int, list[int]] = {}
@@ -205,15 +168,15 @@ def compose_bivariate(Q: MultiPoly, fcoeffs, spec: FieldSpec) -> list[int]:
         row = [0] * (max(i for i, _ in pairs) + 1)
         for i, c in pairs:
             row[i] = c
-        levels[j] = _uni_trim(row)
+        levels[j] = uni_trim(row)
     if not levels:
         return []
-    f = _uni_trim(list(fcoeffs))
+    f = uni_trim(list(fcoeffs))
     acc: list[int] = []
     for j in range(max(levels), -1, -1):
-        acc = _uni_mul(acc, f, spec)
+        acc = uni_mul(acc, f, spec)
         if j in levels:
-            acc = _uni_add(acc, levels[j], spec)
+            acc = uni_add(acc, levels[j], spec)
     return acc
 
 
@@ -285,14 +248,10 @@ def _rr_search(terms, depth, k, prefix, out, spec: FieldSpec):
 def _field_roots(coeffs, spec: FieldSpec) -> list[int]:
     """Every y in F_q with sum coeffs[j] y^j = 0, in code order: Horner's rule
     over a block of F_q at a time."""
-    vec = spec.vec
-    negs = [spec.neg(c) for c in reversed(coeffs[:-1])]
     roots: list[int] = []
     for lo in range(0, spec.q, ROOT_SCAN_BLOCK):
         ys = np.arange(lo, min(lo + ROOT_SCAN_BLOCK, spec.q), dtype=np.int32)
-        acc = np.full(len(ys), coeffs[-1], dtype=np.int32)
-        for neg_c in negs:
-            acc = vec.sub(vec.mul(acc, ys), neg_c)
+        acc = spec.vec.poly_eval(coeffs, ys)
         roots += (lo + np.flatnonzero(acc == 0)).tolist()
     return roots
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ffmult.cli import main
 
 
@@ -168,6 +170,34 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _ = run_subprocess("no-such-command")
     assert code == 2
+
+
+MERGER_RUN = ("merger-run", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "2")
+
+
+def test_merger_run_malformed_source_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*MERGER_RUN, "--source", "{bad"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid JSON" in captured.err
+
+
+@pytest.mark.parametrize("source,error", [
+    ('{"type":"affine"}', "InvalidParameters"),
+    ('{"type":"constant","value":[999,1]}', "InvalidParameters"),
+    ('{"type":"permutation","perm":[5,5]}', "InvalidParameters"),
+    ("[1]", "InvalidParameters"),
+    ('{"type":"no-such-type"}', "InvalidParameters"),
+    ('{"type":"constant","value":7}', "InvalidParameters"),
+    ('{"type":"constant","value":[1]}', "DimensionMismatch"),
+    ('{"type":"affine","matrix":[1,2]}', "InvalidParameters"),
+    ('{"type":"affine","matrix":[[1,2],[3]]}', "DimensionMismatch"),
+])
+def test_merger_run_bad_source_is_domain_error(capsys, source, error):
+    code, out = run_cli(capsys, *MERGER_RUN, "--source", source)
+    assert code == 1
+    assert json.loads(out)["error"] == error
 
 
 def test_selftest_requires_seed():

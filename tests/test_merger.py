@@ -1,9 +1,17 @@
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffmult
 from ffmult import errors
 from ffmult import merger as mg
 from ffmult.ff import field_make, rng_stream
@@ -146,6 +154,179 @@ def test_uniform_index_placement():
     dist = mg.exact_output_distribution(ms, src)
     assert sum(dist.probs.values()) == 1
     assert dist.universe_size == 5
+
+
+# ---------------------------------------------------------------------------
+# exact distributions against scalar references
+# ---------------------------------------------------------------------------
+
+def _scalar_distribution(ms, src):
+    """Scalar enumeration of every (block, seed) pair, kept as the reference."""
+    spec, n, q = ms.spec, ms.n, ms.spec.q
+    mix_tabs = []
+    for u in range(q):
+        mix = ms.mix_coeffs(u)
+        mix_tabs.append([[spec.mul(ci, x) for x in range(q)] for ci in mix])
+    counts = {}
+    for v in itertools.product(range(q), repeat=n):
+        blocks = src.realize(v)
+        for u in range(q):
+            tabs = mix_tabs[u]
+            out = []
+            for coord in range(n):
+                acc = 0
+                for i, blk in enumerate(blocks):
+                    acc = spec.add(acc, tabs[i][blk[coord]])
+                out.append(acc)
+            key = tuple(out)
+            counts[key] = counts.get(key, 0) + 1
+    total = q ** (n + 1)
+    return mg.Distribution({o: Fraction(c, total) for o, c in counts.items()}, q ** n)
+
+
+def _f_dw_distribution(ms, src):
+    """The merger output counted by f_dw over every (v, u)."""
+    q, n = ms.spec.q, ms.n
+    counts = Counter(
+        mg.f_dw(ms, src.realize(v), u)
+        for v in itertools.product(range(q), repeat=n)
+        for u in range(q)
+    )
+    total = q ** (n + 1)
+    return mg.Distribution({o: Fraction(c, total) for o, c in counts.items()}, q ** n)
+
+
+def _every_map_kind(spec, n, rng):
+    """One block map of each kind, with random parameters."""
+    def point():
+        return tuple(int(c) for c in rng.integers(spec.q, size=n))
+
+    return [
+        mg.IdentityMap(),
+        mg.ConstantMap(point()),
+        mg.CoordinatePermutationMap(tuple(int(j) for j in rng.permutation(n))),
+        mg.AffineMap([point() for _ in range(n)], point()),
+        mg.TableMap({v: point() for v in itertools.product(range(spec.q), repeat=n)}),
+    ]
+
+
+# (p, e, n): n = 2 where q^3 <= 4096, n = 1 above that
+DIFF_FIELDS = [
+    (2, 1, 3), (3, 1, 2), (5, 1, 2), (7, 1, 2), (13, 1, 2),
+    (2, 2, 2), (2, 3, 2), (2, 4, 2), (2, 5, 1), (2, 6, 1),
+    (3, 2, 2), (3, 3, 1),
+]
+
+
+@pytest.mark.parametrize("p,e,n", DIFF_FIELDS)
+def test_exact_distribution_matches_scalar_references(p, e, n):
+    spec = field_make(p, e)
+    rng = rng_stream(4242, spec.q * 10 + n)
+    maps = _every_map_kind(spec, n, rng)
+    checked = 0
+    for L in range(1, min(3, spec.q) + 1):
+        random_gamma = tuple(int(g) for g in rng.choice(spec.q, size=L, replace=False))
+        for gamma in (None, random_gamma):
+            ms = mg.merger_make(spec, n, L, gamma)
+            for ui in sorted({0, L - 1}):
+                others = [j for j in range(L) if j != ui]
+                for k in range(len(maps)):
+                    # with two correlated blocks, pair each kind with the next
+                    block_maps = {j: maps[(k + t) % len(maps)] for t, j in enumerate(others)}
+                    src = mg.SourceSpec(spec, n, L, ui, block_maps)
+                    dist = mg.exact_output_distribution(ms, src)
+                    assert dist == _scalar_distribution(ms, src), (L, gamma, ui, k)
+                    assert dist == _f_dw_distribution(ms, src), (L, gamma, ui, k)
+                    checked += 1
+                    if L == 1:
+                        break  # no correlated blocks: every kind is the same source
+    assert checked >= 5
+
+
+def test_exact_distribution_matches_scalar_reference_gf256():
+    spec = field_make(2, 8)
+    rng = rng_stream(4243)
+    maps = _every_map_kind(spec, 1, rng)
+    gamma = tuple(int(g) for g in rng.choice(spec.q, size=3, replace=False))
+    ms = mg.merger_make(spec, 1, 3, gamma)
+    for k, bm in enumerate(maps):
+        ui = 0 if k % 2 else 2
+        src = mg.SourceSpec(spec, 1, 3, ui, {j: bm for j in range(3) if j != ui})
+        dist = mg.exact_output_distribution(ms, src)
+        assert dist == _scalar_distribution(ms, src)
+        if isinstance(bm, mg.TableMap):  # f_dw on all 2^16 pairs costs seconds
+            assert dist == _f_dw_distribution(ms, src)
+
+
+def test_exact_distribution_zero_dimensional_blocks():
+    ms = mg.merger_make(F5, 0, 2)
+    src = mg.SourceSpec(F5, 0, 2, 0, {1: mg.AffineMap((), ())})
+    assert mg.exact_output_distribution(ms, src) == mg.Distribution.point_mass((), 1)
+
+
+@pytest.mark.parametrize("bm,error", [
+    (mg.ConstantMap((7, 0)), errors.InvalidParameters),
+    (mg.ConstantMap((-1, 0)), errors.InvalidParameters),
+    (mg.ConstantMap((1.0, 0)), errors.InvalidParameters),
+    (mg.ConstantMap((1,)), errors.DimensionMismatch),
+    (mg.CoordinatePermutationMap((1, 1)), errors.InvalidParameters),
+    (mg.CoordinatePermutationMap((0, 2)), errors.InvalidParameters),
+    (mg.CoordinatePermutationMap((0, 1, 2)), errors.DimensionMismatch),
+    (mg.AffineMap(((1, 0), (0, 5)), (0, 0)), errors.InvalidParameters),
+    (mg.AffineMap(((1, 0), (0, 1)), (0, 9)), errors.InvalidParameters),
+    (mg.AffineMap(((1, 0),), (0, 0)), errors.DimensionMismatch),
+    (mg.AffineMap(((1, 0), (0,)), (0, 0)), errors.DimensionMismatch),
+    (mg.AffineMap(((1, 0), (0, 1)), (0,)), errors.DimensionMismatch),
+    (mg.TableMap({(0, 0): (0, 0)}), errors.InvalidParameters),
+    (mg.TableMap({v: (5, 0) for v in itertools.product(range(5), repeat=2)}),
+     errors.InvalidParameters),
+    (mg.TableMap({(v[0] + 5, v[1]): v for v in itertools.product(range(5), repeat=2)}),
+     errors.InvalidParameters),
+    ("not a map", errors.InvalidParameters),
+])
+def test_source_rejects_bad_block_maps(bm, error):
+    # the array path would wrap an out-of-range code where the scalar one failed
+    with pytest.raises(error):
+        mg.SourceSpec(F5, 2, 2, 0, {1: bm})
+
+
+def test_source_rejects_negative_dimension():
+    with pytest.raises(errors.InvalidParameters):
+        mg.SourceSpec(F5, -1, 1, 0, {})
+
+
+def test_merger_make_guards_raise(monkeypatch):
+    monkeypatch.setattr(mg, "poly_eval_univariate", lambda coeffs, x, spec: 0)
+    with pytest.raises(errors.InternalDefect, match="wrong at node"):
+        mg.merger_make(F5, 1, 2)
+    # a wrong basis whose node checks (two blocks: i, j in row order) pass
+    deltas = iter([1, 0, 0, 1])
+    monkeypatch.setattr(mg, "poly_eval_univariate", lambda coeffs, x, spec: next(deltas))
+    monkeypatch.setattr(mg, "uni_mul", lambda a, b, spec: [0, 2])
+    with pytest.raises(errors.InternalDefect, match="sums to"):
+        mg.merger_make(F5, 1, 2)
+
+
+def test_merger_make_guards_survive_optimize():
+    script = textwrap.dedent("""
+        import sys
+        from ffmult import errors, merger as mg
+        from ffmult.ff import field_make
+
+        assert sys.flags.optimize, "not running under -O"
+        mg.poly_eval_univariate = lambda coeffs, x, spec: 0
+        try:
+            mg.merger_make(field_make(5), 1, 2)
+            sys.exit("merger_make node check did not raise")
+        except errors.InternalDefect:
+            pass
+        print("ok")
+    """)
+    src = str(Path(ffmult.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +516,16 @@ def test_enumeration_cap():
 def test_non_integer_threshold_rejected():
     with pytest.raises(errors.InvalidParameters):
         mg.verify_merger_theorem(Fraction(1, 3), Fraction(1, 3), 2, 1)
+
+
+def test_distribution_accepts_non_fraction_masses():
+    dist = mg.Distribution({0: "1/4", 1: 0.25, 2: Fraction(1, 2), 3: 0}, 4)
+    assert dist.probs == {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2)}
+    assert mg.Distribution({"a": 1}, 1) == mg.Distribution.point_mass("a")
+    with pytest.raises(errors.InvalidParameters, match="sum to 5/6"):
+        mg.Distribution({0: Fraction(1, 2), 1: Fraction(1, 3)}, 2)
+    with pytest.raises(errors.InvalidParameters, match="sum to 0"):
+        mg.Distribution({}, 1)
 
 
 def test_distribution_validation():

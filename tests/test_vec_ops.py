@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ffmult import rs_decode as rs
-from ffmult.ff import _modulus_table, field_make, rng_stream
+from ffmult.ff import _modulus_table, field_make, poly_eval_univariate, rng_stream
 from ffmult.interpolate import (
     InterpolationProblem,
     TotalDegreeBasis,
@@ -45,14 +45,37 @@ def test_vec_ops_match_scalar(p, e):
     vec = spec.vec
     a, b = _operands(spec.q, 31)
     al, bl = a.tolist(), b.tolist()
+    assert vec.add(a, b).tolist() == list(map(spec.add, al, bl))
     assert vec.mul(a, b).tolist() == list(map(spec.mul, al, bl))
     assert vec.sub(a, b).tolist() == list(map(spec.sub, al, bl))
     assert vec.neg(a).tolist() == list(map(spec.neg, al))
     # a 0-d operand broadcasts
     assert vec.sub(a, bl[0]).tolist() == [spec.sub(x, bl[0]) for x in al]
+    assert vec.add(al[-1], b).tolist() == [spec.add(al[-1], y) for y in bl]
+    coeffs = bl[-5:]
+    assert vec.poly_eval(coeffs, a[:1000]).tolist() == [
+        poly_eval_univariate(coeffs, x, spec) for x in al[:1000]
+    ]
     nonzero = range(1, spec.q) if spec.q <= 2 ** 10 else sorted(set(al) - {0})
     for x in nonzero:
         assert spec.mul(x, vec.inv(x)) == 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 17), (3, 11)])
+def test_fallback_vec_ops_match_scalar(p, e):
+    # beyond the log-table cap every op goes through the scalar one
+    spec = field_make(p, e)
+    vec = spec.vec
+    assert type(vec).__name__ == "VecOps"
+    a, b = (x[:2000] for x in _operands(spec.q, 37))
+    al, bl = a.tolist(), b.tolist()
+    assert vec.add(a, b).tolist() == list(map(spec.add, al, bl))
+    assert vec.mul(a, b).tolist() == list(map(spec.mul, al, bl))
+    assert vec.sub(a, b).tolist() == list(map(spec.sub, al, bl))
+    assert vec.neg(a).tolist() == list(map(spec.neg, al))
+    assert vec.poly_eval(bl[:3], a[:100]).tolist() == [
+        poly_eval_univariate(bl[:3], x, spec) for x in al[:100]
+    ]
 
 
 def test_prime_intermediates_stay_below_2_62():
