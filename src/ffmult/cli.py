@@ -34,15 +34,39 @@ def _frac(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+# argparse types: text that does not parse is a usage error (exit 2); values
+# that parse but lie outside the field are domain errors, raised later.
+
+
 def _parse_frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction: {text!r}") from None
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer list: {text!r}") from None
+
+
+def _json_arg(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
+
+
+def _points(data) -> list[tuple]:
+    """A parsed --points value as a list of point tuples."""
+    if not isinstance(data, list) or not all(isinstance(pt, list) for pt in data):
+        raise InvalidParameters("points must be a JSON list of lists")
+    return [tuple(pt) for pt in data]
 
 
 def _mult_value(poly: MultiPoly, point):
@@ -56,12 +80,11 @@ def _mult_value(poly: MultiPoly, point):
 def cmd_hasse(args) -> dict:
     spec = parse_field_spec(args.field)
     poly = MultiPoly.from_text(spec, args.n, args.poly)
-    order = _parse_ints(args.order)
-    deriv = hasse_derivative(poly, order)
+    deriv = hasse_derivative(poly, args.order)
     return {
         "field": spec.q,
         "poly": poly.to_text(),
-        "order": list(order),
+        "order": list(args.order),
         "derivative": deriv.to_text(),
     }
 
@@ -69,19 +92,18 @@ def cmd_hasse(args) -> dict:
 def cmd_mult(args) -> dict:
     spec = parse_field_spec(args.field)
     poly = MultiPoly.from_text(spec, args.n, args.poly)
-    point = _parse_ints(args.point)
     return {
         "field": spec.q,
         "poly": poly.to_text(),
-        "point": list(point),
-        "multiplicity": _mult_value(poly, point),
+        "point": list(args.point),
+        "multiplicity": _mult_value(poly, args.point),
     }
 
 
 def cmd_sz_mass(args) -> dict:
     spec = parse_field_spec(args.field)
     poly = MultiPoly.from_text(spec, args.n, args.poly)
-    subset = _parse_ints(args.subset) if args.subset else tuple(range(spec.q))
+    subset = args.subset or tuple(range(spec.q))
     mass = multiplicity_mass(poly, subset)
     bound = int(poly.degree) * len(set(subset)) ** (args.n - 1)
     return {"mass": mass, "bound": bound, "ok": mass <= bound}
@@ -89,7 +111,7 @@ def cmd_sz_mass(args) -> dict:
 
 def cmd_interpolate(args) -> dict:
     spec = parse_field_spec(args.field)
-    points = tuple(tuple(pt) for pt in json.loads(args.points))
+    points = tuple(_points(args.points))
     problem = InterpolationProblem(
         spec, args.n, points, args.multiplicity, TotalDegreeBasis(args.n, args.degree)
     )
@@ -104,7 +126,7 @@ def cmd_interpolate(args) -> dict:
 
 def cmd_kakeya_verify(args) -> dict:
     spec = parse_field_spec(args.field)
-    points = [tuple(pt) for pt in json.loads(args.points)]
+    points = _points(args.points)
     res = kk.is_kakeya(spec, args.n, points)
     out = {"is_kakeya": res.ok, "set_size": len(set(points))}
     if res.ok:
@@ -170,14 +192,6 @@ def cmd_kakeya_stat(args) -> dict:
     }
 
 
-def _json_arg(text: str):
-    """argparse type for JSON options: unparsable text is a usage error."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
-
-
 def _source_list(data: dict, key: str, default=None) -> list:
     value = data.get(key, default)
     if not isinstance(value, list):
@@ -211,7 +225,7 @@ def _load_source(spec, n: int, num_blocks: int, data) -> mg.SourceSpec:
 
 
 def cmd_merger_run(args) -> dict:
-    delta, eps = _parse_frac(args.delta), _parse_frac(args.eps)
+    delta, eps = args.delta, args.eps
     d = mg.seed_length(delta, eps, args.num_blocks)
     from .ff import field_make
 
@@ -231,7 +245,7 @@ def cmd_merger_run(args) -> dict:
 
 
 def cmd_merger_verify(args) -> dict:
-    delta, eps = _parse_frac(args.delta), _parse_frac(args.eps)
+    delta, eps = args.delta, args.eps
     report = mg.verify_merger_theorem(delta, eps, args.num_blocks, args.n)
     return {
         "seed_length": report["seed_length"],
@@ -259,18 +273,12 @@ def cmd_rs_decode(args) -> dict:
             raise InvalidParameters(
                 "pass --input FILE or all of --field/--alphas/--betas/--k/--t"
             )
-        spec = parse_field_spec(args.field)
         inst = rs.RSInstance(
-            spec, _parse_ints(args.alphas), _parse_ints(args.betas), k=args.k, t=args.t
+            parse_field_spec(args.field), args.alphas, args.betas, k=args.k, t=args.t
         )
     spec = inst.spec
-    params = rs.choose_params(inst, _parse_frac(args.eps))
-    Q = rs.gs_interpolate(inst, params)
-    cands = rs.y_roots(Q, inst.k)
-    decoded = sorted(
-        (f for f in cands if rs.agreement(inst, f) >= inst.t),
-        key=lambda f: tuple(reversed(f)),
-    )
+    params = rs.choose_params(inst, args.eps)
+    decoded = rs.list_decode(inst, params=params)
     bound = rs.list_size_bound(inst.gamma, inst.rate)
     polys = [
         MultiPoly(spec, 1, {(i,): c for i, c in enumerate(f)}).to_text() for f in decoded
@@ -289,7 +297,7 @@ def cmd_rs_decode(args) -> dict:
 
 
 def cmd_rs_bound(args) -> dict:
-    bound = rs.list_size_bound(_parse_frac(args.gamma), _parse_frac(args.rate))
+    bound = rs.list_size_bound(args.gamma, args.rate)
     return {"bound": _frac(bound)}
 
 
@@ -359,24 +367,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hasse", parents=[common], help="Hasse derivative of a polynomial")
     field_n(p)
     p.add_argument("--poly", required=True, help="terms 'coeff:e1,...,en' joined by ';'")
-    p.add_argument("--order", required=True, help="derivative order 'i1,...,in'")
+    p.add_argument("--order", required=True, type=_parse_ints, help="derivative order 'i1,...,in'")
     p.set_defaults(fn=cmd_hasse)
 
     p = sub.add_parser("mult", parents=[common], help="multiplicity of a zero at a point")
     field_n(p)
     p.add_argument("--poly", required=True)
-    p.add_argument("--point", required=True, help="point 'a1,...,an'")
+    p.add_argument("--point", required=True, type=_parse_ints, help="point 'a1,...,an'")
     p.set_defaults(fn=cmd_mult)
 
     p = sub.add_parser("sz-mass", parents=[common], help="total multiplicity mass over S^n")
     field_n(p)
     p.add_argument("--poly", required=True)
-    p.add_argument("--subset", help="subset of element codes, default: the whole field")
+    p.add_argument("--subset", type=_parse_ints,
+                   help="subset of element codes, default: the whole field")
     p.set_defaults(fn=cmd_sz_mass)
 
     p = sub.add_parser("interpolate", parents=[common], help="vanishing interpolation with multiplicity")
     field_n(p)
-    p.add_argument("--points", required=True, help="JSON list of points")
+    p.add_argument("--points", required=True, type=_json_arg, help="JSON list of points")
     p.add_argument("--multiplicity", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--verify", action="store_true")
@@ -384,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kakeya-verify", parents=[common], help="check the line-in-every-direction property")
     field_n(p)
-    p.add_argument("--points", required=True, help="JSON list of points")
+    p.add_argument("--points", required=True, type=_json_arg, help="JSON list of points")
     p.set_defaults(fn=cmd_kakeya_verify)
 
     p = sub.add_parser("kakeya-search", parents=[common], help="exhaustive minimum Kakeya set search")
@@ -398,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_kakeya_stat)
 
     p = sub.add_parser("merger-run", parents=[common], help="exact merger analysis of one source")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--delta", required=True, type=_parse_frac)
+    p.add_argument("--eps", required=True, type=_parse_frac)
     p.add_argument("--lambda", dest="num_blocks", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--source", required=True, type=_json_arg,
@@ -407,25 +416,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_merger_run)
 
     p = sub.add_parser("merger-verify", parents=[common], help="merger theorem over the adversarial family")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--delta", required=True, type=_parse_frac)
+    p.add_argument("--eps", required=True, type=_parse_frac)
     p.add_argument("--lambda", dest="num_blocks", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_merger_verify)
 
     p = sub.add_parser("rs-decode", parents=[common], help="list decoding within the Johnson radius")
     p.add_argument("--field")
-    p.add_argument("--alphas")
-    p.add_argument("--betas")
+    p.add_argument("--alphas", type=_parse_ints)
+    p.add_argument("--betas", type=_parse_ints)
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)
-    p.add_argument("--eps", default="1/4", help="slack parameter, default 1/4")
+    p.add_argument("--eps", default="1/4", type=_parse_frac, help="slack parameter, default 1/4")
     p.add_argument("--input", help="instance JSON file instead of individual flags")
     p.set_defaults(fn=cmd_rs_decode)
 
     p = sub.add_parser("rs-bound", parents=[common], help="list-size bound 2*gamma/(gamma^2 - R)")
-    p.add_argument("--gamma", required=True)
-    p.add_argument("--rate", required=True)
+    p.add_argument("--gamma", required=True, type=_parse_frac)
+    p.add_argument("--rate", required=True, type=_parse_frac)
     p.set_defaults(fn=cmd_rs_bound)
 
     p = sub.add_parser("selftest", parents=[common], help="run the full invariant suite")

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import (
     DivisionByZero,
+    InternalDefect,
+    InvalidParameters,
     MissingModulusEntry,
     NonPrimeCharacteristic,
     SpecMismatch,
@@ -195,14 +197,18 @@ class FieldSpec:
         return FieldElement(self, self.coerce(value))
 
     def coerce(self, value) -> int:
-        """Accept a FieldElement of this field or an int code in [0, q)."""
+        """Accept a FieldElement of this field or an int code in [0, q);
+        anything else raises InvalidParameters."""
         if isinstance(value, FieldElement):
             if value.spec is not self:
                 raise SpecMismatch("element belongs to a different field")
             return value.code
-        code = int(value)
+        try:
+            code = int(value)
+        except (TypeError, ValueError):
+            raise InvalidParameters(f"not an element code: {value!r}") from None
         if not 0 <= code < self.q:
-            raise ValueError(f"code {code} outside [0, {self.q})")
+            raise InvalidParameters(f"code {code} outside [0, {self.q})")
         return code
 
     def zero(self) -> FieldElement:
@@ -274,7 +280,8 @@ class FieldSpec:
             if all(self._pow_raw(cand, (q - 1) // r) != 1 for r in factors):
                 g = cand
                 break
-        assert g is not None, "no multiplicative generator found"
+        if g is None:
+            raise InternalDefect(f"no multiplicative generator found in {self!r}")
         exp = [1] * (q - 1)
         log = [0] * q
         acc = 1
@@ -405,8 +412,10 @@ class VecOps:
 
     def poly_eval(self, coeffs, xs) -> np.ndarray:
         """The polynomial with low-to-high coefficient codes ``coeffs`` (at
-        least one) at every code of xs, by Horner's rule."""
-        acc = np.full(np.shape(xs), coeffs[-1], dtype=np.int64)
+        least one) at every code of xs, by Horner's rule.  A coefficient may
+        be an array of codes; the result has the broadcast shape of all."""
+        shape = np.broadcast_shapes(np.shape(xs), *map(np.shape, coeffs))
+        acc = np.full(shape, coeffs[-1], dtype=np.int64)
         for c in reversed(coeffs[:-1]):
             acc = self.add(self.mul(acc, xs), c)
         return acc

@@ -17,6 +17,7 @@ from math import ceil, comb
 
 from .errors import (
     HypothesisViolation,
+    InternalDefect,
     InvalidParameters,
     ParameterViolation,
     SearchSpaceTooLarge,
@@ -165,7 +166,7 @@ def exhaustive_min_kakeya(q: int, n: int, size_cap: int | None = None):
                 return frozenset(points[i] for i in combo), size
     if size_cap is not None:
         return None
-    raise AssertionError("the full space is always a Kakeya set")
+    raise InternalDefect("the full space is always a Kakeya set")
 
 
 def is_prime_power_base(q: int) -> tuple[int, int]:

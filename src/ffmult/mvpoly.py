@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from math import comb, inf
 
-from .errors import DimensionMismatch, EmptySet, SpecMismatch, ZeroPolynomial
+from .errors import DimensionMismatch, EmptySet, InternalDefect, SpecMismatch, ZeroPolynomial
 from .ff import FieldElement, FieldSpec
 
 NEG_INF = float("-inf")   # degree of the zero polynomial
@@ -338,7 +338,7 @@ def multiplicity(P: MultiPoly, point):
         for i in weak_compositions(w, P.n):
             if hasse_eval(P, i, pt):
                 return w
-    raise AssertionError("nonzero polynomial with multiplicity above its degree")
+    raise InternalDefect("nonzero polynomial with multiplicity above its degree")
 
 
 def multiplicity_tuple(polys, point):
@@ -467,5 +467,6 @@ def multiplicity_mass(P: MultiPoly, S) -> int:
         ]
         mass += len(alive)
         w += 1
-    assert not alive, "points alive beyond deg(P) for a nonzero polynomial"
+    if alive:
+        raise InternalDefect("points alive beyond deg(P) for a nonzero polynomial")
     return mass

@@ -11,10 +11,8 @@ the list-size bound 2*gamma/(gamma^2 - R) is exposed as an exact rational.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt
 
 import numpy as np
@@ -27,7 +25,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldSpec, poly_eval_univariate, uni_add, uni_mul, uni_trim
+from .ff import FieldSpec, poly_eval_univariate
 from .interpolate import (
     InterpolationProblem,
     WeightedDegreeBasis,
@@ -40,6 +38,11 @@ M_SEARCH_CAP = 10 ** 4
 CROSS_VALIDATE_CAP = 10 ** 4
 BRUTE_FORCE_CAP = 10 ** 6
 ROOT_SCAN_BLOCK = 2 ** 12  # field elements per pass of the Y-root scan
+# Array cells (candidates x columns) per chunk of the exhaustive oracles, and
+# the number of field elements at which y_roots_bruteforce evaluates each
+# candidate before composing the survivors exactly.
+ORACLE_BLOCK_CELLS = 2 ** 16
+PREFILTER_POINTS = 8
 
 # Auto cross-validation: on desk-scale fields the recursive root finder is
 # checked against exhaustive enumeration on every call.
@@ -139,8 +142,9 @@ def choose_params(inst: RSInstance, eps=Fraction(1, 4)) -> GSParams:
             continue
         ydeg_cap = int((theta * d) // inst.k)
         # re-check the rounding directions exactly
-        assert d * d >= target and (d - 1) * (d - 1) < target
-        assert ydeg_cap <= theta * d / inst.k < ydeg_cap + 1
+        if not (d * d >= target > (d - 1) * (d - 1)
+                and ydeg_cap <= theta * d / inst.k < ydeg_cap + 1):
+            raise InternalDefect(f"rounding of d={d} or ydeg_cap={ydeg_cap} is off")
         return GSParams(m=m, d=d, theta=theta, ydeg_cap=ydeg_cap, eps=eps)
     raise NoFeasibleM(f"no feasible multiplicity up to {M_SEARCH_CAP}")
 
@@ -158,25 +162,33 @@ def gs_interpolate(inst: RSInstance, params: GSParams, verify: bool = False) -> 
     return vanishing_interpolation(problem, verify=verify)
 
 
-def compose_bivariate(Q: MultiPoly, fcoeffs, spec: FieldSpec) -> list[int]:
-    """Q(X, f(X)) as a univariate coefficient list, by Horner in Y."""
-    by_j: dict[int, list[int]] = {}
+def _y_levels(Q: MultiPoly) -> list[list[int]]:
+    """Q as sum_j Q_j(X) Y^j: the X-coefficient list of each Q_j, j = 0..deg_Y Q;
+    [] where Q has no Y^j term."""
+    levels: list[list[int]] = [[] for _ in range(1 + max(j for (_, j) in Q.terms))]
     for (i, j), c in Q.terms.items():
-        by_j.setdefault(j, []).append((i, c))
-    levels = {}
-    for j, pairs in by_j.items():
-        row = [0] * (max(i for i, _ in pairs) + 1)
-        for i, c in pairs:
-            row[i] = c
-        levels[j] = uni_trim(row)
-    if not levels:
-        return []
-    f = uni_trim(list(fcoeffs))
-    acc: list[int] = []
-    for j in range(max(levels), -1, -1):
-        acc = uni_mul(acc, f, spec)
-        if j in levels:
-            acc = uni_add(acc, levels[j], spec)
+        row = levels[j]
+        row += [0] * (i + 1 - len(row))
+        row[i] = c
+    return levels
+
+
+def _compose_rows(levels, cands: np.ndarray, vec) -> np.ndarray:
+    """Q(X, f(X)) for every coefficient row f of ``cands``, as one row of
+    X-coefficients each, by Horner's rule in Y: acc <- acc*f + Q_j."""
+    n, k1 = cands.shape
+    acc = np.zeros((n, 0), dtype=np.int64)
+    for level in reversed(levels):
+        if acc.shape[1]:
+            w = acc.shape[1]
+            prod = np.zeros((n, w + k1 - 1), dtype=np.int64)
+            for t in range(k1):
+                prod[:, t : t + w] = vec.add(prod[:, t : t + w], vec.mul(acc, cands[:, t : t + 1]))
+            acc = prod
+        if level:
+            if acc.shape[1] < len(level):
+                acc = np.pad(acc, ((0, 0), (0, len(level) - acc.shape[1])))
+            acc[:, : len(level)] = vec.add(acc[:, : len(level)], np.array(level))
     return acc
 
 
@@ -210,16 +222,44 @@ def y_roots(Q: MultiPoly, k: int, cross_validate: bool | None = None) -> list[tu
 
 
 def y_roots_bruteforce(Q: MultiPoly, k: int) -> list[tuple[int, ...]]:
-    """Exhaustive reference enumeration over all degree-<=k polynomials."""
+    """Exhaustive reference enumeration over all degree-<=k polynomials.
+
+    A candidate f must first vanish as Q(a, f(a)) at the first
+    PREFILTER_POINTS elements a of F_q, a necessary condition; the
+    survivors are confirmed by composing Q(X, f(X)) exactly.
+    """
     if Q.is_zero:
         raise ZeroPolynomial("Y-roots of the zero polynomial are undefined")
     spec = Q.spec
-    out = [
-        f
-        for f in itertools.product(range(spec.q), repeat=k + 1)
-        if not compose_bivariate(Q, list(f), spec)
-    ]
+    vec = spec.vec
+    levels = _y_levels(Q)
+    width = max(map(len, levels)) + k * (len(levels) - 1)  # coefficients of Q(X, f(X))
+    points = np.arange(min(spec.q, PREFILTER_POINTS))
+    q_at_points = [vec.poly_eval(level or [0], points) for level in levels]
+    out: list[tuple[int, ...]] = []
+    for cands in _candidate_blocks(spec.q, k, max(len(points), width)):
+        fvals = _candidate_values(cands, points, vec)
+        cands = cands[~vec.poly_eval(q_at_points, fvals).any(axis=1)]
+        if len(cands):
+            cands = cands[~_compose_rows(levels, cands, vec).any(axis=1)]
+            out += map(tuple, cands.tolist())
     return sorted(out, key=lambda f: tuple(reversed(f)))
+
+
+def _candidate_blocks(q: int, k: int, cols: int):
+    """All q^(k+1) coefficient rows (f_0, ..., f_k) in itertools.product
+    order, as int64 arrays of at most ORACLE_BLOCK_CELLS // cols rows."""
+    weights = np.array([q ** (k - j) for j in range(k + 1)], dtype=np.int64)
+    rows = max(1, ORACLE_BLOCK_CELLS // cols)
+    total = q ** (k + 1)
+    for lo in range(0, total, rows):
+        idx = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+        yield idx[:, None] // weights % q
+
+
+def _candidate_values(cands: np.ndarray, xs: np.ndarray, vec) -> np.ndarray:
+    """f(x) for every coefficient row f of ``cands`` and every code x of xs."""
+    return vec.poly_eval([cands[:, j : j + 1] for j in range(cands.shape[1])], xs)
 
 
 def _rr_search(terms, depth, k, prefix, out, spec: FieldSpec):
@@ -302,27 +342,18 @@ def agreement(inst: RSInstance, fcoeffs) -> int:
     )
 
 
-@lru_cache(maxsize=32)
-def _candidate_evaluations(spec: FieldSpec, alphas: tuple[int, ...], k: int):
-    cands = []
-    for f in itertools.product(range(spec.q), repeat=k + 1):
-        evals = tuple(poly_eval_univariate(f, a, spec) for a in alphas)
-        cands.append((f, evals))
-    return cands
-
-
 def brute_force_decode(inst: RSInstance) -> list[tuple[int, ...]]:
     """All degree-<=k polynomials with agreement >= t, by full enumeration."""
     if inst.spec.q ** (inst.k + 1) > BRUTE_FORCE_CAP:
         raise SearchSpaceTooLarge(
             f"q^(k+1) = {inst.spec.q ** (inst.k + 1)} exceeds {BRUTE_FORCE_CAP}"
         )
-    table = _candidate_evaluations(inst.spec, inst.alphas, inst.k)
-    out = [
-        f
-        for f, evals in table
-        if sum(1 for e, b in zip(evals, inst.betas) if e == b) >= inst.t
-    ]
+    alphas = np.array(inst.alphas, dtype=np.int64)
+    betas = np.array(inst.betas, dtype=np.int64)
+    out: list[tuple[int, ...]] = []
+    for cands in _candidate_blocks(inst.spec.q, inst.k, inst.n):
+        hits = (_candidate_values(cands, alphas, inst.spec.vec) == betas).sum(axis=1)
+        out += map(tuple, cands[hits >= inst.t].tolist())
     return sorted(out, key=lambda f: tuple(reversed(f)))
 
 

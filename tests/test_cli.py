@@ -172,6 +172,42 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("mult", "--field", "5", "--n", "2", "--poly", "1:1,0", "--point", "9,9"),
+    ("sz-mass", "--field", "5", "--n", "2", "--poly", "1:1,0", "--subset", "7"),
+    ("kakeya-verify", "--field", "3", "--n", "2", "--points", "[[0, 7]]"),
+    ("kakeya-verify", "--field", "3", "--n", "2", "--points", '[[0, "a"]]'),
+    ("kakeya-verify", "--field", "3", "--n", "2", "--points", "5"),
+    ("interpolate", "--field", "3", "--n", "1", "--points", "[[3]]",
+     "--multiplicity", "1", "--degree", "1"),
+    ("rs-decode", "--field", "5", "--alphas", "0,1,2,3,9", "--betas", "0,1,2,0,0",
+     "--k", "1", "--t", "3"),
+])
+def test_out_of_range_input_is_domain_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidParameters"
+
+
+@pytest.mark.parametrize("argv", [
+    ("rs-bound", "--gamma", "abc", "--rate", "1/4"),
+    ("rs-bound", "--gamma", "1/2", "--rate", "1/0"),
+    ("kakeya-verify", "--field", "3", "--n", "2", "--points", "[["),
+    ("interpolate", "--field", "3", "--n", "2", "--points", "{",
+     "--multiplicity", "1", "--degree", "1"),
+    ("mult", "--field", "5", "--n", "2", "--poly", "1:1,0", "--point", "1,x"),
+    ("merger-verify", "--delta", "half", "--eps", "1/2", "--lambda", "2", "--n", "1"),
+    ("rs-decode", "--field", "5", "--alphas", "0,1,2", "--betas", "0,1,2",
+     "--k", "1", "--t", "3", "--eps", "x"),
+])
+def test_unparsable_input_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: argument" in captured.err
+
+
 MERGER_RUN = ("merger-run", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "2")
 
 

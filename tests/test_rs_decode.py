@@ -13,9 +13,10 @@ import ffmult
 
 from ffmult import errors
 from ffmult import rs_decode as rs
-from ffmult.ff import field_make, rng_stream
+from ffmult.ff import field_make, poly_eval_univariate, rng_stream, uni_add, uni_mul, uni_trim
 from ffmult.interpolate import count_weighted_monomials
 from ffmult.mvpoly import MultiPoly, multiplicity
+from ffmult.selftest import random_poly
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -170,6 +171,118 @@ def test_y_roots_matches_bruteforce_random():
         assert got == want
 
 
+# Scalar references: the per-candidate enumerations the vectorized oracles
+# replaced, kept here verbatim in behaviour.
+
+def _scalar_compose(Q, fcoeffs, spec):
+    """Q(X, f(X)) as a univariate coefficient list, by Horner in Y."""
+    by_j = {}
+    for (i, j), c in Q.terms.items():
+        by_j.setdefault(j, []).append((i, c))
+    levels = {}
+    for j, pairs in by_j.items():
+        row = [0] * (max(i for i, _ in pairs) + 1)
+        for i, c in pairs:
+            row[i] = c
+        levels[j] = uni_trim(row)
+    if not levels:
+        return []
+    f = uni_trim(list(fcoeffs))
+    acc = []
+    for j in range(max(levels), -1, -1):
+        acc = uni_mul(acc, f, spec)
+        if j in levels:
+            acc = uni_add(acc, levels[j], spec)
+    return acc
+
+
+def _scalar_y_roots(Q, k):
+    spec = Q.spec
+    out = [
+        f
+        for f in itertools.product(range(spec.q), repeat=k + 1)
+        if not _scalar_compose(Q, list(f), spec)
+    ]
+    return sorted(out, key=lambda f: tuple(reversed(f)))
+
+
+def _scalar_brute_force_decode(inst):
+    spec = inst.spec
+    out = []
+    for f in itertools.product(range(spec.q), repeat=inst.k + 1):
+        evals = [poly_eval_univariate(f, a, spec) for a in inst.alphas]
+        if sum(1 for e, b in zip(evals, inst.betas) if e == b) >= inst.t:
+            out.append(f)
+    return sorted(out, key=lambda f: tuple(reversed(f)))
+
+
+def _y_minus(spec, f):
+    """Y - f(X) as a bivariate polynomial."""
+    terms = {(i, 0): spec.neg(c) for i, c in enumerate(f) if c}
+    terms[(0, 1)] = 1
+    return MultiPoly(spec, 2, terms)
+
+
+def _vanishing(spec, points):
+    """The product of X - a over a in points: X^q - X for all of F_q."""
+    V = MultiPoly.constant(spec, 2, 1)
+    for a in points:
+        V = V * MultiPoly(spec, 2, {(1, 0): 1, (0, 0): spec.neg(a)})
+    return V
+
+
+def _oracle_cases(spec, k, rng, vanishing):
+    """(label, Q) pairs: random, planted roots, no Y term, a nonzero
+    constant, and multiples of ``vanishing``, a V(X) that vanishes at the
+    points an evaluation prefilter checks, so that Q(a, f(a)) = 0 there for
+    every candidate f, root or not."""
+    q = spec.q
+
+    def rand_f():
+        return tuple(int(c) for c in rng.integers(q, size=k + 1))
+
+    # the first and the last candidate in enumeration order, and a random one
+    first, last = (0,) * (k + 1), (q - 1,) * (k + 1)
+    planted = _y_minus(spec, first) * _y_minus(spec, last) * _y_minus(spec, rand_f())
+    yield "random", random_poly(spec, 2, rng, max_deg=4, max_terms=5, nonzero=True)
+    yield "planted", planted * random_poly(spec, 2, rng, max_deg=2, nonzero=True)
+    yield "no-y", MultiPoly(spec, 2, {(i, 0): 1 + int(rng.integers(q - 1))
+                                      for i in range(1 + int(rng.integers(4)))})
+    yield "constant", MultiPoly.constant(spec, 2, 1 + int(rng.integers(q - 1)))
+    yield "vanishing", vanishing
+    yield "vanishing-planted", vanishing * planted
+    yield "vanishing-mixed", vanishing * _y_minus(spec, first) + _y_minus(spec, rand_f())
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
+
+
+@pytest.mark.parametrize("p,e", ORACLE_FIELDS)
+def test_y_roots_bruteforce_matches_scalar_enumeration(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(977, spec.q)
+    field_vanishing = _vanishing(spec, range(spec.q))
+    k = 0
+    while spec.q ** (k + 1) <= 4096:
+        for label, Q in _oracle_cases(spec, k, rng, field_vanishing):
+            assert rs.y_roots_bruteforce(Q, k) == _scalar_y_roots(Q, k), (label, k, Q.to_text())
+        k += 1
+
+
+def test_y_roots_bruteforce_chunks(monkeypatch):
+    # k = 0 over GF(2^12) spans several chunks of the default size; GF(3^2)
+    # at k = 2 with a tiny chunk runs one candidate per chunk.
+    spec = field_make(2, 12)
+    rng = rng_stream(977, 1)
+    prefilter_vanishing = _vanishing(spec, range(rs.PREFILTER_POINTS))
+    for label, Q in _oracle_cases(spec, 0, rng, prefilter_vanishing):
+        assert rs.y_roots_bruteforce(Q, 0) == _scalar_y_roots(Q, 0), label
+    monkeypatch.setattr(rs, "ORACLE_BLOCK_CELLS", 7)
+    spec = field_make(3, 2)
+    for label, Q in _oracle_cases(spec, 2, rng, _vanishing(spec, range(9))):
+        assert rs.y_roots_bruteforce(Q, 2) == _scalar_y_roots(Q, 2), label
+
+
 def test_y_roots_cross_check_raises_on_disagreement(monkeypatch):
     Q = MultiPoly(F3, 2, {(0, 1): 1, (1, 0): F3.neg(1)})  # Y - X
     monkeypatch.setattr(rs, "y_roots_bruteforce", lambda Q, k: [])
@@ -181,7 +294,7 @@ def test_internal_checks_survive_optimize_flag():
     # the same disagreements, in an interpreter that strips assert statements
     script = textwrap.dedent("""
         import sys
-        from ffmult import errors, interpolate, mvpoly, rs_decode as rs
+        from ffmult import errors, ff, interpolate, kakeya, mvpoly, rs_decode as rs
         from ffmult.ff import field_make
         from ffmult.mvpoly import MultiPoly
 
@@ -191,6 +304,41 @@ def test_internal_checks_survive_optimize_flag():
         try:
             rs.y_roots(MultiPoly(F3, 2, {(0, 1): 1, (1, 0): 2}), 1, cross_validate=True)
             sys.exit("y_roots cross-check did not raise")
+        except errors.InternalDefect:
+            pass
+        ceil_sqrt = rs._ceil_sqrt
+        rs._ceil_sqrt = lambda x: ceil_sqrt(x) + 1
+        inst = rs.RSInstance(field_make(5), (0, 1, 2, 3, 4), (0, 1, 2, 0, 0), k=1, t=3)
+        try:
+            rs.choose_params(inst)
+            sys.exit("choose_params rounding check did not raise")
+        except errors.InternalDefect:
+            pass
+        P = MultiPoly(F3, 2, {(1, 0): 1})
+        hasse_eval, hasse_derivative = mvpoly.hasse_eval, mvpoly.hasse_derivative
+        mvpoly.hasse_eval = lambda P, i, pt: 0
+        try:
+            mvpoly.multiplicity(P, (0, 0))
+            sys.exit("multiplicity degree check did not raise")
+        except errors.InternalDefect:
+            pass
+        mvpoly.hasse_derivative = lambda P, i: MultiPoly.zero(P.spec, P.n)
+        try:
+            mvpoly.multiplicity_mass(P, range(3))
+            sys.exit("multiplicity_mass termination check did not raise")
+        except errors.InternalDefect:
+            pass
+        mvpoly.hasse_eval, mvpoly.hasse_derivative = hasse_eval, hasse_derivative
+        kakeya.lines_in_direction = lambda spec, n, b: []
+        try:
+            kakeya.exhaustive_min_kakeya(2, 2)
+            sys.exit("exhaustive_min_kakeya full-space check did not raise")
+        except errors.InternalDefect:
+            pass
+        ff._prime_factors = lambda n: [1]
+        try:
+            ff.FieldSpec(2, 3, (1, 1, 0, 1))._ensure_tables()
+            sys.exit("generator search did not raise")
         except errors.InternalDefect:
             pass
         mvpoly.multiplicity = lambda P, a: 0
@@ -213,6 +361,23 @@ def test_internal_checks_survive_optimize_flag():
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_brute_force_decode_matches_scalar_enumeration(p, e, monkeypatch):
+    spec = field_make(p, e)
+    rng = rng_stream(983, spec.q)
+    monkeypatch.setattr(rs, "ORACLE_BLOCK_CELLS", 1000)  # several chunks each
+    for k in range(1, 4):
+        if spec.q ** (k + 1) > 4096 or k >= spec.q:
+            break
+        for _ in range(4):
+            n = int(rng.integers(k + 1, spec.q + 1))
+            alphas = tuple(int(a) for a in rng.permutation(spec.q)[:n])
+            betas = tuple(int(b) for b in rng.integers(spec.q, size=n))
+            t = int(rng.integers(1, n + 1))
+            inst = rs.RSInstance(spec, alphas, betas, k=k, t=t)
+            assert rs.brute_force_decode(inst) == _scalar_brute_force_decode(inst)
+
 
 def test_brute_force_worked_example():
     assert rs.brute_force_decode(WORKED) == [(0, 0), (0, 1)]
