@@ -12,12 +12,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import kakeya as kk
 from . import merger as mg
 from . import rs_decode as rs
 from .errors import FFMultError, InvalidParameters
-from .ff import parse_field_spec
+from .ff import field_make, field_text_parts, parse_field_spec
 from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_interpolation
 from .mvpoly import (
     MultiPoly,
@@ -25,6 +26,7 @@ from .mvpoly import (
     hasse_derivative,
     multiplicity,
     multiplicity_mass,
+    parse_terms,
 )
 from .selftest import run_selftest
 
@@ -60,6 +62,35 @@ def _json_arg(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
+
+
+def _json_file(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"invalid JSON in {path!r}: {exc}") from None
+
+
+def _field_arg(text: str) -> str:
+    """'p' or 'p^e'; whether that field exists is decided later."""
+    try:
+        field_text_parts(text)
+    except InvalidParameters as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _poly_arg(text: str) -> str:
+    """Terms 'coeff:e1,...,en' joined by ';'; arity and ranges are checked
+    later, against --field and --n."""
+    try:
+        parse_terms(text)
+    except InvalidParameters as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _points(data) -> list[tuple]:
@@ -159,9 +190,8 @@ def cmd_kakeya_search(args) -> dict:
 
 def cmd_kakeya_stat(args) -> dict:
     spec = parse_field_spec(args.field)
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    if args.input is not None:
+        data = args.input
         curves = {}
         for entry in data["curves"]:
             pt = tuple(entry["point"])
@@ -227,8 +257,6 @@ def _load_source(spec, n: int, num_blocks: int, data) -> mg.SourceSpec:
 def cmd_merger_run(args) -> dict:
     delta, eps = args.delta, args.eps
     d = mg.seed_length(delta, eps, args.num_blocks)
-    from .ff import field_make
-
     spec = field_make(2, d)
     src = _load_source(spec, args.n, args.num_blocks, args.source)
     report = mg.verify_merger_theorem(delta, eps, args.num_blocks, args.n, sources=[src])
@@ -265,9 +293,8 @@ def cmd_merger_verify(args) -> dict:
 
 
 def cmd_rs_decode(args) -> dict:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            inst = rs.instance_from_json(json.load(fh))
+    if args.input is not None:
+        inst = rs.instance_from_json(args.input)
     else:
         if None in (args.field, args.alphas, args.betas, args.k, args.t):
             raise InvalidParameters(
@@ -343,7 +370,9 @@ def _csv_cell(value) -> str:
     return text
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="ffmult",
         description="Finite-field multiplicity toolkit: derivatives, Kakeya sets, "
@@ -361,24 +390,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def field_n(p):
-        p.add_argument("--field", required=True, help="field as 'p' or 'p^e'")
+        p.add_argument("--field", required=True, type=_field_arg, help="field as 'p' or 'p^e'")
         p.add_argument("--n", type=int, required=True, help="number of variables")
 
     p = sub.add_parser("hasse", parents=[common], help="Hasse derivative of a polynomial")
     field_n(p)
-    p.add_argument("--poly", required=True, help="terms 'coeff:e1,...,en' joined by ';'")
+    p.add_argument("--poly", required=True, type=_poly_arg,
+                   help="terms 'coeff:e1,...,en' joined by ';'")
     p.add_argument("--order", required=True, type=_parse_ints, help="derivative order 'i1,...,in'")
     p.set_defaults(fn=cmd_hasse)
 
     p = sub.add_parser("mult", parents=[common], help="multiplicity of a zero at a point")
     field_n(p)
-    p.add_argument("--poly", required=True)
+    p.add_argument("--poly", required=True, type=_poly_arg)
     p.add_argument("--point", required=True, type=_parse_ints, help="point 'a1,...,an'")
     p.set_defaults(fn=cmd_mult)
 
     p = sub.add_parser("sz-mass", parents=[common], help="total multiplicity mass over S^n")
     field_n(p)
-    p.add_argument("--poly", required=True)
+    p.add_argument("--poly", required=True, type=_poly_arg)
     p.add_argument("--subset", type=_parse_ints,
                    help="subset of element codes, default: the whole field")
     p.set_defaults(fn=cmd_sz_mass)
@@ -403,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kakeya-stat", parents=[common], help="statistical Kakeya-for-curves checker")
     field_n(p)
-    p.add_argument("--input", help="instance JSON file; defaults to the full-space reduction")
+    p.add_argument("--input", type=_json_file,
+                   help="instance JSON file; defaults to the full-space reduction")
     p.set_defaults(fn=cmd_kakeya_stat)
 
     p = sub.add_parser("merger-run", parents=[common], help="exact merger analysis of one source")
@@ -423,13 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_merger_verify)
 
     p = sub.add_parser("rs-decode", parents=[common], help="list decoding within the Johnson radius")
-    p.add_argument("--field")
+    p.add_argument("--field", type=_field_arg)
     p.add_argument("--alphas", type=_parse_ints)
     p.add_argument("--betas", type=_parse_ints)
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--eps", default="1/4", type=_parse_frac, help="slack parameter, default 1/4")
-    p.add_argument("--input", help="instance JSON file instead of individual flags")
+    p.add_argument("--input", type=_json_file,
+                   help="instance JSON file instead of individual flags")
     p.set_defaults(fn=cmd_rs_decode)
 
     p = sub.add_parser("rs-bound", parents=[common], help="list-size bound 2*gamma/(gamma^2 - R)")

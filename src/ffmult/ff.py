@@ -410,6 +410,15 @@ class VecOps:
         """Codes from representatives."""
         return a
 
+    def sum(self, a, axis: int) -> np.ndarray:
+        """The field sum of an array of codes along one axis, by a fold of
+        ``add``; zero over an empty axis."""
+        a = np.moveaxis(np.asarray(a), axis, 0)
+        acc = np.zeros(a.shape[1:], dtype=np.int64)
+        for part in a:
+            acc = self.add(acc, part)
+        return acc
+
     def poly_eval(self, coeffs, xs) -> np.ndarray:
         """The polynomial with low-to-high coefficient codes ``coeffs`` (at
         least one) at every code of xs, by Horner's rule.  A coefficient may
@@ -449,6 +458,10 @@ class _PrimeVecOps(VecOps):
     def reduce(self, a):
         return np.remainder(a, self.p)
 
+    def sum(self, a, axis):
+        # codes are below p <= 2^20, so the int64 sum is exact below 2^43 terms
+        return np.sum(a, axis=axis, dtype=np.int64) % self.p
+
 
 class _LogVecOps(VecOps):
     """GF(2^e) with q <= 2^16: XOR subtraction, log/exp multiplication.
@@ -479,6 +492,9 @@ class _LogVecOps(VecOps):
     def neg(self, a):
         return np.asarray(a)
 
+    def sum(self, a, axis):
+        return np.bitwise_xor.reduce(a, axis=axis)
+
 
 class _ZechVecOps(_LogVecOps):
     """Odd p^e with q <= 2^16: log/exp multiplication, and subtraction by Zech
@@ -489,6 +505,8 @@ class _ZechVecOps(_LogVecOps):
         super().__init__(spec)
         self.half = self.n1 // 2  # g^half = -1
         self.zech = self.log[[spec.sub(1, x) for x in spec._exp]]
+
+    sum = VecOps.sum
 
     def add(self, a, b):
         return self.sub(a, self.neg(b))
@@ -521,11 +539,13 @@ def field_make(p: int, e: int = 1) -> FieldSpec:
 
 @lru_cache(maxsize=None)
 def _field_make(p: int, e: int) -> FieldSpec:
-    if p < 2 or not is_prime(p):
+    # a characteristic above the cap is refused by size before any primality
+    # test, and a huge e before p ** e is formed
+    if p < 2 or (p <= SIZE_CAP and not is_prime(p)):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if e < 1:
         raise UnsupportedSize(f"extension degree must be >= 1, got {e}")
-    if p ** e > SIZE_CAP:
+    if p > SIZE_CAP or e >= SIZE_CAP.bit_length() or p ** e > SIZE_CAP:
         raise UnsupportedSize(f"{p}^{e} exceeds the supported cap {SIZE_CAP}")
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
@@ -535,13 +555,37 @@ def _field_make(p: int, e: int) -> FieldSpec:
     return FieldSpec(p, e, modulus)
 
 
+def field_text_parts(text: str) -> tuple[int, int]:
+    """(p, e) from the text 'p' or 'p^e'; any other text raises
+    InvalidParameters.  Says nothing about whether the field exists."""
+    p_str, caret, e_str = str(text).strip().partition("^")
+    try:
+        return int(p_str), int(e_str) if caret else 1
+    except ValueError:
+        raise InvalidParameters(f"not a field 'p' or 'p^e': {text!r}") from None
+
+
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse 'p' or 'p^e' into a field, e.g. '5' or '2^6'."""
-    text = text.strip()
-    if "^" in text:
-        p_str, e_str = text.split("^", 1)
-        return field_make(int(p_str), int(e_str))
-    return field_make(int(text), 1)
+    return field_make(*field_text_parts(text))
+
+
+def is_prime_power_base(q: int) -> tuple[int, int]:
+    """Decompose q as p^e with p prime; (q, 1) when q is no prime power, so
+    that field_make refuses it."""
+    for p in range(2, q + 1):
+        if q % p == 0:
+            e, m = 0, q
+            while m % p == 0:
+                m //= p
+                e += 1
+            return (p, e) if m == 1 else (q, 1)
+    return q, 1
+
+
+def parse_prime_power(q: int) -> FieldSpec:
+    """The field of order q."""
+    return field_make(*is_prime_power_base(q))
 
 
 def field_enumerate(spec: FieldSpec) -> list[FieldElement]:

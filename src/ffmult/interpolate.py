@@ -20,7 +20,14 @@ from .errors import (
     UnsatisfiedCountHypothesis,
 )
 from .ff import FieldSpec
-from .mvpoly import MultiPoly, coerce_point, exponents_below_weight
+from .mvpoly import (
+    MultiPoly,
+    coerce_point,
+    exponents_below_weight,
+    hasse_coefficients,
+    hasse_values,
+    power_tables,
+)
 
 
 def count_total_degree_monomials(n: int, d: int) -> int:
@@ -91,6 +98,8 @@ class InterpolationProblem:
     basis: TotalDegreeBasis | WeightedDegreeBasis
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidParameters(f"need n >= 1 variables, got {self.n}")
         pts = tuple(coerce_point(self.spec, self.n, p) for p in self.points)
         if len(set(pts)) != len(pts):
             raise InvalidParameters("interpolation points must be duplicate-free")
@@ -109,39 +118,13 @@ def vanishing_constraints(problem: InterpolationProblem) -> list[list[int]]:
     coordinatewise; columns follow the basis order.
     """
     spec, n = problem.spec, problem.n
-    vec = spec.vec
     monomials = np.array(problem.basis.monomials(), dtype=np.int64).reshape(-1, n)
     orders = np.array(list(exponents_below_weight(problem.m, n)), dtype=np.int64)
     points = np.array(problem.points, dtype=np.int64).reshape(-1, n)
-    top = int(monomials.max(initial=0))
-    binom = _binomial_table(max(top, problem.m), spec.p)
-    # C(r, i) mod p is in the prime subfield, whose codes are 0..p-1
-    coef = np.ones((len(orders), len(monomials)), dtype=np.int64)
-    shifts, powers = [], []
-    for j in range(n):
-        r, i = monomials[:, j], orders[:, j, None]
-        coef = coef * binom[r, i] % spec.p
-        shifts.append(np.maximum(r - i, 0))
-        pw = np.ones((len(points), top + 1), dtype=np.int64)  # pw[a, k] = a_j^k
-        for k in range(1, top + 1):
-            pw[:, k] = vec.mul(pw[:, k - 1], points[:, j])
-        powers.append(pw)
-    rows: list[list[int]] = []
-    for a in range(len(points)):
-        block = coef
-        for pw, shift in zip(powers, shifts):
-            block = vec.mul(block, pw[a, shift])
-        rows += block.tolist()
-    return rows
-
-
-def _binomial_table(top: int, p: int) -> np.ndarray:
-    """C(r, i) mod p for 0 <= r, i <= top; zero when i > r."""
-    table = np.zeros((top + 1, top + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for r in range(1, top + 1):
-        table[r, 1:] = (table[r - 1, 1:] + table[r - 1, :-1]) % p
-    return table
+    coef, shifts = hasse_coefficients(monomials, orders, spec.p)
+    powers = power_tables(spec.vec, points, int(monomials.max(initial=0)))
+    values = hasse_values(spec.vec, coef, shifts, powers)
+    return values.reshape(len(points) * len(orders), len(monomials)).tolist()
 
 
 def _eliminate(rows: list[list[int]], ncols: int, spec: FieldSpec):
@@ -228,16 +211,17 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
         {mono: c for mono, c in zip(monomials, vec) if c},
     )
     if verify:
-        from .mvpoly import multiplicity
+        from .mvpoly import multiplicities
 
         if poly.is_zero:
             raise InternalNoSolution("kernel vector produced the zero polynomial")
-        for a in problem.points:
-            got = multiplicity(poly, a)
-            if got < problem.m:
-                raise InternalNoSolution(
-                    f"constructed polynomial has multiplicity {got} < {problem.m} at {a}"
-                )
+        mults = multiplicities(poly, problem.points)
+        low = np.flatnonzero(mults < problem.m)
+        if low.size:
+            raise InternalNoSolution(
+                f"constructed polynomial has multiplicity {mults[low[0]]} < {problem.m} "
+                f"at {problem.points[low[0]]}"
+            )
     return poly
 
 

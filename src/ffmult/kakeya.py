@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb
 
+import numpy as np
+
 from .errors import (
     HypothesisViolation,
     InternalDefect,
@@ -23,9 +25,9 @@ from .errors import (
     SearchSpaceTooLarge,
     UnsatisfiedCountHypothesis,
 )
-from .ff import FieldSpec, field_make
+from .ff import FieldSpec, field_make, parse_prime_power  # noqa: F401  field_make is re-exported
 from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_interpolation
-from .mvpoly import Curve, coerce_point, homogeneous_part, multiplicity
+from .mvpoly import Curve, coerce_point, homogeneous_part, multiplicities
 
 
 def kakeya_lower_bounds(q: int, n: int) -> tuple[Fraction, Fraction]:
@@ -38,11 +40,15 @@ def kakeya_lower_bounds(q: int, n: int) -> tuple[Fraction, Fraction]:
 
 
 def all_points(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
+    if n < 0:
+        raise InvalidParameters(f"need n >= 0, got {n}")
     return list(itertools.product(range(spec.q), repeat=n))
 
 
 def canonical_directions(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
     """One representative per projective direction: first nonzero entry is 1."""
+    if n < 0:
+        raise InvalidParameters(f"need n >= 0, got {n}")
     dirs = []
     for b in itertools.product(range(spec.q), repeat=n):
         nz = next((x for x in b if x), None)
@@ -51,19 +57,37 @@ def canonical_directions(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
     return dirs
 
 
-def lines_in_direction(spec: FieldSpec, n: int, b: tuple[int, ...]):
-    """All q^(n-1) distinct lines {a + t*b}, each as a tuple of q points.
+def _point_codes(coords: np.ndarray, q: int) -> np.ndarray:
+    """Base-q codes of points along the last axis, the first coordinate most
+    significant: the index of each point in ``all_points`` order."""
+    codes = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for j in range(coords.shape[-1]):
+        codes = codes * q + coords[..., j]
+    return codes
 
-    Offsets run over the hyperplane where the pivot coordinate of b is zero,
-    which meets every line in the direction exactly once.
+
+def _line_points(spec: FieldSpec, n: int, dirs: np.ndarray, lines: np.ndarray):
+    """Line ``lines[k]`` of direction ``dirs[k]`` for each row k, as
+    (offsets, point codes of shape (rows, q) in t order).
+
+    The q^(n-1) lines of a direction are numbered by their offsets on the
+    hyperplane where the pivot coordinate (the first nonzero one) of the
+    direction is zero, in itertools.product order over the other
+    coordinates.  That hyperplane meets every line of the direction once.
     """
-    pivot = next(j for j, x in enumerate(b) if x)
-    ranges = [range(spec.q) if j != pivot else (0,) for j in range(n)]
-    for a in itertools.product(*ranges):
-        yield a, tuple(
-            tuple(spec.add(aj, spec.mul(t, bj)) for aj, bj in zip(a, b))
-            for t in range(spec.q)
-        )
+    q, vec = spec.q, spec.vec
+    pivot = np.argmax(dirs != 0, axis=1)
+    offsets = np.zeros((len(lines), n), dtype=np.int64)
+    rows = np.arange(len(lines))
+    for k in range(n - 1):  # digit k of the line number, most significant first
+        digit = lines // q ** (n - 2 - k) % q
+        offsets[rows, k + (k >= pivot)] = digit
+    t = np.arange(q)
+    coords = np.stack(
+        [vec.add(offsets[:, j, None], vec.mul(t, dirs[:, j, None])) for j in range(n)],
+        axis=-1,
+    )
+    return offsets, _point_codes(coords, q)
 
 
 @dataclass(frozen=True)
@@ -73,28 +97,56 @@ class KakeyaCheck:
     violating_direction: tuple[int, ...] | None = None
 
 
+LINE_BLOCK_CELLS = 2 ** 14  # (line, parameter) cells per round of is_kakeya
+
+
 def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
     """Does K contain a full line in every (nonzero) direction?
 
-    Returns the witness map direction -> offset on success, or the first
-    canonical direction with no contained line on failure.  The empty set is
-    never a Kakeya set.
+    Returns the witness map direction -> offset of its first line inside K
+    on success, or the first canonical direction with no line inside K on
+    failure.  The empty set is never a Kakeya set.
+
+    Works in rounds of at most LINE_BLOCK_CELLS points, tested against the
+    sorted codes of K.  Each round takes the next untested lines of the
+    lowest-numbered directions that have no witness yet, and the search
+    stops once the first direction without a line in K is settled.
     """
     kset = {coerce_point(spec, n, p) for p in K}
     dirs = canonical_directions(spec, n)
     if not kset:
         return KakeyaCheck(False, {}, dirs[0] if dirs else None)
-    witnesses: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for b in dirs:
-        found = None
-        for a, line in lines_in_direction(spec, n, b):
-            if all(pt in kset for pt in line):
-                found = a
-                break
-        if found is None:
-            return KakeyaCheck(False, {}, b)
-        witnesses[b] = found
-    return KakeyaCheck(True, witnesses, None)
+    if not dirs:  # n = 0: no direction to cover
+        return KakeyaCheck(True, {}, None)
+    q = spec.q
+    kcodes = np.sort(_point_codes(np.array(list(kset), dtype=np.int64), q))
+    dir_arr = np.array(dirs, dtype=np.int64).reshape(len(dirs), n)
+    per_dir = q ** (n - 1)
+    witness = np.full(len(dirs), -1)  # line number of the first line in K
+    tested = np.zeros(len(dirs), dtype=np.int64)  # lines tested so far
+    pending = np.arange(len(dirs))
+    rows = max(1, LINE_BLOCK_CELLS // q)
+    while pending.size:
+        each = max(1, rows // len(pending))
+        batch = pending[: max(1, rows // each)]
+        counts = np.minimum(each, per_dir - tested[batch])
+        d = np.repeat(batch, counts)
+        line = tested[d] + np.arange(len(d)) - np.repeat(np.cumsum(counts) - counts, counts)
+        _, codes = _line_points(spec, n, dir_arr[d], line)
+        pos = np.minimum(np.searchsorted(kcodes, codes), len(kcodes) - 1)
+        inside = (kcodes[pos] == codes).all(axis=1)
+        hit, first = np.unique(d[inside], return_index=True)
+        witness[hit] = line[inside][first]
+        tested[batch] += counts
+        pending = pending[(witness[pending] < 0) & (tested[pending] < per_dir)]
+        # each batch is a prefix of pending, so a direction never has more
+        # lines tested than a lower one still pending: every direction below
+        # the first exhausted one without a witness is settled
+        missing = np.flatnonzero((tested == per_dir) & (witness < 0))
+        if missing.size:
+            return KakeyaCheck(False, {}, dirs[missing[0]])
+    offsets, _ = _line_points(spec, n, dir_arr, witness)
+    return KakeyaCheck(True, dict(zip(dirs, map(tuple, offsets.tolist()))), None)
 
 
 @dataclass(frozen=True)
@@ -135,58 +187,42 @@ def exhaustive_min_kakeya(q: int, n: int, size_cap: int | None = None):
     minimum set under the canonical point order.  Requires q^n <= 16 so the
     2^(q^n) subset space stays enumerable.  With a size_cap, returns None
     when no Kakeya set of size <= size_cap exists.
+
+    Subsets are bit masks with point i at bit q^n - 1 - i, so among sets of
+    one size the greatest mask is the lexicographically least one.
     """
     spec = parse_prime_power(q)
+    _, main_bound = kakeya_lower_bounds(q, n)
     npts = q ** n
     if npts > 16:
         raise SearchSpaceTooLarge(f"q^n = {npts} > 16")
-    points = all_points(spec, n)
-    index = {pt: i for i, pt in enumerate(points)}
-    dir_line_masks: list[list[int]] = []
-    for b in canonical_directions(spec, n):
-        masks = []
-        for _, line in lines_in_direction(spec, n, b):
-            mask = 0
-            for pt in line:
-                mask |= 1 << index[pt]
-            masks.append(mask)
-        dir_line_masks.append(masks)
+    dirs = np.array(canonical_directions(spec, n), dtype=np.int64).reshape(-1, n)
+    d, line = np.divmod(np.arange(len(dirs) * q ** (n - 1)), q ** (n - 1))
+    _, codes = _line_points(spec, n, dirs[d], line)
+    bits = 1 << (npts - 1 - np.arange(npts))
+    line_masks = np.bitwise_or.reduce(bits[codes], axis=1).reshape(len(dirs), -1)
+    masks = np.arange(2 ** npts)
+    sizes = sum((masks >> i) & 1 for i in range(npts))
 
-    _, main_bound = kakeya_lower_bounds(q, n)
     start = max(q, ceil(main_bound))
     stop = min(npts, size_cap) if size_cap is not None else npts
     for size in range(start, stop + 1):
-        for combo in itertools.combinations(range(npts), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if all(
-                any(mask & lm == lm for lm in masks) for masks in dir_line_masks
-            ):
-                return frozenset(points[i] for i in combo), size
+        found = _kakeya_masks(masks[sizes == size], line_masks)
+        if found.size:
+            best = int(found.max())
+            points = all_points(spec, n)
+            return frozenset(points[i] for i in range(npts) if best & bits[i]), size
     if size_cap is not None:
         return None
     raise InternalDefect("the full space is always a Kakeya set")
 
 
-def is_prime_power_base(q: int) -> tuple[int, int]:
-    """Decompose q as p^e with p prime (q itself when q is prime)."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m == 1:
-                return p, e
-            break
-    return q, 1
-
-
-def parse_prime_power(q: int) -> FieldSpec:
-    p, e = is_prime_power_base(q)
-    return field_make(p, e)
+def _kakeya_masks(masks: np.ndarray, line_masks: np.ndarray) -> np.ndarray:
+    """The subset masks that contain a line of every direction (one row of
+    line masks per direction)."""
+    for lines in line_masks:
+        masks = masks[((masks[:, None] & lines) == lines).any(axis=1)]
+    return masks
 
 
 def homogeneous_vanishing_check(
@@ -221,7 +257,8 @@ def homogeneous_vanishing_check(
     )
     poly = vanishing_interpolation(problem)
     hp = homogeneous_part(poly)
-    mults = {b: multiplicity(hp, b) for b in all_points(spec, n)}
+    points = all_points(spec, n)
+    mults = dict(zip(points, multiplicities(hp, points).tolist()))
     return {
         "ell": ell,
         "m": m,

@@ -12,9 +12,20 @@ the multiplicity of the zero polynomial at any point is ``INF_MULT``.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, inf
 
-from .errors import DimensionMismatch, EmptySet, InternalDefect, SpecMismatch, ZeroPolynomial
+import numpy as np
+
+from .errors import (
+    DimensionMismatch,
+    EmptySet,
+    InternalDefect,
+    InvalidParameters,
+    SpecMismatch,
+    UnsupportedSize,
+    ZeroPolynomial,
+)
 from .ff import FieldElement, FieldSpec
 
 NEG_INF = float("-inf")   # degree of the zero polynomial
@@ -205,22 +216,34 @@ class MultiPoly:
 
     @classmethod
     def from_text(cls, spec: FieldSpec, n: int, text: str) -> "MultiPoly":
-        text = text.strip()
-        if text == "0" or not text:
-            return cls.zero(spec, n)
         terms: dict[tuple[int, ...], int] = {}
-        for chunk in text.split(";"):
-            coeff_str, _, exps_str = chunk.partition(":")
-            exps = tuple(int(t) for t in exps_str.split(",")) if exps_str else ()
-            coeff = int(coeff_str)
+        for coeff, exps in parse_terms(text):
             if len(exps) != n:
-                raise DimensionMismatch(f"term {chunk!r} has wrong arity for n={n}")
+                term = f"{coeff}:{','.join(map(str, exps))}"
+                raise DimensionMismatch(f"term {term!r} has wrong arity for n={n}")
             if coeff:
                 terms[exps] = spec.add(terms.get(exps, 0), spec.coerce(coeff))
         return cls(spec, n, terms)
 
     def __repr__(self):
         return f"MultiPoly({self.spec}, n={self.n}, {self.to_text()!r})"
+
+
+def parse_terms(text: str) -> list[tuple[int, tuple[int, ...]]]:
+    """(coefficient, exponents) pairs of the text 'coeff:e1,...,en' joined by
+    ';' ('0' or nothing for no terms); other text raises InvalidParameters."""
+    text = text.strip()
+    if text == "0" or not text:
+        return []
+    terms = []
+    for chunk in text.split(";"):
+        coeff_str, _, exps_str = chunk.partition(":")
+        try:
+            exps = tuple(int(t) for t in exps_str.split(",")) if exps_str else ()
+            terms.append((int(coeff_str), exps))
+        except ValueError:
+            raise InvalidParameters(f"not a term 'coeff:e1,...,en': {chunk!r}") from None
+    return terms
 
 
 def _power_tables(spec: FieldSpec, point, terms) -> list[list[int]]:
@@ -300,45 +323,12 @@ def hasse_derivative(P: MultiPoly, i) -> MultiPoly:
     return MultiPoly(spec, P.n, out)
 
 
-def hasse_eval(P: MultiPoly, i, point: tuple[int, ...]) -> int:
-    """P^(i)(point) without materializing the derivative polynomial."""
-    spec = P.spec
-    p = spec.p
-    powtabs = _power_tables(spec, point, P.terms)
-    acc = 0
-    for r, c in P.terms.items():
-        if any(rk < ik for rk, ik in zip(r, i)):
-            continue
-        b = 1
-        for rk, ik in zip(r, i):
-            b = (b * comb(rk, ik)) % p
-            if not b:
-                break
-        if not b:
-            continue
-        val = spec.mul(c, spec.from_int(b))
-        for j, (rk, ik) in enumerate(zip(r, i)):
-            if rk > ik and val:
-                val = spec.mul(val, powtabs[j][rk - ik])
-        acc = spec.add(acc, val)
-    return acc
-
-
 def multiplicity(P: MultiPoly, point):
-    """Largest M with P^(i)(point) = 0 for all wt(i) < M; INF_MULT iff P = 0.
-
-    Walks weight shells with early exit at the first nonvanishing derivative;
-    for nonzero P the multiplicity never exceeds deg(P).
-    """
+    """Largest M with P^(i)(point) = 0 for all wt(i) < M; INF_MULT iff P = 0."""
     pt = coerce_point(P.spec, P.n, point)
     if P.is_zero:
         return INF_MULT
-    deg = P.degree
-    for w in range(deg + 1):
-        for i in weak_compositions(w, P.n):
-            if hasse_eval(P, i, pt):
-                return w
-    raise InternalDefect("nonzero polynomial with multiplicity above its degree")
+    return int(multiplicities(P, [pt])[0])
 
 
 def multiplicity_tuple(polys, point):
@@ -444,29 +434,160 @@ def restrict_to_line(P: MultiPoly, a, b) -> MultiPoly:
 
 
 def multiplicity_mass(P: MultiPoly, S) -> int:
-    """Sum of mult(P, a) over all a in S^n, by full enumeration.
-
-    Computed shell by shell: mass = sum over w >= 1 of the number of points
-    where every derivative of weight < w vanishes.  Points fall out of the
-    running set at their exact multiplicity, so the loop ends by deg(P).
-    """
+    """Sum of mult(P, a) over all a in S^n (S taken as a set), by one
+    multiplicities call over the whole grid."""
     if P.is_zero:
         raise ZeroPolynomial("mass is defined for nonzero polynomials only")
     spec = P.spec
     codes = sorted({spec.coerce(s) for s in S})
     if not codes:
         raise EmptySet("S must be non-empty")
-    alive = [pt for pt in itertools.product(codes, repeat=P.n) if P.eval_codes(pt) == 0]
-    mass = len(alive)
-    deg = P.degree
-    w = 1
-    while alive and w <= deg:
-        shell = [hasse_derivative(P, i) for i in weak_compositions(w, P.n)]
-        alive = [
-            pt for pt in alive if all(D.eval_codes(pt) == 0 for D in shell)
-        ]
-        mass += len(alive)
-        w += 1
-    if alive:
-        raise InternalDefect("points alive beyond deg(P) for a nonzero polynomial")
-    return mass
+    return int(multiplicities(P, list(itertools.product(codes, repeat=P.n))).sum())
+
+
+# -- batched Hasse derivatives --------------------------------------------------------
+#
+# P^(i)(a) = sum over terms c_r X^r of c_r * C(r, i) * a^(r - i), with
+# C(r, i) = prod_j C(r_j, i_j) mod p (zero where some i_j > r_j).  The same
+# table of C(r, i) * a^(r - i) gives the rows of the vanishing constraints
+# (interpolate) and, summed against the coefficients, the derivative values
+# that ``multiplicities`` tests.
+
+SHELL_BLOCK_CELLS = 2 ** 14  # (point, order, term) cells per shell block
+TABLE_CELLS = 2 ** 22        # largest binomial or power table built
+
+
+def _code_rows(rows, n: int) -> np.ndarray:
+    """A sequence of n-tuples as an (N, n) int64 array, n = 0 included."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+_BINOMIALS: dict[int, np.ndarray] = {}  # per p, the largest table built so far
+
+
+def binomial_table(rows: int, cols: int, p: int) -> np.ndarray:
+    """C(r, i) mod p for 0 <= r < rows and 0 <= i < cols; zero when i > r.
+
+    One table per p is kept and grown on demand; callers get a read-only
+    view of it.
+    """
+    table = _BINOMIALS.get(p)
+    if table is None or table.shape[0] < rows or table.shape[1] < cols:
+        old_rows, old_cols = (0, 0) if table is None else table.shape
+        table = _pascal_columns(max(rows, old_rows), max(cols, old_cols), p)
+        _BINOMIALS[p] = table
+    return table[:rows, :cols]
+
+
+def _pascal_columns(rows: int, cols: int, p: int) -> np.ndarray:
+    """The binomial table mod p, column by column: C(r, i) is the sum of
+    C(s, i - 1) over s < r."""
+    if rows * cols > TABLE_CELLS:
+        raise UnsupportedSize(f"a {rows} x {cols} binomial table exceeds {TABLE_CELLS} cells")
+    table = np.zeros((rows, cols), dtype=np.int64)
+    table[:, 0] = 1
+    for i in range(1, cols):
+        table[1:, i] = np.cumsum(table[:-1, i - 1]) % p
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=256)
+def shell_orders(w: int, n: int) -> np.ndarray:
+    """The derivative orders of weight w in n variables, as a read-only
+    (K, n) array."""
+    orders = _code_rows(list(weak_compositions(w, n)), n)
+    orders.flags.writeable = False
+    return orders
+
+
+def hasse_coefficients(exps: np.ndarray, orders: np.ndarray, p: int):
+    """C(r, i) mod p for every order i (rows) and exponent vector r
+    (columns) as a (K, T) array, and the (n, K, T) array of shifted
+    exponents max(r_j - i_j, 0)."""
+    top = int(exps.max(initial=0))
+    # C(r, i) = 0 for every i > top, so those orders share column top + 1
+    orders = np.minimum(orders, top + 1)
+    binom = binomial_table(top + 1, int(orders.max(initial=0)) + 1, p)
+    coef = np.ones((len(orders), len(exps)), dtype=np.int64)
+    for r, i in zip(exps.T, orders.T):
+        coef = coef * binom[r, i[:, None]] % p
+    return coef, np.maximum(exps.T[:, None, :] - orders.T[:, :, None], 0)
+
+
+def power_tables(vec, points: np.ndarray, top: int) -> np.ndarray:
+    """pw[j, a, k] = points[a, j] ** k for k <= top, by doubling."""
+    if points.size * (top + 1) > TABLE_CELLS:
+        raise UnsupportedSize(
+            f"power tables of {points.size} x {top + 1} exceed {TABLE_CELLS} cells"
+        )
+    x = points.T.reshape(-1, 1)  # every coordinate of every point
+    pw = np.ones((len(x), top + 1), dtype=np.int64)
+    xk, done = x, 1  # xk = x ** done
+    while done <= top:
+        take = min(done, top + 1 - done)
+        pw[:, done:done + take] = vec.mul(pw[:, :take], xk)
+        xk, done = vec.mul(xk, xk), done + take
+    return pw.reshape(points.shape[1], len(points), top + 1)
+
+
+def hasse_values(vec, coef: np.ndarray, shifts: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """coef[i, r] * prod_j a_j ** shifts[j, i, r] at every point a of the
+    power tables: a (points, orders, terms) array of codes."""
+    if not len(powers):  # n = 0: one empty point per row of the tables
+        return np.broadcast_to(coef, (powers.shape[1], *coef.shape))
+    out = coef
+    for pw, shift in zip(powers, shifts):
+        out = vec.mul(out, pw[:, shift])
+    return out
+
+
+def _shell_nonzero(vec, coef, shifts, powers, alive) -> np.ndarray:
+    """Which points of ``alive`` have a nonzero derivative among the orders
+    of one shell, in blocks of at most SHELL_BLOCK_CELLS cells."""
+    step = max(1, SHELL_BLOCK_CELLS // max(coef.size, 1))
+    nonzero = np.zeros(len(alive), dtype=bool)
+    for lo in range(0, len(alive), step):
+        values = hasse_values(vec, coef, shifts, powers[:, alive[lo:lo + step]])
+        nonzero[lo:lo + step] = vec.sum(values, axis=2).any(axis=1)
+    return nonzero
+
+
+def multiplicities(P: MultiPoly, points) -> np.ndarray:
+    """mult(P, a) for every point a (n-tuples of element codes), as an int64
+    array; P must be nonzero.
+
+    Walks the weight shells w = 0, 1, ... over the points still alive: every
+    Hasse derivative of weight w is evaluated at all of them at once, and a
+    point where one is nonzero leaves with multiplicity w.  The derivative
+    of a top-degree monomial's order is a nonzero constant, so the walk ends
+    by w = deg(P).
+    """
+    if P.is_zero:
+        raise ZeroPolynomial("multiplicities of the zero polynomial are infinite")
+    spec, n, vec = P.spec, P.n, P.spec.vec
+    try:
+        pts = _code_rows(points, n)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionMismatch(f"points must be {n}-tuples of element codes") from None
+    if pts.size and (pts.min() < 0 or pts.max() >= spec.q):
+        raise InvalidParameters(f"point codes outside [0, {spec.q})")
+    exps = _code_rows(list(P.terms), n)
+    coeffs = np.array(list(P.terms.values()), dtype=np.int64)
+    powers = power_tables(vec, pts, int(exps.max(initial=0)))
+    mult = np.zeros(len(pts), dtype=np.int64)
+    alive = np.arange(len(pts))
+    for w in range(P.degree + 1):
+        if not alive.size:
+            return mult
+        coef, shifts = hasse_coefficients(exps, shell_orders(w, n), spec.p)
+        coef = vec.mul(coef, coeffs)
+        live = coef.any(axis=0)  # terms with some nonzero derivative of weight w
+        if not live.any():
+            continue
+        nonzero = _shell_nonzero(vec, coef[:, live], shifts[:, :, live], powers, alive)
+        mult[alive[nonzero]] = w
+        alive = alive[~nonzero]
+    if alive.size:
+        raise InternalDefect("nonzero polynomial with multiplicity above its degree")
+    return mult

@@ -19,7 +19,7 @@ from . import kakeya as kk
 from . import merger as mg
 from . import rs_decode as rs
 from .errors import FFMultError, UnsatisfiedCountHypothesis
-from .ff import field_make, rng_stream, verify_modulus_irreducible
+from .ff import field_make, parse_prime_power, rng_stream, verify_modulus_irreducible
 from .interpolate import (
     InterpolationProblem,
     TotalDegreeBasis,
@@ -471,7 +471,7 @@ def check_nullspace(rng, trials: int) -> str:
     runs = max(10, trials // 10)
     for _ in range(runs):
         q = (2, 3, 4, 5)[int(rng.integers(4))]
-        spec = field_make(*(kk.is_prime_power_base(q)))
+        spec = parse_prime_power(q)
         nrows = 1 + int(rng.integers(7))
         ncols = 1 + int(rng.integers(7))
         rows = [[int(rng.integers(spec.q)) for _ in range(ncols)] for _ in range(nrows)]
@@ -505,7 +505,7 @@ def _kakeya_min_case(q: int, n: int, expected_floor: int) -> str:
     pts, size = kk.exhaustive_min_kakeya(q, n)
     assert size >= expected_floor, f"minimum {size} below ceil(main bound) {expected_floor}"
     assert size >= crude and size >= main
-    spec = kk.parse_prime_power(q)
+    spec = parse_prime_power(q)
     assert kk.is_kakeya(spec, n, pts).ok, "search returned a non-Kakeya set"
     for p in sorted(pts):
         assert not kk.is_kakeya(spec, n, pts - {p}).ok, \
@@ -517,7 +517,7 @@ def check_kakeya_fullspace(rng, trials: int) -> str:
     cases = [(2, 2), (3, 2), (5, 2), (7, 2), (13, 2), (2, 3), (3, 3), (4, 5),
              (8, 4), (9, 3), (16, 3), (25, 2), (27, 2), (32, 2), (64, 1), (2, 12)]
     for q, n in cases:
-        spec = kk.parse_prime_power(q)
+        spec = parse_prime_power(q)
         full = kk.all_points(spec, n)
         res = kk.is_kakeya(spec, n, full)
         assert res.ok, f"full space not recognized as Kakeya for q={q}, n={n}"
@@ -546,7 +546,7 @@ def check_kakeya_homogeneous_vanishing(rng, trials: int) -> str:
 
 def check_stat_kakeya_reduction(rng, trials: int) -> str:
     for q in (2, 3, 4, 5, 7):
-        spec = kk.parse_prime_power(q)
+        spec = parse_prime_power(q)
         for n in (1, 2):
             inst = kk.full_space_reduction_instance(spec, n)
             report = kk.statistical_kakeya_check(inst)
@@ -561,7 +561,7 @@ def check_merger_nodes(rng, trials: int) -> str:
     runs = max(20, trials // 10)
     for _ in range(runs):
         q = (5, 8)[int(rng.integers(2))]
-        spec = kk.parse_prime_power(q)
+        spec = parse_prime_power(q)
         L = 1 + int(rng.integers(min(4, spec.q)))
         n = 1 + int(rng.integers(3))
         ms = mg.merger_make(spec, n, L)

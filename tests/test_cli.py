@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffmult.cli import main
 
@@ -199,6 +203,11 @@ def test_out_of_range_input_is_domain_error(capsys, argv):
     ("merger-verify", "--delta", "half", "--eps", "1/2", "--lambda", "2", "--n", "1"),
     ("rs-decode", "--field", "5", "--alphas", "0,1,2", "--betas", "0,1,2",
      "--k", "1", "--t", "3", "--eps", "x"),
+    ("mult", "--field", "5", "--n", "1", "--poly", "abc", "--point", "0"),
+    ("mult", "--field", "x", "--n", "1", "--poly", "1:1", "--point", "0"),
+    ("hasse", "--field", "5", "--n", "2", "--poly", "1:1,x", "--order", "0,0"),
+    ("sz-mass", "--field", "2^", "--n", "1", "--poly", "1:1"),
+    ("rs-decode", "--input", "no-such-instance.json"),
 ])
 def test_unparsable_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -206,6 +215,69 @@ def test_unparsable_input_is_usage_error(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error: argument" in captured.err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("mult", "--field", "4", "--n", "1", "--poly", "1:1", "--point", "0"),
+     "NonPrimeCharacteristic"),
+    (("mult", "--field", "2^21", "--n", "1", "--poly", "1:1", "--point", "0"), "UnsupportedSize"),
+    (("mult", "--field", "1048583", "--n", "1", "--poly", "1:1", "--point", "0"),
+     "UnsupportedSize"),
+    (("mult", "--field", "5", "--n", "3", "--poly", "1:1,0", "--point", "0,0,0"),
+     "DimensionMismatch"),
+    (("mult", "--field", "5", "--n", "1", "--poly", "7:1", "--point", "0"), "InvalidParameters"),
+    (("hasse", "--field", "5", "--n", "1", "--poly", "1:-1", "--order", "0"),
+     "DimensionMismatch"),
+])
+def test_field_and_poly_out_of_domain_is_domain_error(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
+def test_field_and_poly_text_errors_outside_the_cli():
+    from ffmult.errors import InvalidParameters
+    from ffmult.ff import field_make, parse_field_spec
+    from ffmult.mvpoly import MultiPoly
+
+    for text in ("x", "2^", "^3", "", "2^x"):
+        with pytest.raises(InvalidParameters):
+            parse_field_spec(text)
+    for text in ("abc", "1:1,,2", "x:1", "1:1;"):
+        with pytest.raises(InvalidParameters):
+            MultiPoly.from_text(field_make(5), 2, text)
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    from ffmult.cli import build_parser
+
+    calls = [
+        ("mult", "--field", "5", "--n", "2", "--poly", "1:2,0;1:0,2", "--point", "0,0"),
+        ("rs-bound", "--gamma", "3/5", "--rate", "1/5"),
+        ("mult", "--field", "5", "--n", "1", "--poly", "abc", "--point", "0"),
+        ("kakeya-search", "--field", "2", "--n", "2", "--size-cap", "3"),
+        ("sz-mass", "--field", "3", "--n", "2", "--poly", "1:1,1"),
+        ("kakeya-search", "--field", "2", "--n", "2"),
+        ("rs-bound", "--gamma", "1/2", "--rate", "1/2"),
+    ]
+
+    def outcomes(fresh: bool):
+        seen = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    shared = outcomes(fresh=False)
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 1]
+    assert shared == outcomes(fresh=True)
 
 
 MERGER_RUN = ("merger-run", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "2")
@@ -305,3 +377,82 @@ def test_kakeya_stat_reports_witnesses(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["witnesses"] == {"0": 2, "1": 2}
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzz of the exit-code contract
+# ---------------------------------------------------------------------------
+
+JUNK = st.sampled_from(["", "abc", "x", "-", "^", "2^", ":", ";", "1:", "1,,2", "[[", "{",
+                        "[]", "null", '[[0,"a"]]', "1/0", "0x10", "nan", "--bogus"])
+SMALL = st.integers(-1, 3).map(str)
+FIELDS = st.sampled_from(["2", "3", "5", "7", "13", "2^2", "2^3", "2^4", "3^2",
+                          "4", "1", "0", "-3", "2^21", "6^1"])
+FRACS = st.sampled_from(["1/2", "3/4", "1", "0", "2", "-1/2", "1/3", "2/3", "1/4"])
+INTS = st.lists(st.integers(-1, 17), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+POINTS = st.lists(st.lists(st.integers(-1, 16), max_size=3), max_size=6).map(json.dumps)
+TERM = st.tuples(st.integers(-1, 17), st.lists(st.integers(-1, 4), max_size=3))
+POLYS = st.lists(TERM, max_size=4).map(
+    lambda ts: ";".join(f"{c}:{','.join(map(str, e))}" for c, e in ts) or "0")
+SOURCES = st.sampled_from([
+    '{"type":"identical"}', '{"type":"constant"}', '{"type":"permutation"}',
+    '{"type":"affine","matrix":[[1,0],[0,1]]}', '{"type":"constant","value":[1]}',
+    '{"type":"affine"}', '{"type":"nope"}', "[1]", "7"])
+
+# subcommand -> (option, well-formed values); selftest has no well-formed side,
+# since one run takes over a second, and the suite itself is pinned elsewhere
+FIELD_N = [("--field", FIELDS), ("--n", SMALL)]
+# seed length ceil(log2(2L/eps) / delta): these keep the merger field at q <= 64
+MERGER = [("--delta", st.sampled_from(["1/2", "3/4", "1", "0", "2"])),
+          ("--eps", st.sampled_from(["1/2", "3/4", "0", "1"])),
+          ("--lambda", st.integers(-1, 2).map(str)), ("--n", SMALL)]
+COMMANDS = {
+    "hasse": FIELD_N + [("--poly", POLYS), ("--order", INTS)],
+    "mult": FIELD_N + [("--poly", POLYS), ("--point", INTS)],
+    "sz-mass": FIELD_N + [("--poly", POLYS), ("--subset", INTS)],
+    "interpolate": FIELD_N + [("--points", POINTS), ("--multiplicity", SMALL),
+                              ("--degree", SMALL), ("--verify", None)],
+    "kakeya-verify": FIELD_N + [("--points", POINTS)],
+    "kakeya-search": FIELD_N + [("--size-cap", st.integers(-1, 17).map(str))],
+    "kakeya-stat": FIELD_N + [("--input", JUNK)],
+    "merger-run": MERGER + [("--source", SOURCES)],
+    "merger-verify": MERGER,
+    "rs-decode": FIELD_N[:1] + [("--alphas", INTS), ("--betas", INTS), ("--k", SMALL),
+                                ("--t", SMALL), ("--eps", FRACS), ("--input", JUNK)],
+    "rs-bound": [("--gamma", FRACS), ("--rate", FRACS)],
+    "selftest": [("--seed", JUNK), ("--trials", JUNK)],
+    "no-such-command": [],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for option, values in COMMANDS[command]:
+        if draw(st.integers(0, 9)) == 0 or (values is JUNK and draw(st.booleans())):
+            continue  # leave it out, required or not
+        argv.append(option)
+        if values is not None:
+            argv.append(draw(JUNK if draw(st.integers(0, 7)) == 0 else values))
+    if draw(st.integers(0, 5)) == 0:
+        argv += draw(st.sampled_from([["--format", "csv"], ["--jobs", "2"], ["--jobs", "x"],
+                                      ["--format", "xml"], [draw(JUNK)]]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_exit_code_contract_holds_for_fuzzed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert "error" in json.loads(out.getvalue()), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    assert "Traceback" not in err.getvalue(), argv

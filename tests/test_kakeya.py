@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import scalar_ref
 from ffmult import errors
 from ffmult.ff import field_make, rng_stream
 from ffmult.kakeya import (
@@ -112,6 +113,65 @@ def test_witnesses_really_cover_their_lines():
     assert res.ok
     inst = KakeyaInstance(F4, 2, frozenset(all_points(F4, 2)), res.witnesses)
     assert inst.verify_witnesses()
+
+
+KAKEYA_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (2, 4), (3, 2)]
+
+
+def _line(spec, a, b):
+    return {tuple(spec.add(x, spec.mul(t, y)) for x, y in zip(a, b)) for t in range(spec.q)}
+
+
+def _kakeya_cases(spec, n, rng):
+    """Random line unions (Kakeya), the same less one point, random subsets
+    of two densities, the full space, one point and the empty set."""
+    pts = all_points(spec, n)
+    union = set()
+    for b in canonical_directions(spec, n):
+        union |= _line(spec, tuple(int(x) for x in rng.integers(spec.q, size=n)), b)
+    yield union
+    yield union - {sorted(union)[int(rng.integers(len(union)))]}
+    for density in (0.5, 0.9):
+        yield {pt for pt, keep in zip(pts, rng.random(len(pts)) < density) if keep}
+    yield set(pts)
+    yield {pts[-1]}
+    yield set()
+
+
+def _same_check(spec, n, K):
+    res = is_kakeya(spec, n, K)
+    assert (res.ok, res.witnesses, res.violating_direction) == scalar_ref.is_kakeya(spec, n, K)
+    return res.ok
+
+
+@pytest.mark.parametrize("p,e", KAKEYA_FIELDS)
+def test_is_kakeya_matches_scalar_walk(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(556, spec.q)
+    for n in (2, 3):
+        for K in _kakeya_cases(spec, n, rng):
+            ok = _same_check(spec, n, K)
+            if spec.q ** n <= 81:
+                assert ok == brute_force_is_kakeya(spec, n, K)
+
+
+def test_is_kakeya_in_dimension_zero_and_one():
+    for spec in (F2, F3, F4):
+        for K in ([()], []):
+            _same_check(spec, 0, K)
+        for K in ([(0,)], all_points(spec, 1), []):
+            _same_check(spec, 1, K)
+
+
+def test_is_kakeya_in_small_rounds(monkeypatch):
+    import ffmult.kakeya as kk
+
+    rng = rng_stream(557, 0)
+    for (p, e), n, cells in (((3, 1), 2, 3), ((2, 2), 3, 10), ((5, 1), 2, 26), ((2, 3), 2, 70)):
+        spec = field_make(p, e)
+        monkeypatch.setattr(kk, "LINE_BLOCK_CELLS", cells)
+        for K in _kakeya_cases(spec, n, rng):
+            _same_check(spec, n, K)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +305,15 @@ def test_stat_curve_must_pass_through_point():
     )
     with pytest.raises(errors.HypothesisViolation):
         statistical_kakeya_check(inst)
+
+
+MIN_KAKEYA_CASES = [(q, 1) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
+    (2, 2), (3, 2), (4, 2), (2, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("q,n", MIN_KAKEYA_CASES)
+def test_min_kakeya_matches_combinations_search(q, n):
+    pts, size = exhaustive_min_kakeya(q, n)
+    assert (pts, size) == scalar_ref.min_kakeya(q, n)
+    for cap in (size - 1, size, size + 1):
+        assert exhaustive_min_kakeya(q, n, cap) == scalar_ref.min_kakeya(q, n, cap)

@@ -1,17 +1,21 @@
-from math import inf
+import itertools
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_ref
 from ffmult import errors
-from ffmult.ff import field_make, rng_stream
+from ffmult.ff import field_make, parse_prime_power, rng_stream
 from ffmult.mvpoly import (
     Curve,
     MultiPoly,
+    binomial_table,
     compose_curve,
     hasse_derivative,
     homogeneous_part,
+    multiplicities,
     multiplicity,
     multiplicity_mass,
     multiplicity_tuple,
@@ -264,3 +268,130 @@ def test_ring_laws(a, b, c):
 def test_hasse_additivity_hypothesis(a, b):
     i = (1, 1)
     assert hasse_derivative(a, i) + hasse_derivative(b, i) == hasse_derivative(a + b, i)
+
+
+# ---------------------------------------------------------------------------
+# batched Hasse shells against the scalar references
+# ---------------------------------------------------------------------------
+
+SHELL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+
+
+def _centered_product(spec, a, rng, factors):
+    """A product of random linear forms in X - a: multiplicity = degree at a."""
+    n = len(a)
+    P = MultiPoly.constant(spec, n, 1 + int(rng.integers(spec.q - 1)))
+    for _ in range(factors):
+        form = MultiPoly.zero(spec, n)
+        for j in range(n):
+            shifted = MultiPoly.variable(spec, n, j) - MultiPoly.constant(spec, n, a[j])
+            form = form + shifted.scale(int(rng.integers(spec.q)))
+        if form.is_zero:
+            form = MultiPoly.variable(spec, n, 0) - MultiPoly.constant(spec, n, a[0])
+        P = P * form
+    return P
+
+
+def _shell_cases(spec, n, rng):
+    """(label, P, points): random polynomials, constants, a polynomial of
+    degree n with every exponent 1, and centered products that keep a point
+    alive to the last shell."""
+    grid = list(itertools.product(range(spec.q), repeat=n))
+    if len(grid) > 60:
+        picks = rng.choice(len(grid), size=60, replace=False)
+        grid = [grid[int(k)] for k in picks]
+    a = random_point(spec, n, rng)
+    points = grid + [a]
+    yield "constant", MultiPoly.constant(spec, n, 1 + int(rng.integers(spec.q - 1))), points
+    yield "squarefree", MultiPoly(spec, n, {(1,) * n: 1}), points + [(0,) * n]
+    for k in range(4):
+        yield f"random{k}", random_poly(spec, n, rng, max_deg=5, max_terms=5, nonzero=True), points
+    for factors in (1, 3):
+        yield f"centered{factors}", _centered_product(spec, a, rng, factors), points
+
+
+@pytest.mark.parametrize("p,e", SHELL_FIELDS)
+def test_multiplicities_match_scalar_shell_walk(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(501, spec.q)
+    for n in (1, 2, 3):
+        for label, P, points in _shell_cases(spec, n, rng):
+            got = multiplicities(P, points).tolist()
+            assert got == [scalar_ref.multiplicity(P, a) for a in points], (label, n)
+            assert got == [multiplicity_via_shift(P, a) for a in points], (label, n)
+            assert [multiplicity(P, a) for a in points[-2:]] == got[-2:]
+
+
+def test_multiplicities_fallback_family():
+    # GF(2^17) has no log tables: every array op goes through the scalar ops
+    spec = field_make(2, 17)
+    rng = rng_stream(502, 0)
+    for n in (1, 2):
+        points = [random_point(spec, n, rng) for _ in range(3)] + [(0,) * n]
+        for P in (random_poly(spec, n, rng, max_deg=3, max_terms=3, nonzero=True),
+                  _centered_product(spec, points[0], rng, 2)):
+            assert multiplicities(P, points).tolist() == [
+                scalar_ref.multiplicity(P, a) for a in points
+            ]
+
+
+def test_multiplicities_degree_beyond_every_exponent():
+    # deg 3 with every exponent 1: orders of weight 2 and 3 exceed each r_j
+    P = MultiPoly(F5, 3, {(1, 1, 1): 1})
+    assert multiplicities(P, [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]).tolist() == [3, 2, 1, 0]
+    Q = MultiPoly(F2, 2, {(1, 1): 1, (1, 0): 1})  # X(Y + 1)
+    assert multiplicities(Q, [(0, 1), (0, 0), (1, 1), (1, 0)]).tolist() == [2, 1, 1, 0]
+
+
+def test_multiplicities_zero_polynomial_and_bad_points():
+    with pytest.raises(errors.ZeroPolynomial):
+        multiplicities(MultiPoly.zero(F5, 2), [(0, 0)])
+    assert multiplicity(MultiPoly.zero(F5, 2), (0, 0)) == inf
+    P = MultiPoly(F5, 2, {(1, 0): 1})
+    assert multiplicities(P, []).tolist() == []
+    with pytest.raises(errors.DimensionMismatch):
+        multiplicities(P, [(0, 0, 0)])
+    with pytest.raises(errors.InvalidParameters):
+        multiplicities(P, [(0, 5)])
+
+
+def test_multiplicities_in_small_blocks(monkeypatch):
+    import ffmult.mvpoly as mv
+
+    spec = field_make(7)
+    rng = rng_stream(503, 0)
+    a = (3, 5)
+    P = _centered_product(spec, a, rng, 3) * random_poly(spec, 2, rng, max_deg=2, nonzero=True)
+    points = list(itertools.product(range(7), repeat=2))
+    want = multiplicities(P, points).tolist()
+    monkeypatch.setattr(mv, "SHELL_BLOCK_CELLS", 5)
+    assert multiplicities(P, points).tolist() == want
+    assert want == [scalar_ref.multiplicity(P, pt) for pt in points]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_mass_matches_scalar_pointwise_sum(q):
+    spec = parse_prime_power(q)
+    rng = rng_stream(504, q)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            P = random_poly(spec, n, rng, max_deg=4, max_terms=5, nonzero=True)
+            S = [int(x) for x in rng.integers(q, size=1 + int(rng.integers(q + 2)))]
+            S += S[:2]  # duplicates count once
+            want = sum(
+                scalar_ref.multiplicity(P, pt)
+                for pt in itertools.product(sorted(set(S)), repeat=n)
+            )
+            assert multiplicity_mass(P, S) == want
+
+
+def test_binomial_table_matches_comb():
+    for p in (2, 3, 5, 7, 13, 1048573):
+        for rows, cols in ((1, 1), (4, 9), (12, 3), (30, 30), (5, 2)):
+            table = binomial_table(rows, cols, p)
+            assert table.shape == (rows, cols) and not table.flags.writeable
+            assert table.tolist() == [
+                [comb(r, i) % p for i in range(cols)] for r in range(rows)
+            ]
+    with pytest.raises(errors.UnsupportedSize):
+        binomial_table(2 ** 12, 2 ** 11 + 1, 3)

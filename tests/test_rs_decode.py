@@ -294,6 +294,7 @@ def test_internal_checks_survive_optimize_flag():
     # the same disagreements, in an interpreter that strips assert statements
     script = textwrap.dedent("""
         import sys
+        import numpy as np
         from ffmult import errors, ff, interpolate, kakeya, mvpoly, rs_decode as rs
         from ffmult.ff import field_make
         from ffmult.mvpoly import MultiPoly
@@ -315,21 +316,20 @@ def test_internal_checks_survive_optimize_flag():
         except errors.InternalDefect:
             pass
         P = MultiPoly(F3, 2, {(1, 0): 1})
-        hasse_eval, hasse_derivative = mvpoly.hasse_eval, mvpoly.hasse_derivative
-        mvpoly.hasse_eval = lambda P, i, pt: 0
+        shell_nonzero = mvpoly._shell_nonzero  # no derivative is ever nonzero
+        mvpoly._shell_nonzero = lambda vec, coef, shifts, powers, alive: alive < 0
         try:
             mvpoly.multiplicity(P, (0, 0))
             sys.exit("multiplicity degree check did not raise")
         except errors.InternalDefect:
             pass
-        mvpoly.hasse_derivative = lambda P, i: MultiPoly.zero(P.spec, P.n)
         try:
             mvpoly.multiplicity_mass(P, range(3))
             sys.exit("multiplicity_mass termination check did not raise")
         except errors.InternalDefect:
             pass
-        mvpoly.hasse_eval, mvpoly.hasse_derivative = hasse_eval, hasse_derivative
-        kakeya.lines_in_direction = lambda spec, n, b: []
+        mvpoly._shell_nonzero = shell_nonzero
+        kakeya._kakeya_masks = lambda masks, line_masks: masks[:0]  # no set is Kakeya
         try:
             kakeya.exhaustive_min_kakeya(2, 2)
             sys.exit("exhaustive_min_kakeya full-space check did not raise")
@@ -341,7 +341,7 @@ def test_internal_checks_survive_optimize_flag():
             sys.exit("generator search did not raise")
         except errors.InternalDefect:
             pass
-        mvpoly.multiplicity = lambda P, a: 0
+        mvpoly.multiplicities = lambda P, points: np.zeros(len(points), dtype=int)
         problem = interpolate.InterpolationProblem(
             F3, 2, ((0, 0),), 1, interpolate.TotalDegreeBasis(2, 1))
         try:

@@ -1,6 +1,7 @@
 """Differential tests of the array arithmetic (``FieldSpec.vec``) and of the
 code built on it against the scalar ``FieldSpec`` operations."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -76,6 +77,21 @@ def test_fallback_vec_ops_match_scalar(p, e):
     assert vec.poly_eval(bl[:3], a[:100]).tolist() == [
         poly_eval_univariate(bl[:3], x, spec) for x in al[:100]
     ]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (1048573, 1), (2, 4), (2, 16), (3, 2),
+                                 (5, 3), (2, 17), (3, 11)])
+def test_vec_sum_matches_scalar_fold(p, e):
+    # one reduction per family: int64 sum mod p, XOR, and folds of add
+    spec = field_make(p, e)
+    rng = rng_stream(38, spec.q)
+    a = rng.integers(spec.q, size=(4, 7, 5))
+    a[0, 0] = spec.q - 1
+    for axis in range(3):
+        want = np.apply_along_axis(
+            lambda xs: functools.reduce(spec.add, xs.tolist(), 0), axis, a)
+        assert spec.vec.sum(a, axis=axis).tolist() == want.tolist()
+    assert spec.vec.sum(a[:, :, :0], axis=2).tolist() == [[0] * 7] * 4
 
 
 def test_prime_intermediates_stay_below_2_62():
