@@ -18,6 +18,7 @@ derive from (seed, stream-index) key pairs.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from importlib import resources
 
@@ -197,15 +198,15 @@ class FieldSpec:
         return FieldElement(self, self.coerce(value))
 
     def coerce(self, value) -> int:
-        """Accept a FieldElement of this field or an int code in [0, q);
-        anything else raises InvalidParameters."""
+        """Accept a FieldElement of this field or an integer code in [0, q);
+        anything else, a float or a string included, raises InvalidParameters."""
         if isinstance(value, FieldElement):
             if value.spec is not self:
                 raise SpecMismatch("element belongs to a different field")
             return value.code
         try:
-            code = int(value)
-        except (TypeError, ValueError):
+            code = operator.index(value)
+        except TypeError:
             raise InvalidParameters(f"not an element code: {value!r}") from None
         if not 0 <= code < self.q:
             raise InvalidParameters(f"code {code} outside [0, {self.q})")

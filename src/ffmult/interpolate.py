@@ -22,6 +22,8 @@ from .errors import (
 from .ff import FieldSpec
 from .mvpoly import (
     MultiPoly,
+    binomial_columns,
+    binomial_table,
     coerce_point,
     exponents_below_weight,
     hasse_coefficients,
@@ -121,8 +123,10 @@ def vanishing_constraints(problem: InterpolationProblem) -> list[list[int]]:
     monomials = np.array(problem.basis.monomials(), dtype=np.int64).reshape(-1, n)
     orders = np.array(list(exponents_below_weight(problem.m, n)), dtype=np.int64)
     points = np.array(problem.points, dtype=np.int64).reshape(-1, n)
-    coef, shifts = hasse_coefficients(monomials, orders, spec.p)
-    powers = power_tables(spec.vec, points, int(monomials.max(initial=0)))
+    top = int(monomials.max(initial=0))
+    binom = binomial_table(top + 1, binomial_columns(top, problem.m - 1), spec.p)
+    coef, shifts = hasse_coefficients(monomials, orders, binom, spec.p)
+    powers = power_tables(spec.vec, points, top)
     values = hasse_values(spec.vec, coef, shifts, powers)
     return values.reshape(len(points) * len(orders), len(monomials)).tolist()
 

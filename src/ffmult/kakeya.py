@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ff import FieldSpec, field_make, parse_prime_power  # noqa: F401  field_make is re-exported
 from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_interpolation
-from .mvpoly import Curve, coerce_point, homogeneous_part, multiplicities
+from .mvpoly import Curve, coerce_point, grid_multiplicities, homogeneous_part
 
 
 def kakeya_lower_bounds(q: int, n: int) -> tuple[Fraction, Fraction]:
@@ -258,7 +258,7 @@ def homogeneous_vanishing_check(
     poly = vanishing_interpolation(problem)
     hp = homogeneous_part(poly)
     points = all_points(spec, n)
-    mults = dict(zip(points, multiplicities(hp, points).tolist()))
+    mults = dict(zip(points, grid_multiplicities(hp, range(spec.q)).tolist()))
     return {
         "ell": ell,
         "m": m,

@@ -11,7 +11,6 @@ the multiplicity of the zero polynomial at any point is ``INF_MULT``.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb, inf
 
@@ -328,7 +327,7 @@ def multiplicity(P: MultiPoly, point):
     pt = coerce_point(P.spec, P.n, point)
     if P.is_zero:
         return INF_MULT
-    return int(multiplicities(P, [pt])[0])
+    return int(_multiplicities(P, _code_rows([pt], P.n))[0])
 
 
 def multiplicity_tuple(polys, point):
@@ -433,16 +432,23 @@ def restrict_to_line(P: MultiPoly, a, b) -> MultiPoly:
     return compose_curve(P, Curve.line(P.spec, a, b))
 
 
+def grid_multiplicities(P: MultiPoly, S) -> np.ndarray:
+    """mult(P, a) for every a in S^n (S taken as a set, in increasing code
+    order), listed in ``itertools.product`` order; P must be nonzero."""
+    spec, n = P.spec, P.n
+    codes = np.array(sorted({spec.coerce(s) for s in S}), dtype=np.int64)
+    if not codes.size:
+        raise EmptySet("S must be non-empty")
+    axes = np.meshgrid(*[codes] * n, indexing="ij")
+    grid = np.stack(axes, axis=-1).reshape(-1, n) if n else np.zeros((1, 0), dtype=np.int64)
+    return _multiplicities(P, grid)
+
+
 def multiplicity_mass(P: MultiPoly, S) -> int:
-    """Sum of mult(P, a) over all a in S^n (S taken as a set), by one
-    multiplicities call over the whole grid."""
+    """Sum of mult(P, a) over all a in S^n (S taken as a set)."""
     if P.is_zero:
         raise ZeroPolynomial("mass is defined for nonzero polynomials only")
-    spec = P.spec
-    codes = sorted({spec.coerce(s) for s in S})
-    if not codes:
-        raise EmptySet("S must be non-empty")
-    return int(multiplicities(P, list(itertools.product(codes, repeat=P.n))).sum())
+    return int(grid_multiplicities(P, S).sum())
 
 
 # -- batched Hasse derivatives --------------------------------------------------------
@@ -454,6 +460,7 @@ def multiplicity_mass(P: MultiPoly, S) -> int:
 # that ``multiplicities`` tests.
 
 SHELL_BLOCK_CELLS = 2 ** 14  # (point, order, term) cells per shell block
+POINT_BLOCK_CELLS = 2 ** 20  # power-table cells per block of points
 TABLE_CELLS = 2 ** 22        # largest binomial or power table built
 
 
@@ -462,34 +469,30 @@ def _code_rows(rows, n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
-_BINOMIALS: dict[int, np.ndarray] = {}  # per p, the largest table built so far
-
-
-def binomial_table(rows: int, cols: int, p: int) -> np.ndarray:
-    """C(r, i) mod p for 0 <= r < rows and 0 <= i < cols; zero when i > r.
-
-    One table per p is kept and grown on demand; callers get a read-only
-    view of it.
-    """
-    table = _BINOMIALS.get(p)
-    if table is None or table.shape[0] < rows or table.shape[1] < cols:
-        old_rows, old_cols = (0, 0) if table is None else table.shape
-        table = _pascal_columns(max(rows, old_rows), max(cols, old_cols), p)
-        _BINOMIALS[p] = table
-    return table[:rows, :cols]
-
-
-def _pascal_columns(rows: int, cols: int, p: int) -> np.ndarray:
-    """The binomial table mod p, column by column: C(r, i) is the sum of
-    C(s, i - 1) over s < r."""
+def binomial_table(rows: int, cols: int, p: int, known=None) -> np.ndarray:
+    """C(r, i) mod p for 0 <= r < rows and 0 <= i < cols (zero when i > r),
+    read-only, built column by column: C(r, i) is the sum of C(s, i - 1)
+    over s < r.  ``known``, such a table with the same rows and fewer
+    columns, is extended instead of built again from column 0."""
     if rows * cols > TABLE_CELLS:
         raise UnsupportedSize(f"a {rows} x {cols} binomial table exceeds {TABLE_CELLS} cells")
     table = np.zeros((rows, cols), dtype=np.int64)
     table[:, 0] = 1
-    for i in range(1, cols):
+    start = 1
+    if known is not None:
+        start = known.shape[1]
+        table[:, :start] = known
+    for i in range(start, cols):
         table[1:, i] = np.cumsum(table[:-1, i - 1]) % p
     table.flags.writeable = False
     return table
+
+
+def binomial_columns(top: int, max_order: int) -> int:
+    """Columns of the binomial table that orders up to ``max_order`` need
+    against exponents up to ``top``: C(r, i) = 0 for every i > top, so all
+    those orders share column top + 1."""
+    return min(max_order, top + 1) + 1
 
 
 @lru_cache(maxsize=256)
@@ -501,14 +504,12 @@ def shell_orders(w: int, n: int) -> np.ndarray:
     return orders
 
 
-def hasse_coefficients(exps: np.ndarray, orders: np.ndarray, p: int):
+def hasse_coefficients(exps: np.ndarray, orders: np.ndarray, binom: np.ndarray, p: int):
     """C(r, i) mod p for every order i (rows) and exponent vector r
     (columns) as a (K, T) array, and the (n, K, T) array of shifted
-    exponents max(r_j - i_j, 0)."""
-    top = int(exps.max(initial=0))
-    # C(r, i) = 0 for every i > top, so those orders share column top + 1
-    orders = np.minimum(orders, top + 1)
-    binom = binomial_table(top + 1, int(orders.max(initial=0)) + 1, p)
+    exponents max(r_j - i_j, 0).  ``binom`` is a ``binomial_table`` with
+    max(exps) + 1 rows and ``binomial_columns`` columns for these orders."""
+    orders = np.minimum(orders, binom.shape[0])  # i > max(exps): C(r, i) = 0
     coef = np.ones((len(orders), len(exps)), dtype=np.int64)
     for r, i in zip(exps.T, orders.T):
         coef = coef * binom[r, i[:, None]] % p
@@ -554,40 +555,52 @@ def _shell_nonzero(vec, coef, shifts, powers, alive) -> np.ndarray:
 
 
 def multiplicities(P: MultiPoly, points) -> np.ndarray:
-    """mult(P, a) for every point a (n-tuples of element codes), as an int64
-    array; P must be nonzero.
+    """mult(P, a) for every point a (n-tuples of elements or element codes,
+    checked as ``multiplicity`` checks one point), as an int64 array; P must
+    be nonzero."""
+    return _multiplicities(P, _code_rows([coerce_point(P.spec, P.n, a) for a in points], P.n))
 
-    Walks the weight shells w = 0, 1, ... over the points still alive: every
-    Hasse derivative of weight w is evaluated at all of them at once, and a
-    point where one is nonzero leaves with multiplicity w.  The derivative
-    of a top-degree monomial's order is a nonzero constant, so the walk ends
-    by w = deg(P).
+
+def _multiplicities(P: MultiPoly, pts: np.ndarray) -> np.ndarray:
+    """``multiplicities`` at the rows of an (N, n) array of valid codes.
+
+    Takes the points in blocks of at most POINT_BLOCK_CELLS power-table
+    cells.  In each block it walks the weight shells w = 0, 1, ... over the
+    points still alive: every Hasse derivative of weight w is evaluated at
+    all of them at once, and a point where one is nonzero leaves with
+    multiplicity w.  The derivative of a top-degree monomial's order is a
+    nonzero constant, so the walk ends by w = deg(P).
     """
     if P.is_zero:
         raise ZeroPolynomial("multiplicities of the zero polynomial are infinite")
     spec, n, vec = P.spec, P.n, P.spec.vec
-    try:
-        pts = _code_rows(points, n)
-    except (TypeError, ValueError, OverflowError):
-        raise DimensionMismatch(f"points must be {n}-tuples of element codes") from None
-    if pts.size and (pts.min() < 0 or pts.max() >= spec.q):
-        raise InvalidParameters(f"point codes outside [0, {spec.q})")
     exps = _code_rows(list(P.terms), n)
     coeffs = np.array(list(P.terms.values()), dtype=np.int64)
-    powers = power_tables(vec, pts, int(exps.max(initial=0)))
+    top = int(exps.max(initial=0))
+    binom = binomial_table(top + 1, 1, spec.p)
+    shells = []  # per weight walked so far: coefficients and shifts of its live terms
     mult = np.zeros(len(pts), dtype=np.int64)
-    alive = np.arange(len(pts))
-    for w in range(P.degree + 1):
-        if not alive.size:
-            return mult
-        coef, shifts = hasse_coefficients(exps, shell_orders(w, n), spec.p)
-        coef = vec.mul(coef, coeffs)
-        live = coef.any(axis=0)  # terms with some nonzero derivative of weight w
-        if not live.any():
-            continue
-        nonzero = _shell_nonzero(vec, coef[:, live], shifts[:, :, live], powers, alive)
-        mult[alive[nonzero]] = w
-        alive = alive[~nonzero]
-    if alive.size:
-        raise InternalDefect("nonzero polynomial with multiplicity above its degree")
+    step = max(1, POINT_BLOCK_CELLS // (max(n, 1) * (top + 1)))
+    for lo in range(0, len(pts), step):
+        powers = power_tables(vec, pts[lo:lo + step], top)
+        alive = np.arange(powers.shape[1])
+        for w in range(P.degree + 1):
+            if not alive.size:
+                break
+            if w == len(shells):
+                cols = binomial_columns(top, w)
+                if binom.shape[1] < cols:
+                    binom = binomial_table(top + 1, cols, spec.p, binom)
+                coef, shifts = hasse_coefficients(exps, shell_orders(w, n), binom, spec.p)
+                coef = vec.mul(coef, coeffs)
+                live = coef.any(axis=0)  # terms with some nonzero derivative of weight w
+                shells.append((coef[:, live], shifts[:, :, live]))
+            coef, shifts = shells[w]
+            if not coef.size:
+                continue
+            nonzero = _shell_nonzero(vec, coef, shifts, powers, alive)
+            mult[lo + alive[nonzero]] = w
+            alive = alive[~nonzero]
+        if alive.size:
+            raise InternalDefect("nonzero polynomial with multiplicity above its degree")
     return mult

@@ -13,6 +13,7 @@ from ffmult.mvpoly import (
     MultiPoly,
     binomial_table,
     compose_curve,
+    grid_multiplicities,
     hasse_derivative,
     homogeneous_part,
     multiplicities,
@@ -353,6 +354,13 @@ def test_multiplicities_zero_polynomial_and_bad_points():
         multiplicities(P, [(0, 0, 0)])
     with pytest.raises(errors.InvalidParameters):
         multiplicities(P, [(0, 5)])
+    with pytest.raises(errors.InvalidParameters):
+        multiplicities(P, [(1.7, 2)])
+    with pytest.raises(errors.InvalidParameters):
+        multiplicity(P, (1.7, 2))
+    with pytest.raises(errors.SpecMismatch):
+        multiplicities(P, [(F3.element(1), 0)])
+    assert multiplicities(P, [(F5.element(0), F5.element(3))]).tolist() == [1]
 
 
 def test_multiplicities_in_small_blocks(monkeypatch):
@@ -367,6 +375,44 @@ def test_multiplicities_in_small_blocks(monkeypatch):
     monkeypatch.setattr(mv, "SHELL_BLOCK_CELLS", 5)
     assert multiplicities(P, points).tolist() == want
     assert want == [scalar_ref.multiplicity(P, pt) for pt in points]
+
+
+def test_multiplicities_in_point_blocks(monkeypatch):
+    import ffmult.mvpoly as mv
+
+    spec = field_make(5)
+    rng = rng_stream(505, 0)
+    P = _centered_product(spec, (1, 4), rng, 2) * random_poly(spec, 2, rng, max_deg=2, nonzero=True)
+    points = list(itertools.product(range(5), repeat=2))
+    want = [scalar_ref.multiplicity(P, pt) for pt in points]
+    for cells in (1, 7, 40):  # one point per block, and blocks that split the grid
+        monkeypatch.setattr(mv, "POINT_BLOCK_CELLS", cells)
+        assert multiplicities(P, points).tolist() == want
+
+
+def test_tables_do_not_depend_on_earlier_calls():
+    # each call answers as it would in a fresh process
+    assert multiplicity(MultiPoly(F5, 1, {(4_000_000,): 1}), (1,)) == 0
+    assert multiplicity(MultiPoly(F5, 1, {(2,): 1}), (0,)) == 2
+    with pytest.raises(errors.UnsupportedSize):  # 100001 x 42 binomial cells
+        multiplicity(MultiPoly(F5, 1, {(100_000,): 1}), (0,))
+    assert multiplicity(MultiPoly(F5, 1, {(45,): 1}), (0,)) == 45
+
+
+def test_mass_over_a_whole_large_field():
+    # 65536 points with 65 power-table cells each: more than one block
+    spec = field_make(2, 16)
+    roots = {0: 10, 1: 20, 12345: 30, 65535: 4}
+    P = MultiPoly.constant(spec, 1, 1)
+    for r, e in roots.items():
+        for _ in range(e):
+            P = P * MultiPoly(spec, 1, {(1,): 1, (0,): r})  # X - r in characteristic 2
+    assert P.degree == 64
+    mults = grid_multiplicities(P, range(spec.q))
+    assert mults.tolist() == [roots.get(a, 0) for a in range(spec.q)]
+    assert multiplicity_mass(P, range(spec.q)) == 64
+    for a in (*roots, 2, 777, 40000):
+        assert mults[a] == scalar_ref.multiplicity(P, (a,))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
