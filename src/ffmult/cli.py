@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_inter
 from .mvpoly import (
     MultiPoly,
     Curve,
+    coerce_point,
     hasse_derivative,
     multiplicity,
     multiplicity_mass,
@@ -188,24 +190,37 @@ def cmd_kakeya_search(args) -> dict:
     return out
 
 
+def _stat_instance(spec, n: int, data) -> kk.StatKakeyaInstance:
+    """A kakeya-stat --input instance: S, K, curves (each a point and its
+    component coefficient lists), lambda, eta and degree.  JSON of any other
+    shape raises InvalidParameters, as does a point outside F_q^n."""
+    try:
+        S, K = [tuple(p) for p in data["S"]], [tuple(p) for p in data["K"]]
+        curves = [(tuple(c["point"]), [list(comp) for comp in c["components"]])
+                  for c in data["curves"]]
+        lam, eta = Fraction(data["lambda"]), Fraction(data["eta"])
+        degree = operator.index(data["degree"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidParameters(
+            "a kakeya-stat instance is a JSON object with S, K, curves, lambda, eta and degree"
+        ) from None
+    return kk.StatKakeyaInstance(
+        spec=spec,
+        n=n,
+        S=tuple(coerce_point(spec, n, p) for p in S),
+        K=frozenset(coerce_point(spec, n, p) for p in K),
+        curve_map={coerce_point(spec, n, pt): Curve.from_coeff_lists(spec, comps)
+                   for pt, comps in curves},
+        lam=lam,
+        eta=eta,
+        max_degree=degree,
+    )
+
+
 def cmd_kakeya_stat(args) -> dict:
     spec = parse_field_spec(args.field)
     if args.input is not None:
-        data = args.input
-        curves = {}
-        for entry in data["curves"]:
-            pt = tuple(entry["point"])
-            curves[pt] = Curve.from_coeff_lists(spec, entry["components"])
-        inst = kk.StatKakeyaInstance(
-            spec=spec,
-            n=args.n,
-            S=tuple(tuple(p) for p in data["S"]),
-            K=frozenset(tuple(p) for p in data["K"]),
-            curve_map=curves,
-            lam=Fraction(data["lambda"]),
-            eta=Fraction(data["eta"]),
-            max_degree=int(data["degree"]),
-        )
+        inst = _stat_instance(spec, args.n, args.input)
     else:
         inst = kk.full_space_reduction_instance(spec, args.n)
     report = kk.statistical_kakeya_check(inst)

@@ -36,6 +36,7 @@ from .errors import (
 
 SIZE_CAP = 2 ** 20          # largest supported q
 _LOG_TABLE_CAP = 2 ** 16    # build log/exp multiplication tables up to here
+DOT_BLOCK_CELLS = 2 ** 16   # (row, term, column) cells per block of a GF(2^e) dot
 
 
 def is_prime(n: int) -> bool:
@@ -420,6 +421,14 @@ class VecOps:
             acc = self.add(acc, part)
         return acc
 
+    def dot(self, a, b, c) -> np.ndarray:
+        """c + a·b for arrays of codes a (rows x k), b (k x cols) and c
+        (rows x cols), by a fold of ``add`` over the inner index."""
+        acc = c
+        for t in range(np.shape(a)[1]):
+            acc = self.add(acc, self.mul(a[:, t, None], b[t]))
+        return acc
+
     def poly_eval(self, coeffs, xs) -> np.ndarray:
         """The polynomial with low-to-high coefficient codes ``coeffs`` (at
         least one) at every code of xs, by Horner's rule.  A coefficient may
@@ -463,6 +472,19 @@ class _PrimeVecOps(VecOps):
         # codes are below p <= 2^20, so the int64 sum is exact below 2^43 terms
         return np.sum(a, axis=axis, dtype=np.int64) % self.p
 
+    def dot(self, a, b, c):
+        # float64 holds every integer below 2^53, and c plus a sum of k
+        # products of codes stays below k*(p-1)^2 + p: then the float sum is
+        # exact.  einsum without optimize never calls BLAS, whose threads
+        # cost more than they save at these sizes.
+        k = np.shape(a)[1]
+        if k * (self.p - 1) ** 2 + self.p >= 2 ** 53:
+            raise InternalDefect(f"a sum of {k} products is not exact in float64 mod {self.p}")
+        acc = np.einsum("ik,kj->ij", np.asarray(a, dtype=np.float64),
+                        np.asarray(b, dtype=np.float64), optimize=False)
+        acc += c
+        return acc.astype(np.int64) % self.p
+
 
 class _LogVecOps(VecOps):
     """GF(2^e) with q <= 2^16: XOR subtraction, log/exp multiplication.
@@ -496,26 +518,74 @@ class _LogVecOps(VecOps):
     def sum(self, a, axis):
         return np.bitwise_xor.reduce(a, axis=axis)
 
+    def dot(self, a, b, c):
+        # c XOR the k products of each cell, over blocks of rows
+        la, lb = self.log[a], self.log[b]
+        out = np.array(c, dtype=np.int64)
+        step = max(1, DOT_BLOCK_CELLS // max(lb.size, 1))
+        for lo in range(0, len(la), step):
+            out[lo : lo + step] ^= np.bitwise_xor.reduce(
+                self.exp[la[lo : lo + step, :, None] + lb], axis=1)
+        return out
+
 
 class _ZechVecOps(_LogVecOps):
     """Odd p^e with q <= 2^16: log/exp multiplication, and subtraction by Zech
     logarithms (Huber, 1990): g^i - g^j = g^(i + Z(j - i)) with
-    Z(d) = log(1 - g^d), which is the zero sentinel at d = 0."""
+    Z(d) = log(1 - g^d), which is the zero sentinel at d = 0.
+
+    ``zech`` is indexed by log b - log a + 2(q-1), so that with the zero
+    sentinel every case is one lookup: at most 3(q-1) it holds the Zech
+    logarithm; above it, where b = 0 and a is not, 0; below q-1, where a = 0
+    and b is not, a shift that takes log a back to log(-b).
+    """
 
     def __init__(self, spec: FieldSpec):
         super().__init__(spec)
-        self.half = self.n1 // 2  # g^half = -1
-        self.zech = self.log[[spec.sub(1, x) for x in spec._exp]]
+        n1 = self.n1
+        self.half = n1 // 2  # g^half = -1
+        zech = self.log[[spec.sub(1, x) for x in spec._exp]]
+        i = np.arange(4 * n1 + 1)
+        self.zech = np.where(i < n1, (i + self.half) % n1 - 2 * n1,
+                             np.where(i > 3 * n1, 0, zech[i % n1]))
+        # dot adds codes digit by digit: ``spread[x]`` holds base-p digit i
+        # of the code exp[x] in bits [i*bits, (i+1)*bits) of an int64, so a
+        # sum of up to ``terms`` spread codes carries no digit into the next
+        self.bits = 63 // spec.e
+        self.terms = (2 ** self.bits - 1) // (spec.p - 1)
+        digits = self.exp.astype(np.int64)
+        self.spread = np.zeros(len(digits), dtype=np.int64)
+        for i in range(spec.e):
+            digits, digit = np.divmod(digits, spec.p)
+            self.spread |= digit << (self.bits * i)
 
     sum = VecOps.sum
+
+    def dot(self, a, b, c):
+        # c and then up to terms - 1 products at a time, summed spread
+        la, lb = self.log[a], self.log[b]
+        acc = c
+        for lo in range(0, la.shape[1], self.terms - 1):
+            spread = self.spread[self.log[acc]]
+            for t in range(lo, min(lo + self.terms - 1, la.shape[1])):
+                spread += self.spread[la[:, t, None] + lb[t]]
+            acc = self._unspread(spread)
+        return acc
+
+    def _unspread(self, spread):
+        """Codes from sums of spread codes: each digit field mod p."""
+        p, mask = self.spec.p, 2 ** self.bits - 1
+        out = np.zeros(spread.shape, dtype=np.int64)
+        for i in reversed(range(self.spec.e)):
+            out = out * p + (spread >> (self.bits * i) & mask) % p
+        return out
 
     def add(self, a, b):
         return self.sub(a, self.neg(b))
 
     def sub(self, a, b):
-        la, lb = self.log[a], self.log[b]
-        diff = self.exp[la + self.zech[(lb - la) % self.n1]]
-        return np.where(b == 0, a, np.where(a == 0, self.neg(b), diff))
+        la = self.log[a]
+        return self.exp[la + self.zech[self.log[b] - la + 2 * self.n1]]
 
     def neg(self, a):
         return self.exp[self.log[a] + self.half]
@@ -602,11 +672,6 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 def field_sample(spec: FieldSpec, rng: np.random.Generator) -> FieldElement:
     """Uniform draw over the q elements; identical seed => identical sequence."""
     return FieldElement(spec, int(rng.integers(spec.q)))
-
-
-def sample_point(spec: FieldSpec, n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniform point of F_q^n, as a tuple of element codes."""
-    return tuple(int(c) for c in rng.integers(spec.q, size=n))
 
 
 # -- univariate polynomials on coefficient lists (low-to-high codes) -----------

@@ -8,6 +8,7 @@ by exact Gaussian elimination with deterministic pivoting.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -110,7 +111,9 @@ class InterpolationProblem:
         object.__setattr__(self, "points", pts)
 
     def constraint_count(self) -> int:
-        return comb(self.m + self.n - 1, self.n) * len(self.points)
+        # the orders of weight < m are the exponents of the monomials of
+        # degree <= m - 1
+        return count_total_degree_monomials(self.n, self.m - 1) * len(self.points)
 
 
 def vanishing_constraints(problem: InterpolationProblem) -> list[list[int]]:
@@ -119,6 +122,11 @@ def vanishing_constraints(problem: InterpolationProblem) -> list[list[int]]:
     The column for monomial r carries C(r, i) * a^(r - i), zero when r < i
     coordinatewise; columns follow the basis order.
     """
+    return _constraint_matrix(problem).tolist()
+
+
+def _constraint_matrix(problem: InterpolationProblem) -> np.ndarray:
+    """The rows of ``vanishing_constraints`` as an int64 array of codes."""
     spec, n = problem.spec, problem.n
     monomials = np.array(problem.basis.monomials(), dtype=np.int64).reshape(-1, n)
     orders = np.array(list(exponents_below_weight(problem.m, n)), dtype=np.int64)
@@ -128,48 +136,90 @@ def vanishing_constraints(problem: InterpolationProblem) -> list[list[int]]:
     coef, shifts = hasse_coefficients(monomials, orders, binom, spec.p)
     powers = power_tables(spec.vec, points, top)
     values = hasse_values(spec.vec, coef, shifts, powers)
-    return values.reshape(len(points) * len(orders), len(monomials)).tolist()
+    return values.astype(np.int64).reshape(len(points) * len(orders), len(monomials))
 
 
-def _eliminate(rows: list[list[int]], ncols: int, spec: FieldSpec):
+# Columns reduced one at a time before a single product carries their row
+# operations to the columns right of them.
+PANEL = 32
+
+
+def _eliminate(rows, ncols: int, spec: FieldSpec):
     """Reduced row echelon form, as (matrix, [(pivot row, pivot column)]).
 
     The pivot for column c is the first row at or below the current one that
-    is nonzero there.  Columns left of c are already zero in the pivot row,
-    so each step touches only columns >= c of the rows it must clear.  Row
-    updates may leave representatives (see ``VecOps.sub_mul``); a column is
-    reduced to codes when it becomes current.
+    is nonzero there.  Blocked Gauss-Jordan elimination: the columns are
+    taken in panels of PANEL, and each panel is reduced a column at a time
+    across all rows, next to one transform column per pivot.  A row that
+    becomes the panel's pivot t gets a 1 in transform column t, so the row
+    operations leave in the transform columns E, the combination of the
+    panel's pivot rows (as they were when the panel began) that each row
+    received.  One product ``vec.dot`` then applies the panel to the
+    columns right of it: those columns, with the pivot rows zeroed, plus E
+    times the pivot rows' old entries.
     """
     vec = spec.vec
-    A = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    A = vec.reduce(np.array(rows, dtype=np.int64).reshape(len(rows), ncols))
     pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(A):
+    for c0 in range(0, ncols, PANEL):
+        if len(pivots) == len(A):
             break
-        A[:, c] = vec.reduce(A[:, c])
-        nz = np.flatnonzero(A[r:, c])
+        c1 = min(c0 + PANEL, ncols)
+        w, r0 = c1 - c0, len(pivots)
+        # the last panel has no columns right of it, and so no transform columns
+        panel = np.zeros((w if c1 == ncols else 2 * w, len(A)), dtype=np.int64)
+        panel[:w] = A[:, c0:c1].T
+        panel = _reduce_panel(panel, w, c0, A[:, c1:], pivots, vec)
+        A[:, c0:c1] = panel[:w].T
+        k = len(pivots) - r0
+        if k and c1 < ncols:
+            old = A[r0 : r0 + k, c1:].copy()
+            A[r0 : r0 + k, c1:] = 0
+            A[:, c1:] = vec.dot(panel[w : w + k].T, old, A[:, c1:])
+    return A, pivots
+
+
+def _reduce_panel(panel: np.ndarray, w: int, c0: int, rest: np.ndarray, pivots: list, vec):
+    """Gauss-Jordan steps on one panel, stored transposed: a row of
+    ``panel`` per column, the w columns of the panel first, then its
+    transform columns, if any.  Appends each pivot to ``pivots``, and swaps
+    in ``rest``, the columns right of the panel, the rows it swaps.  Row
+    updates may leave representatives (see ``VecOps.sub_mul``); a column is
+    reduced to codes when it becomes current, and the panel is returned as
+    codes."""
+    r0 = len(pivots)
+    end = w  # rows of ``panel`` from here on are zero
+    for j in range(w):
+        r = len(pivots)
+        if r == panel.shape[1]:
+            break
+        panel[j] = vec.reduce(panel[j])
+        nz = np.flatnonzero(panel[j, r:])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            A[[r, pr], c:] = A[[pr, r], c:]
-        A[r, c:] = vec.mul(vec.reduce(A[r, c:]), vec.inv(int(A[r, c])))
-        clear = np.flatnonzero(A[:, c])
-        clear = clear[clear != r]
-        if clear.size:
-            A[clear, c:] = vec.sub_mul(A[clear, c:], A[clear, c, None], A[r, c:])
-        pivots.append((r, c))
-        r += 1
-        if vec.lazy_steps and len(pivots) % vec.lazy_steps == 0:
-            A = vec.reduce(A)
-    return vec.reduce(A), pivots
+            panel[:, [r, pr]] = panel[:, [pr, r]]
+            rest[[r, pr]] = rest[[pr, r]]
+        if len(panel) > w:
+            panel[w + r - r0, r] = 1
+            end = w + r - r0 + 1
+        live = slice(j, end)
+        panel[live, r] = vec.mul(vec.reduce(panel[live, r]), vec.inv(int(panel[j, r])))
+        f = panel[j].copy()
+        f[r] = 0
+        panel[live] = vec.sub_mul(panel[live], f, panel[live, r, None])
+        pivots.append((r, c0 + j))
+        if vec.lazy_steps and (r + 1 - r0) % vec.lazy_steps == 0:
+            panel = vec.reduce(panel)
+    return vec.reduce(panel)
 
 
-def nullspace_vector(rows: list[list[int]], ncols: int, spec: FieldSpec):
+def nullspace_vector(rows, ncols: int, spec: FieldSpec):
     """A nonzero kernel vector of the matrix, or None when the kernel is trivial.
 
-    Exact elimination; the pivot for each column is the first row with a
+    ``rows`` holds codes, as a list of rows or an int64 array.  Exact
+    elimination; the pivot for each column is the first row with a
     nonzero entry there, and the returned vector sets the first free column
     to one, making the choice canonical.
     """
@@ -185,7 +235,7 @@ def nullspace_vector(rows: list[list[int]], ncols: int, spec: FieldSpec):
     return vec
 
 
-def matrix_rank(rows: list[list[int]], ncols: int, spec: FieldSpec) -> int:
+def matrix_rank(rows, ncols: int, spec: FieldSpec) -> int:
     """Rank over F_q, by the same elimination used for kernel extraction."""
     return len(_eliminate(rows, ncols, spec)[1])
 
@@ -203,7 +253,7 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
             f"{n_constraints} constraints vs {len(monomials)} monomials: "
             "existence is not guaranteed"
         )
-    rows = vanishing_constraints(problem)
+    rows = _constraint_matrix(problem)
     vec = nullspace_vector(rows, len(monomials), problem.spec)
     if vec is None:
         raise InternalNoSolution(
@@ -229,11 +279,6 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
     return poly
 
 
-def shell_count(m: int, n: int) -> int:
-    """Number of derivative orders of weight < m in n variables."""
-    return comb(m + n - 1, n)
-
-
 def problem_to_json(problem: InterpolationProblem) -> dict:
     """JSON problem descriptor: field string, points, m, basis descriptor."""
     spec = problem.spec
@@ -257,18 +302,24 @@ def problem_to_json(problem: InterpolationProblem) -> dict:
     }
 
 
-def problem_from_json(data: dict) -> InterpolationProblem:
+def problem_from_json(data) -> InterpolationProblem:
+    """The problem that ``problem_to_json`` describes; JSON of any other
+    shape raises InvalidParameters."""
     from .ff import parse_field_spec
 
-    spec = parse_field_spec(data["field"])
-    n = int(data["n"])
-    desc = data["basis"]
-    if desc["type"] == "total_degree":
-        basis = TotalDegreeBasis(n, int(desc["d"]))
-    elif desc["type"] == "weighted_degree":
-        basis = WeightedDegreeBasis(int(desc["d"]), int(desc["k"]), int(desc["ydeg_cap"]))
-    else:
-        raise InvalidParameters(f"unknown basis type {desc['type']!r}")
-    return InterpolationProblem(
-        spec, n, tuple(tuple(p) for p in data["points"]), int(data["m"]), basis
-    )
+    try:
+        field, desc = str(data["field"]), data["basis"]
+        n, m = operator.index(data["n"]), operator.index(data["m"])
+        points = tuple(tuple(p) for p in data["points"])
+        kind = desc["type"]
+        if kind == "total_degree":
+            basis = TotalDegreeBasis(n, operator.index(desc["d"]))
+        elif kind == "weighted_degree":
+            basis = WeightedDegreeBasis(*(operator.index(desc[key]) for key in ("d", "k", "ydeg_cap")))
+        else:
+            raise InvalidParameters(f"unknown basis type {kind!r}")
+    except (KeyError, TypeError):
+        raise InvalidParameters(
+            "a problem is a JSON object with field, n, points, m and basis"
+        ) from None
+    return InterpolationProblem(parse_field_spec(field), n, points, m, basis)

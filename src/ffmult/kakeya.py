@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     ParameterViolation,
     SearchSpaceTooLarge,
     UnsatisfiedCountHypothesis,
+    UnsupportedSize,
 )
 from .ff import FieldSpec, field_make, parse_prime_power  # noqa: F401  field_make is re-exported
 from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_interpolation
@@ -39,16 +40,26 @@ def kakeya_lower_bounds(q: int, n: int) -> tuple[Fraction, Fraction]:
     return crude, main
 
 
-def all_points(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
+POINT_CAP = 2 ** 20  # largest q^n whose points or directions are listed
+
+
+def _check_space(spec: FieldSpec, n: int) -> None:
+    """Refuse n < 0, and spaces F_q^n of more than POINT_CAP points."""
     if n < 0:
         raise InvalidParameters(f"need n >= 0, got {n}")
+    # q >= 2, so an n past the cap's bit length is refused before q^n is formed
+    if n >= POINT_CAP.bit_length() or spec.q ** n > POINT_CAP:
+        raise UnsupportedSize(f"F_{spec.q}^{n} has more than {POINT_CAP} points")
+
+
+def all_points(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
+    _check_space(spec, n)
     return list(itertools.product(range(spec.q), repeat=n))
 
 
 def canonical_directions(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
     """One representative per projective direction: first nonzero entry is 1."""
-    if n < 0:
-        raise InvalidParameters(f"need n >= 0, got {n}")
+    _check_space(spec, n)
     dirs = []
     for b in itertools.product(range(spec.q), repeat=n):
         nz = next((x for x in b if x), None)
@@ -246,15 +257,14 @@ def homogeneous_vanishing_check(
         raise InvalidParameters(f"m must equal 2*ell - ell/q = {2 * ell - ell // q}, got {m}")
     if d != ell * q - 1:
         raise InvalidParameters(f"d must equal ell*q - 1 = {ell * q - 1}, got {d}")
-    n_constraints = comb(m + n - 1, n) * len(instance.K)
-    n_monomials = comb(d + n, n)
+    problem = InterpolationProblem(
+        spec, n, tuple(sorted(instance.K)), m, TotalDegreeBasis(n, d)
+    )
+    n_constraints, n_monomials = problem.constraint_count(), problem.basis.count()
     if n_constraints >= n_monomials:
         raise UnsatisfiedCountHypothesis(
             f"{n_constraints} constraints vs {n_monomials} monomials for |K|={len(instance.K)}"
         )
-    problem = InterpolationProblem(
-        spec, n, tuple(sorted(instance.K)), m, TotalDegreeBasis(n, d)
-    )
     poly = vanishing_interpolation(problem)
     hp = homogeneous_part(poly)
     points = all_points(spec, n)

@@ -11,6 +11,7 @@ the list-size bound 2*gamma/(gamma^2 - R) is exposed as an exact rational.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -29,6 +30,7 @@ from .ff import FieldSpec, poly_eval_univariate
 from .interpolate import (
     InterpolationProblem,
     WeightedDegreeBasis,
+    count_total_degree_monomials,
     count_weighted_monomials,
     vanishing_interpolation,
 )
@@ -138,7 +140,8 @@ def choose_params(inst: RSInstance, eps=Fraction(1, 4)) -> GSParams:
             continue
         if inst.t * m <= d:
             continue
-        if comb(m + 1, 2) * inst.n >= count_weighted_monomials(inst.k, d, theta):
+        constraints = count_total_degree_monomials(2, m - 1) * inst.n
+        if constraints >= count_weighted_monomials(inst.k, d, theta):
             continue
         ydeg_cap = int((theta * d) // inst.k)
         # re-check the rounding directions exactly
@@ -369,16 +372,19 @@ def instance_to_json(inst: RSInstance) -> dict:
     }
 
 
-def instance_from_json(data: dict) -> RSInstance:
+def instance_from_json(data) -> RSInstance:
+    """The instance that ``instance_to_json`` describes; JSON of any other
+    shape raises InvalidParameters."""
     from .ff import parse_field_spec
 
-    return RSInstance(
-        parse_field_spec(str(data["field"])),
-        tuple(data["alphas"]),
-        tuple(data["betas"]),
-        k=int(data["k"]),
-        t=int(data["t"]),
-    )
+    try:
+        field, alphas, betas = str(data["field"]), tuple(data["alphas"]), tuple(data["betas"])
+        k, t = operator.index(data["k"]), operator.index(data["t"])
+    except (KeyError, TypeError):
+        raise InvalidParameters(
+            "an instance is a JSON object with field, alphas, betas, k and t"
+        ) from None
+    return RSInstance(parse_field_spec(field), alphas, betas, k=k, t=t)
 
 
 def list_decode(

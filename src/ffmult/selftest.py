@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
 
 from . import kakeya as kk
 from . import merger as mg
@@ -23,6 +22,7 @@ from .ff import field_make, parse_prime_power, rng_stream, verify_modulus_irredu
 from .interpolate import (
     InterpolationProblem,
     TotalDegreeBasis,
+    count_total_degree_monomials,
     count_weighted_monomials,
     matrix_rank,
     nullspace_vector,
@@ -441,9 +441,9 @@ def check_interpolation_existence(rng, trials: int) -> str:
         points = set()
         while len(points) < n_points:
             points.add(random_point(spec, n, rng))
-        constraints = comb(m + n - 1, n) * n_points
+        constraints = count_total_degree_monomials(n, m - 1) * n_points
         d = 0
-        while comb(d + n, n) <= constraints:
+        while count_total_degree_monomials(n, d) <= constraints:
             d += 1
         problem = InterpolationProblem(spec, n, tuple(sorted(points)), m, TotalDegreeBasis(n, d))
         poly = vanishing_interpolation(problem)
@@ -700,7 +700,7 @@ def check_rs_default_params(rng, trials: int) -> str:
     inst = rs.RSInstance(spec, (0, 1, 2, 3, 4), (0, 1, 2, 0, 0), k=1, t=3)
     params = rs.choose_params(inst)  # default slack 1/4
     assert inst.t * params.m > params.d
-    need = comb(params.m + 1, 2) * inst.n
+    need = count_total_degree_monomials(2, params.m - 1) * inst.n
     have = count_weighted_monomials(inst.k, params.d, params.theta)
     assert need < have, f"constraint count {need} not below monomial count {have}"
     return f"default slack gives m={params.m}, d={params.d}, ydeg_cap={params.ydeg_cap}"

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ffmult.cli import main
@@ -228,6 +228,7 @@ def test_unparsable_input_is_usage_error(capsys, argv):
     (("mult", "--field", "5", "--n", "1", "--poly", "7:1", "--point", "0"), "InvalidParameters"),
     (("hasse", "--field", "5", "--n", "1", "--poly", "1:-1", "--order", "0"),
      "DimensionMismatch"),
+    (("kakeya-verify", "--field", "2", "--n", "40", "--points", "[]"), "UnsupportedSize"),
 ])
 def test_field_and_poly_out_of_domain_is_domain_error(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
@@ -379,6 +380,26 @@ def test_kakeya_stat_reports_witnesses(capsys):
     assert data["witnesses"] == {"0": 2, "1": 2}
 
 
+# the full-space reduction instance over F_2, as a kakeya-stat --input file
+STAT_INSTANCE = {
+    "S": [[0], [1]],
+    "K": [[0], [1]],
+    "curves": [{"point": [0], "components": [[0, 1]]},
+               {"point": [1], "components": [[1, 1]]}],
+    "lambda": "1",
+    "eta": "1",
+    "degree": 1,
+}
+
+
+def test_kakeya_stat_from_instance_file(tmp_path, capsys):
+    target = tmp_path / "stat.json"
+    target.write_text(json.dumps(STAT_INSTANCE))
+    code, out = run_cli(capsys, "kakeya-stat", "--field", "2", "--n", "1", "--input", str(target))
+    assert code == 0
+    assert out == run_cli(capsys, "kakeya-stat", "--field", "2", "--n", "1")[1]
+
+
 # ---------------------------------------------------------------------------
 # bounded fuzz of the exit-code contract
 # ---------------------------------------------------------------------------
@@ -456,3 +477,46 @@ def test_cli_exit_code_contract_holds_for_fuzzed_argv(argv):
     if code == 2:
         assert out.getvalue() == "", argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# --input files: the well-formed instances of rs-decode and kakeya-stat with
+# fields dropped or replaced by other JSON, and JSON of other shapes
+RS_INSTANCE = {"field": "5", "alphas": [0, 1, 2, 3, 4], "betas": [0, 1, 2, 0, 0],
+               "k": 1, "t": 3}
+JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from([1.5, "", "5", "x", "1/0"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["field", "point", "components", "S", "type"]), kids, max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def input_doc(draw, template):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(JSON_JUNK)
+    doc = {}
+    for key, value in template.items():
+        pick = draw(st.integers(0, 5))
+        if pick == 0:
+            continue
+        doc[key] = draw(JSON_JUNK) if pick == 1 else value
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    input_doc(RS_INSTANCE).map(lambda doc: (["rs-decode"], doc)),
+    input_doc(STAT_INSTANCE).map(lambda doc: (["kakeya-stat", "--field", "2", "--n", "1"], doc)),
+))
+def test_cli_exit_code_contract_holds_for_fuzzed_input_files(tmp_path, case):
+    argv, doc = case
+    target = tmp_path / "input.json"
+    target.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--input", str(target)])
+    assert code in (0, 1), (doc, code)
+    if code == 1:
+        assert "error" in json.loads(out.getvalue()), doc
+    assert "Traceback" not in err.getvalue(), doc

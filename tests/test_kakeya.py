@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import scalar_ref
-from ffmult import errors
+from ffmult import errors, kakeya
 from ffmult.ff import field_make, rng_stream
 from ffmult.kakeya import (
     KakeyaInstance,
@@ -83,6 +83,22 @@ def test_single_point_is_not_kakeya():
 
 def test_empty_set_is_not_kakeya():
     assert not is_kakeya(F2, 2, []).ok
+
+
+def test_point_lists_are_capped(monkeypatch):
+    # q^n past POINT_CAP is refused before anything is listed, even for huge n
+    for n in (21, 40, 10 ** 12):
+        for fn in (all_points, canonical_directions):
+            with pytest.raises(errors.UnsupportedSize):
+                fn(F2, n)
+    with pytest.raises(errors.UnsupportedSize):
+        all_points(field_make(1031), 2)
+    with pytest.raises(errors.UnsupportedSize):
+        is_kakeya(F2, 40, [])
+    monkeypatch.setattr(kakeya, "POINT_CAP", 16)
+    assert len(all_points(F2, 4)) == 16 and len(canonical_directions(F4, 2)) == 5
+    with pytest.raises(errors.UnsupportedSize):
+        all_points(F2, 5)
 
 
 def test_four_line_union_q3():

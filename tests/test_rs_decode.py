@@ -465,3 +465,7 @@ def test_instance_json_roundtrip(tmp_path):
     }
     again = rs.instance_from_json(data)
     assert again == WORKED
+    for bad in ({"field": "5"}, [1], None, {**data, "alphas": 3}, {**data, "k": "1"},
+                {**data, "t": 2.5}, {**data, "betas": [0, 1, 2, 0, [0]]}):
+        with pytest.raises(errors.InvalidParameters):
+            rs.instance_from_json(bad)

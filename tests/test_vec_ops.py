@@ -3,6 +3,9 @@ code built on it against the scalar ``FieldSpec`` operations."""
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from ffmult import rs_decode as rs
 from ffmult.ff import _modulus_table, field_make, poly_eval_univariate, rng_stream
 from ffmult.interpolate import (
+    PANEL,
     InterpolationProblem,
     TotalDegreeBasis,
     WeightedDegreeBasis,
@@ -94,6 +98,45 @@ def test_vec_sum_matches_scalar_fold(p, e):
     assert spec.vec.sum(a[:, :, :0], axis=2).tolist() == [[0] * 7] * 4
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (257, 1), (1048573, 1), (2, 6), (2, 16), (3, 3),
+                                 (3, 10), (2, 17)])
+def test_vec_dot_matches_scalar_fold(p, e):
+    # c + a.b: float64 einsum mod p, XOR of log/exp products, sums of
+    # spread digits (in two chunks on GF(3^10)), and a fold of add
+    spec = field_make(p, e)
+    rng = rng_stream(39, spec.q)
+    for rows, k, cols in [(5, 1, 4), (7, PANEL, 6), (3, 40, 2), (0, 3, 2), (4, 0, 3)]:
+        a = rng.integers(spec.q, size=(rows, k))
+        b = rng.integers(spec.q, size=(k, cols))
+        c = rng.integers(spec.q, size=(rows, cols))
+        a[:, :1], b[:1] = spec.q - 1, spec.q - 1
+        want = [[functools.reduce(spec.add, (spec.mul(x, y) for x, y in zip(row, col)), z)
+                 for col, z in zip(b.T.tolist(), crow)] for row, crow in zip(a.tolist(), c.tolist())]
+        assert spec.vec.dot(a, b, c).tolist() == want
+
+
+def test_prime_dot_refuses_an_inexact_float_sum():
+    # the exactness bound is an explicit raise, so it holds under python -O
+    code = (
+        "import numpy as np\n"
+        "from ffmult.errors import InternalDefect\n"
+        "from ffmult.ff import field_make\n"
+        "vec = field_make(1048573).vec\n"
+        "k = 2 ** 53 // (1048573 - 1) ** 2\n"
+        "vec.dot(np.ones((1, k), dtype=np.int64), np.ones((k, 1), dtype=np.int64), np.zeros((1, 1)))\n"
+        "try:\n"
+        "    vec.dot(np.ones((1, k + 1), dtype=np.int64), np.ones((k + 1, 1), dtype=np.int64),\n"
+        "            np.zeros((1, 1)))\n"
+        "except InternalDefect:\n"
+        "    print('refused')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
+
+
 def test_prime_intermediates_stay_below_2_62():
     p = 1048573  # the largest prime field under the 2^20 size cap
     vec = field_make(p).vec
@@ -101,6 +144,8 @@ def test_prime_intermediates_stay_below_2_62():
     # product per call, and elimination reduces after lazy_steps calls
     assert (p - 1) ** 2 < 2 ** 40
     assert p + vec.lazy_steps * (p - 1) ** 2 < 2 ** 62
+    # a panel's product sums PANEL products of codes and one code in float64
+    assert PANEL * (p - 1) ** 2 + p < 2 ** 53
     top = np.array([p - 1, p - 2])
     assert vec.mul(top, top).tolist() == [field_make(p).mul(x, x) for x in (p - 1, p - 2)]
     rep = vec.sub_mul(np.array([p - 1]), np.array([p - 1]), np.array([p - 1]))
@@ -183,14 +228,14 @@ def _random_system(spec, rng, nrows, ncols, rank=None, zero_cols=()):
     if rank is None:
         rows = [draw() for _ in range(nrows)]
     else:
-        basis = [draw() for _ in range(rank)]
+        basis = [np.array(draw(), dtype=np.int64) for _ in range(rank)]
         rows = []
         for _ in range(nrows):
-            row = [0] * ncols
+            row = np.zeros(ncols, dtype=np.int64)
             for base in basis:
                 f = int(rng.integers(spec.q))
-                row = [spec.add(x, spec.mul(f, y)) for x, y in zip(row, base)]
-            rows.append(row)
+                row = spec.vec.add(row, spec.vec.mul(f, base))
+            rows.append([int(x) for x in row])
     for row in rows:
         for c in zero_cols:
             row[c] = 0
@@ -226,6 +271,37 @@ def test_elimination_with_intermediate_reductions(monkeypatch):
         rows = _random_system(spec, rng, 9, 10, rank=None if trial % 2 else 6)
         assert nullspace_vector(rows, 10, spec) == _ref_nullspace(rows, 10, spec)
         assert matrix_rank(rows, 10, spec) == _ref_rank(rows, 10, spec)
+    rows = _random_system(spec, rng, 40, 70, rank=37)  # three panels
+    assert nullspace_vector(rows, 70, spec) == _ref_nullspace(rows, 70, spec)
+    assert matrix_rank(rows, 70, spec) == _ref_rank(rows, 70, spec)
+
+
+# (rows, columns, rank bound, zero columns): panel edges at 31/32/33 and 64/65,
+# tall and wide, rank-deficient, zero rows and columns, and a whole panel of
+# zero columns, which finds no pivot
+BLOCK_SHAPES = [
+    (40, 31, None, ()),
+    (31, 32, None, ()),
+    (33, 33, 20, (0, 31, 32)),
+    (20, 65, None, ()),
+    (70, 65, 45, range(32, 64)),
+    (64, 65, 64, (64,)),
+    (0, 65, None, ()),
+    (12, 0, None, ()),
+    (100, 100, 97, (5, 50)),
+]
+
+
+@pytest.mark.parametrize("p,e", FAMILIES + [(1048573, 1)])
+def test_blocked_elimination_matches_scalar_reference(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(408, spec.q)
+    for nrows, ncols, rank, zero_cols in BLOCK_SHAPES:
+        if spec.q > 2 ** 16 and nrows * ncols > 1100:
+            continue  # every product is a scalar polynomial product there
+        rows = _random_system(spec, rng, nrows, ncols, rank, zero_cols)
+        assert nullspace_vector(rows, ncols, spec) == _ref_nullspace(rows, ncols, spec)
+        assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
 
 
 # ---------------------------------------------------------------------------
