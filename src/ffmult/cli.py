@@ -66,6 +66,10 @@ def _json_arg(text: str):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
 
 
+# the default of --input, so that a file holding JSON null is an instance
+_NO_INPUT = object()
+
+
 def _json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -175,8 +179,9 @@ def cmd_kakeya_verify(args) -> dict:
 
 def cmd_kakeya_search(args) -> dict:
     q = parse_field_spec(args.field).q
-    crude, main = kk.kakeya_lower_bounds(q, args.n)
+    # the search refuses a large q^n before the bounds' powers are formed
     found = kk.exhaustive_min_kakeya(q, args.n, args.size_cap)
+    crude, main = kk.kakeya_lower_bounds(q, args.n)
     out = {
         "lower_bound_crude": _frac(crude),
         "lower_bound_main": _frac(main),
@@ -219,7 +224,7 @@ def _stat_instance(spec, n: int, data) -> kk.StatKakeyaInstance:
 
 def cmd_kakeya_stat(args) -> dict:
     spec = parse_field_spec(args.field)
-    if args.input is not None:
+    if args.input is not _NO_INPUT:
         inst = _stat_instance(spec, args.n, args.input)
     else:
         inst = kk.full_space_reduction_instance(spec, args.n)
@@ -308,7 +313,7 @@ def cmd_merger_verify(args) -> dict:
 
 
 def cmd_rs_decode(args) -> dict:
-    if args.input is not None:
+    if args.input is not _NO_INPUT:
         inst = rs.instance_from_json(args.input)
     else:
         if None in (args.field, args.alphas, args.betas, args.k, args.t):
@@ -448,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kakeya-stat", parents=[common], help="statistical Kakeya-for-curves checker")
     field_n(p)
-    p.add_argument("--input", type=_json_file,
+    p.add_argument("--input", type=_json_file, default=_NO_INPUT,
                    help="instance JSON file; defaults to the full-space reduction")
     p.set_defaults(fn=cmd_kakeya_stat)
 
@@ -475,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--eps", default="1/4", type=_parse_frac, help="slack parameter, default 1/4")
-    p.add_argument("--input", type=_json_file,
+    p.add_argument("--input", type=_json_file, default=_NO_INPUT,
                    help="instance JSON file instead of individual flags")
     p.set_defaults(fn=cmd_rs_decode)
 

@@ -171,6 +171,8 @@ class FieldSpec:
         self.e = e
         self.q = p ** e
         self.modulus = modulus  # length e+1, low-to-high, monic; unused for e=1
+        # for p = 2, the modulus as a code of e+1 bits
+        self._modulus_bits = sum(c << i for i, c in enumerate(modulus))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._vec: VecOps | None = None
@@ -256,6 +258,16 @@ class FieldSpec:
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial multiplication of codes, reduced by the modulus."""
         p, e = self.p, self.e
+        if p == 2:
+            # the same product on bit vectors: carry-less, then reduced from the top
+            prod = 0
+            for i in range(e):
+                if b >> i & 1:
+                    prod ^= a << i
+            for i in range(2 * e - 2, e - 1, -1):
+                if prod >> i & 1:
+                    prod ^= self._modulus_bits << (i - e)
+            return prod
         av = self.code_to_coeffs(a)
         bv = self.code_to_coeffs(b)
         prod = [0] * (2 * e - 1)
@@ -284,15 +296,18 @@ class FieldSpec:
                 break
         if g is None:
             raise InternalDefect(f"no multiplicative generator found in {self!r}")
-        exp = [1] * (q - 1)
-        log = [0] * q
-        acc = 1
-        for i in range(1, q - 1):
-            acc = self._mul_raw(acc, g)
-            exp[i] = acc
-            log[acc] = i
-        log[1] = 0
-        self._exp, self._log = exp, log
+        # exp[n:2n] = exp[:n] * g^n, so log2(q) doublings by the array kernel.
+        # Narrow dtypes keep each array freed here near 128 KB or below: a
+        # larger free raises glibc's mmap threshold and slowed later ops 4%.
+        kernel, code = _PolyVecOps(self), np.min_scalar_type(q - 1)
+        exp = np.ones(q - 1, dtype=code)
+        n, g_n = 1, g
+        while n < q - 1:
+            exp[n : 2 * n] = kernel.mul(exp[: min(n, q - 1 - n)], g_n)
+            n, g_n = 2 * n, int(kernel.mul(g_n, g_n))
+        log = np.zeros(q, dtype=code)
+        log[exp] = np.arange(q - 1, dtype=code)
+        self._exp, self._log = exp.tolist(), log.tolist()
 
     def _pow_raw(self, a: int, n: int) -> int:
         result = 1
@@ -373,32 +388,13 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class VecOps:
-    """Elementwise arithmetic by calls to the scalar ops: the fallback for
-    extension fields beyond the log-table cap."""
+    """Elementwise arithmetic on arrays of codes; each field family subclasses
+    it with its own add, mul, sub and neg.  The methods here are folds over
+    those, for the families that have nothing faster."""
 
     # How many chained sub_mul calls an entry may take before ``reduce`` is
     # due; None where sub_mul already returns codes.
     lazy_steps: int | None = None
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        # resolve the scalar ops at call time, so patches on FieldSpec apply
-        self._add = np.frompyfunc(lambda a, b: spec.add(a, b), 2, 1)
-        self._mul = np.frompyfunc(lambda a, b: spec.mul(a, b), 2, 1)
-        self._sub = np.frompyfunc(lambda a, b: spec.sub(a, b), 2, 1)
-        self._neg = np.frompyfunc(lambda a: spec.neg(a), 1, 1)
-
-    def add(self, a, b) -> np.ndarray:
-        return np.asarray(self._add(a, b), dtype=np.int64)
-
-    def mul(self, a, b) -> np.ndarray:
-        return np.asarray(self._mul(a, b), dtype=np.int64)
-
-    def sub(self, a, b) -> np.ndarray:
-        return np.asarray(self._sub(a, b), dtype=np.int64)
-
-    def neg(self, a) -> np.ndarray:
-        return np.asarray(self._neg(a), dtype=np.int64)
 
     def inv(self, a: int) -> int:
         return self.spec.inv(a)
@@ -438,6 +434,74 @@ class VecOps:
         for c in reversed(coeffs[:-1]):
             acc = self.add(self.mul(acc, xs), c)
         return acc
+
+
+class _PolyVecOps(VecOps):
+    """Extension fields in the polynomial basis, with no tables: the family
+    beyond the log-table cap, and the kernel that builds the tables below it.
+
+    GF(2^e) multiplies by shift and XOR, one step per bit of b: add a where
+    the bit is set, then multiply a by X, reducing by the modulus when bit e
+    is set.  Odd p^e works on base-p digit arrays: mul convolves the e digits
+    of a with those of b and reduces by the monic modulus from the top down;
+    add, sub and neg act digit by digit.  Codes and digits are int32: a
+    shifted code stays below 2^21, and a convolution and its reduction below
+    2e(p-1)^2 < 2^31, for every q <= SIZE_CAP.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        self.spec, self.p, self.e = spec, spec.p, spec.e
+        self.modulus = np.array(spec.modulus[: self.e], dtype=np.int32)
+        self.powers = self.p ** np.arange(self.e, dtype=np.int32)
+
+    def _digits(self, a, ndim: int) -> np.ndarray:
+        """The base-p digits of the codes a, low first, on a new leading
+        axis; a first gains leading unit axes up to ``ndim``."""
+        a = np.asarray(a, dtype=np.int32)
+        a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+        return a // self.powers.reshape((-1,) + (1,) * ndim) % self.p
+
+    def _code(self, digits) -> np.ndarray:
+        return np.tensordot(self.powers, digits % self.p, axes=1)
+
+    def _digitwise(self, op, a, b) -> np.ndarray:
+        ndim = max(np.ndim(a), np.ndim(b))
+        return self._code(op(self._digits(a, ndim), self._digits(b, ndim)))
+
+    def add(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b, dtype=np.int32)
+        return self._digitwise(np.add, a, b)
+
+    def sub(self, a, b):
+        if self.p == 2:
+            return self.add(a, b)
+        return self._digitwise(np.subtract, a, b)
+
+    def neg(self, a):
+        if self.p == 2:
+            return np.asarray(a, dtype=np.int32)
+        return self._code(-self._digits(a, np.ndim(a)))
+
+    def mul(self, a, b):
+        e = self.e
+        if self.p == 2:
+            a, b = np.array(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
+            acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32)
+            for bit in range(e):
+                acc ^= a & -(b >> bit & 1)
+                a <<= 1
+                a ^= (a >> e) * self.spec._modulus_bits
+            return acc
+        ndim = max(np.ndim(a), np.ndim(b))
+        ad, bd = self._digits(a, ndim), self._digits(b, ndim)
+        prod = np.zeros((2 * e - 1,) + np.broadcast_shapes(ad.shape, bd.shape)[1:],
+                        dtype=np.int32)
+        for i in range(e):
+            prod[i : i + e] += ad[i] * bd
+        for k in range(2 * e - 2, e - 1, -1):
+            prod[k - e : k] -= np.multiply.outer(self.modulus, prod[k] % self.p)
+        return self._code(prod[:e])
 
 
 class _PrimeVecOps(VecOps):
@@ -544,7 +608,8 @@ class _ZechVecOps(_LogVecOps):
         super().__init__(spec)
         n1 = self.n1
         self.half = n1 // 2  # g^half = -1
-        zech = self.log[[spec.sub(1, x) for x in spec._exp]]
+        kernel = _PolyVecOps(spec)
+        zech = self.log[kernel.sub(1, self.exp[:n1])]
         i = np.arange(4 * n1 + 1)
         self.zech = np.where(i < n1, (i + self.half) % n1 - 2 * n1,
                              np.where(i > 3 * n1, 0, zech[i % n1]))
@@ -553,11 +618,8 @@ class _ZechVecOps(_LogVecOps):
         # sum of up to ``terms`` spread codes carries no digit into the next
         self.bits = 63 // spec.e
         self.terms = (2 ** self.bits - 1) // (spec.p - 1)
-        digits = self.exp.astype(np.int64)
-        self.spread = np.zeros(len(digits), dtype=np.int64)
-        for i in range(spec.e):
-            digits, digit = np.divmod(digits, spec.p)
-            self.spread |= digit << (self.bits * i)
+        digits = kernel._digits(self.exp, 1).astype(np.int64)
+        self.spread = np.sum(digits << self.bits * np.arange(spec.e)[:, None], axis=0)
 
     sum = VecOps.sum
 
@@ -595,7 +657,7 @@ def _make_vec_ops(spec: FieldSpec) -> VecOps:
     if spec.e == 1:
         return _PrimeVecOps(spec)
     if spec.q > _LOG_TABLE_CAP:
-        return VecOps(spec)
+        return _PolyVecOps(spec)
     return _LogVecOps(spec) if spec.p == 2 else _ZechVecOps(spec)
 
 

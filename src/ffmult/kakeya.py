@@ -196,17 +196,19 @@ def exhaustive_min_kakeya(q: int, n: int, size_cap: int | None = None):
 
     Returns (points, size) where points is the lexicographically least
     minimum set under the canonical point order.  Requires q^n <= 16 so the
-    2^(q^n) subset space stays enumerable.  With a size_cap, returns None
+    2^(q^n) subset space stays enumerable; a space past POINT_CAP is refused
+    as UnsupportedSize before q^n is formed.  With a size_cap, returns None
     when no Kakeya set of size <= size_cap exists.
 
     Subsets are bit masks with point i at bit q^n - 1 - i, so among sets of
     one size the greatest mask is the lexicographically least one.
     """
     spec = parse_prime_power(q)
-    _, main_bound = kakeya_lower_bounds(q, n)
+    _check_space(spec, n)
     npts = q ** n
     if npts > 16:
         raise SearchSpaceTooLarge(f"q^n = {npts} > 16")
+    _, main_bound = kakeya_lower_bounds(q, n)
     dirs = np.array(canonical_directions(spec, n), dtype=np.int64).reshape(-1, n)
     d, line = np.divmod(np.arange(len(dirs) * q ** (n - 1)), q ** (n - 1))
     _, codes = _line_points(spec, n, dirs[d], line)

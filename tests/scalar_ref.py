@@ -1,6 +1,8 @@
-"""Scalar references for the batched Hasse-shell and Kakeya kernels: the
-one-point, one-derivative, one-``spec.mul`` walks that the library ran
-before those kernels moved onto ``FieldSpec.vec``.  Tests only."""
+"""Scalar references for the array kernels: the log/exp table walk, one
+polynomial product per power of the generator, and the one-point,
+one-derivative, one-``spec.mul`` walks of the Hasse-shell and Kakeya code,
+as the library ran them before those moved onto ``FieldSpec.vec``.  Tests
+only."""
 
 import itertools
 from math import ceil, comb
@@ -8,6 +10,41 @@ from math import ceil, comb
 from ffmult.ff import parse_prime_power
 from ffmult.kakeya import all_points, canonical_directions, kakeya_lower_bounds
 from ffmult.mvpoly import INF_MULT, MultiPoly, weak_compositions
+
+
+def poly_mul(spec, a: int, b: int) -> int:
+    """The product of two codes: schoolbook product of their coefficient
+    vectors, reduced by the modulus from the top coefficient down."""
+    p, e = spec.p, spec.e
+    av, bv = spec.code_to_coeffs(a), spec.code_to_coeffs(b)
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(av):
+        for j, bj in enumerate(bv):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(2 * e - 2, e - 1, -1):
+        c = prod[i]
+        for j in range(e + 1):
+            prod[i - e + j] = (prod[i - e + j] - c * spec.modulus[j]) % p
+    return spec.coeffs_to_code(prod[:e])
+
+
+def log_exp_tables(spec):
+    """(exp, log) by the scalar walk: the powers of each candidate g in code
+    order, one ``poly_mul`` at a time, until they return to 1.  The first g
+    whose walk takes q - 1 steps generates F_q^*; its walk is exp, and log
+    inverts it, with log[0] = 0."""
+    q = spec.q
+    for g in range(1, q):
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = poly_mul(spec, x, g)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for i, x in enumerate(exp):
+                log[x] = i
+            return exp, log
+    raise AssertionError(f"no generator of {spec!r}")
 
 
 def hasse_eval(P: MultiPoly, i, point) -> int:

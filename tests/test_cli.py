@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ffmult.cli import main
@@ -229,6 +229,7 @@ def test_unparsable_input_is_usage_error(capsys, argv):
     (("hasse", "--field", "5", "--n", "1", "--poly", "1:-1", "--order", "0"),
      "DimensionMismatch"),
     (("kakeya-verify", "--field", "2", "--n", "40", "--points", "[]"), "UnsupportedSize"),
+    (("kakeya-search", "--field", "2", "--n", "100000000"), "UnsupportedSize"),
 ])
 def test_field_and_poly_out_of_domain_is_domain_error(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
@@ -509,6 +510,8 @@ def input_doc(draw, template):
     input_doc(RS_INSTANCE).map(lambda doc: (["rs-decode"], doc)),
     input_doc(STAT_INSTANCE).map(lambda doc: (["kakeya-stat", "--field", "2", "--n", "1"], doc)),
 ))
+@example((["rs-decode"], None))
+@example((["kakeya-stat", "--field", "2", "--n", "1"], None))
 def test_cli_exit_code_contract_holds_for_fuzzed_input_files(tmp_path, case):
     argv, doc = case
     target = tmp_path / "input.json"
@@ -519,4 +522,7 @@ def test_cli_exit_code_contract_holds_for_fuzzed_input_files(tmp_path, case):
     assert code in (0, 1), (doc, code)
     if code == 1:
         assert "error" in json.loads(out.getvalue()), doc
+    if not isinstance(doc, dict):
+        # a given file is an instance, so null or any other non-object is malformed
+        assert code == 1 and json.loads(out.getvalue())["error"] == "InvalidParameters", doc
     assert "Traceback" not in err.getvalue(), doc

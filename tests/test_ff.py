@@ -1,9 +1,13 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
+import scalar_ref
 from ffmult import errors
 from ffmult.ff import (
     FieldElement,
+    _modulus_table,
     field_enumerate,
     field_make,
     field_sample,
@@ -123,6 +127,38 @@ def test_field_axioms_exhaustive(p, e):
             assert spec.mul(a, b) == spec.mul(b, a)
             for c in range(q):
                 assert spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c))
+
+
+@pytest.mark.parametrize("p,e", sorted(pe for pe in _modulus_table() if pe[0] ** pe[1] <= 2 ** 12))
+def test_log_exp_tables_match_scalar_walk(p, e):
+    # the doubling build on the array kernel against one product per power
+    spec = field_make(p, e)
+    spec._ensure_tables()
+    exp, log = scalar_ref.log_exp_tables(spec)
+    assert spec._exp == exp
+    assert spec._log == log
+    if p != 2:
+        # the Zech table, built digit-wise, against the scalar subtraction
+        n1, vec = spec.q - 1, spec.vec
+        assert vec.zech[n1 : 2 * n1].tolist() == [vec.log[spec.sub(1, x)] for x in exp]
+    rng = rng_stream(40, spec.q)
+    for a, b in rng.integers(spec.q, size=(300, 2)).tolist():
+        assert spec._mul_raw(a, b) == scalar_ref.poly_mul(spec, a, b)
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 10)])
+def test_log_exp_tables_of_the_largest_table_fields(p, e):
+    spec = field_make(p, e)
+    spec._ensure_tables()
+    q, exp, log = spec.q, spec._exp, spec._log
+    assert sorted(exp) == list(range(1, q))
+    assert [log[x] for x in exp] == list(range(q - 1))
+    assert log[0] == 0
+    g = exp[1]
+    for i in rng_stream(41, q).integers(q - 1, size=2000).tolist():
+        assert exp[(i + 1) % (q - 1)] == spec._mul_raw(exp[i], g)
+    # g is the smallest generator: every smaller nonzero code has a smaller order
+    assert all(gcd(log[c], q - 1) > 1 for c in range(1, g))
 
 
 def test_element_operators():

@@ -324,7 +324,7 @@ def test_multiplicities_match_scalar_shell_walk(p, e):
 
 
 def test_multiplicities_fallback_family():
-    # GF(2^17) has no log tables: every array op goes through the scalar ops
+    # GF(2^17) has no log tables: every array op runs on the polynomial-basis kernel
     spec = field_make(2, 17)
     rng = rng_stream(502, 0)
     for n in (1, 2):
