@@ -23,12 +23,11 @@ from .errors import (
 from .ff import FieldSpec
 from .mvpoly import (
     MultiPoly,
-    binomial_columns,
-    binomial_table,
     coerce_point,
     exponents_below_weight,
     hasse_coefficients,
     hasse_values,
+    lucas_binomial,
     power_tables,
 )
 
@@ -132,8 +131,7 @@ def _constraint_matrix(problem: InterpolationProblem) -> np.ndarray:
     orders = np.array(list(exponents_below_weight(problem.m, n)), dtype=np.int64)
     points = np.array(problem.points, dtype=np.int64).reshape(-1, n)
     top = int(monomials.max(initial=0))
-    binom = binomial_table(top + 1, binomial_columns(top, problem.m - 1), spec.p)
-    coef, shifts = hasse_coefficients(monomials, orders, binom, spec.p)
+    coef, shifts = hasse_coefficients(monomials, orders, lucas_binomial(spec.p, top), spec.p)
     powers = power_tables(spec.vec, points, top)
     values = hasse_values(spec.vec, coef, shifts, powers)
     return values.astype(np.int64).reshape(len(points) * len(orders), len(monomials))

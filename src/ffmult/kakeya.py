@@ -32,9 +32,11 @@ from .mvpoly import Curve, coerce_point, grid_multiplicities, homogeneous_part
 
 
 def kakeya_lower_bounds(q: int, n: int) -> tuple[Fraction, Fraction]:
-    """The crude q^n/2^n bound and the stronger (q^2/(2q-1))^n bound."""
+    """The crude q^n/2^n bound and the stronger (q^2/(2q-1))^n bound, for
+    spaces of at most POINT_CAP points."""
     if q < 2 or n < 1:
         raise InvalidParameters(f"need q >= 2 and n >= 1, got q={q}, n={n}")
+    _check_space(q, n)
     crude = Fraction(q ** n, 2 ** n)
     main = Fraction(q * q, 2 * q - 1) ** n
     return crude, main
@@ -43,23 +45,23 @@ def kakeya_lower_bounds(q: int, n: int) -> tuple[Fraction, Fraction]:
 POINT_CAP = 2 ** 20  # largest q^n whose points or directions are listed
 
 
-def _check_space(spec: FieldSpec, n: int) -> None:
+def _check_space(q: int, n: int) -> None:
     """Refuse n < 0, and spaces F_q^n of more than POINT_CAP points."""
     if n < 0:
         raise InvalidParameters(f"need n >= 0, got {n}")
     # q >= 2, so an n past the cap's bit length is refused before q^n is formed
-    if n >= POINT_CAP.bit_length() or spec.q ** n > POINT_CAP:
-        raise UnsupportedSize(f"F_{spec.q}^{n} has more than {POINT_CAP} points")
+    if n >= POINT_CAP.bit_length() or q ** n > POINT_CAP:
+        raise UnsupportedSize(f"F_{q}^{n} has more than {POINT_CAP} points")
 
 
 def all_points(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
-    _check_space(spec, n)
+    _check_space(spec.q, n)
     return list(itertools.product(range(spec.q), repeat=n))
 
 
 def canonical_directions(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
     """One representative per projective direction: first nonzero entry is 1."""
-    _check_space(spec, n)
+    _check_space(spec.q, n)
     dirs = []
     for b in itertools.product(range(spec.q), repeat=n):
         nz = next((x for x in b if x), None)
@@ -204,7 +206,7 @@ def exhaustive_min_kakeya(q: int, n: int, size_cap: int | None = None):
     one size the greatest mask is the lexicographically least one.
     """
     spec = parse_prime_power(q)
-    _check_space(spec, n)
+    _check_space(q, n)
     npts = q ** n
     if npts > 16:
         raise SearchSpaceTooLarge(f"q^n = {npts} > 16")

@@ -12,7 +12,7 @@ the multiplicity of the zero polynomial at any point is ``INF_MULT``.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, inf
+from math import inf, isqrt
 
 import numpy as np
 
@@ -292,10 +292,11 @@ def vector_binomial(i, j, spec: FieldSpec) -> FieldElement:
     i, j = tuple(i), tuple(j)
     if len(i) != len(j):
         raise DimensionMismatch("exponent vectors of unequal length")
-    value = 1
-    for ik, jk in zip(i, j):
-        value *= comb(ik, jk) if jk <= ik else 0
-    return FieldElement(spec, spec.from_int(value))
+    if min(i + j, default=0) < 0:
+        raise InvalidParameters(f"binomial arguments must be non-negative, got {i} and {j}")
+    binom = lucas_binomial(spec.p, max(i, default=0))
+    coef, _ = hasse_coefficients(_code_rows([i], len(i)), _code_rows([j], len(j)), binom, spec.p)
+    return FieldElement(spec, int(coef[0, 0]))
 
 
 def hasse_derivative(P: MultiPoly, i) -> MultiPoly:
@@ -303,23 +304,18 @@ def hasse_derivative(P: MultiPoly, i) -> MultiPoly:
     i = tuple(i)
     if len(i) != P.n:
         raise DimensionMismatch(f"derivative order has length {len(i)}, expected {P.n}")
+    if min(i, default=0) < 0:
+        raise InvalidParameters(f"derivative order must be non-negative, got {i}")
     spec = P.spec
-    p = spec.p
-    out: dict[tuple[int, ...], int] = {}
-    for r, c in P.terms.items():
-        if any(rk < ik for rk, ik in zip(r, i)):
-            continue
-        b = 1
-        for rk, ik in zip(r, i):
-            b = (b * comb(rk, ik)) % p
-            if not b:
-                break
-        if not b:
-            continue
-        coeff = spec.mul(c, spec.from_int(b))
-        if coeff:
-            out[tuple(rk - ik for rk, ik in zip(r, i))] = coeff
-    return MultiPoly(spec, P.n, out)
+    if P.is_zero:
+        return P
+    exps = _code_rows(list(P.terms), P.n)
+    binom = lucas_binomial(spec.p, int(exps.max(initial=0)))
+    coef, shifts = hasse_coefficients(exps, _code_rows([i], P.n), binom, spec.p)
+    coef = spec.vec.mul(coef[0], np.array(list(P.terms.values()), dtype=np.int64))
+    return MultiPoly(spec, P.n, {
+        tuple(r.tolist()): int(c) for r, c in zip(shifts[:, 0].T, coef) if c
+    })
 
 
 def multiplicity(P: MultiPoly, point):
@@ -461,7 +457,7 @@ def multiplicity_mass(P: MultiPoly, S) -> int:
 
 SHELL_BLOCK_CELLS = 2 ** 14  # (point, order, term) cells per shell block
 POINT_BLOCK_CELLS = 2 ** 20  # power-table cells per block of points
-TABLE_CELLS = 2 ** 22        # largest binomial or power table built
+TABLE_CELLS = 2 ** 22        # largest power table built
 
 
 def _code_rows(rows, n: int) -> np.ndarray:
@@ -469,30 +465,52 @@ def _code_rows(rows, n: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), n)
 
 
-def binomial_table(rows: int, cols: int, p: int, known=None) -> np.ndarray:
-    """C(r, i) mod p for 0 <= r < rows and 0 <= i < cols (zero when i > r),
-    read-only, built column by column: C(r, i) is the sum of C(s, i - 1)
-    over s < r.  ``known``, such a table with the same rows and fewer
-    columns, is extended instead of built again from column 0."""
-    if rows * cols > TABLE_CELLS:
-        raise UnsupportedSize(f"a {rows} x {cols} binomial table exceeds {TABLE_CELLS} cells")
-    table = np.zeros((rows, cols), dtype=np.int64)
-    table[:, 0] = 1
-    start = 1
-    if known is not None:
-        start = known.shape[1]
-        table[:, :start] = known
-    for i in range(start, cols):
-        table[1:, i] = np.cumsum(table[:-1, i - 1]) % p
-    table.flags.writeable = False
-    return table
+def lucas_binomial(p: int, top: int):
+    """C(r, i) mod p, elementwise on int64 arrays with 0 <= r <= top and
+    i >= 0 (zero where i > r), by Lucas's theorem: the product over the
+    base-p digits of C(r_d, i_d) = r_d! / (i_d! (r_d - i_d)!) mod p.
+
+    The factorials and inverse factorials mod p are built once, for digits
+    below min(p, top + 1).  The inverse table is padded with as many zeros,
+    so a digit with i_d > r_d reads one of them at the negative index
+    r_d - i_d, and its C(r_d, i_d) is 0 with no mask.
+    """
+    size = min(p, top + 1)
+    fact = _prefix_products(np.arange(size), p)
+    last = pow(int(fact[-1]), p - 2, p)  # 1 / (size - 1)!, as size <= p
+    # 1/k! = 1/(size-1)! * (k+1) * ... * (size-1), from the top down
+    inv = last * _prefix_products(np.arange(size, 0, -1) % size, p)[::-1] % p
+    inv = np.concatenate([inv, np.zeros(size, dtype=np.int64)])
+
+    def binom(r, i):
+        i = np.minimum(i, top + 1)  # i > top >= r: C(r, i) = 0
+        out = 1
+        while True:
+            (r, rd), (i, id_) = np.divmod(r, p), np.divmod(i, p)
+            # each factor is below p <= 2^20, so no product reaches 2^63
+            out = out * fact[rd] % p * inv[id_] * inv[rd - id_] % p
+            if not i.any():  # C(r_d, 0) = 1 for every digit left
+                return out
+
+    return binom
 
 
-def binomial_columns(top: int, max_order: int) -> int:
-    """Columns of the binomial table that orders up to ``max_order`` need
-    against exponents up to ``top``: C(r, i) = 0 for every i > top, so all
-    those orders share column top + 1."""
-    return min(max_order, top + 1) + 1
+def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
+    """Running products mod p of a, its first entry read as 1.  The entries
+    are laid out in rows of about sqrt(len(a) / 16): one numpy step per
+    column multiplies along every row at once, then one integer step per row
+    carries the products across rows.  An integer step costs about a
+    sixteenth of a numpy step, hence the row length."""
+    width = isqrt(len(a) // 16) + 1
+    rows = np.ones(-(-len(a) // width) * width, dtype=np.int64)
+    rows[1:len(a)] = a[1:]
+    rows = rows.reshape(-1, width)
+    for j in range(1, width):
+        rows[:, j] = rows[:, j] * rows[:, j - 1] % p
+    carry = [1]
+    for last in rows[:-1, -1].tolist():
+        carry.append(carry[-1] * last % p)
+    return (rows * np.array(carry)[:, None] % p).ravel()[:len(a)]
 
 
 @lru_cache(maxsize=256)
@@ -504,15 +522,14 @@ def shell_orders(w: int, n: int) -> np.ndarray:
     return orders
 
 
-def hasse_coefficients(exps: np.ndarray, orders: np.ndarray, binom: np.ndarray, p: int):
+def hasse_coefficients(exps: np.ndarray, orders: np.ndarray, binom, p: int):
     """C(r, i) mod p for every order i (rows) and exponent vector r
     (columns) as a (K, T) array, and the (n, K, T) array of shifted
-    exponents max(r_j - i_j, 0).  ``binom`` is a ``binomial_table`` with
-    max(exps) + 1 rows and ``binomial_columns`` columns for these orders."""
-    orders = np.minimum(orders, binom.shape[0])  # i > max(exps): C(r, i) = 0
+    exponents max(r_j - i_j, 0).  ``binom`` is the ``lucas_binomial`` rule
+    of the field's characteristic for exponents up to max(exps)."""
     coef = np.ones((len(orders), len(exps)), dtype=np.int64)
-    for r, i in zip(exps.T, orders.T):
-        coef = coef * binom[r, i[:, None]] % p
+    for factor in binom(exps.T[:, None, :], orders.T[:, :, None]):  # one per coordinate
+        coef = coef * factor % p
     return coef, np.maximum(exps.T[:, None, :] - orders.T[:, :, None], 0)
 
 
@@ -577,7 +594,7 @@ def _multiplicities(P: MultiPoly, pts: np.ndarray) -> np.ndarray:
     exps = _code_rows(list(P.terms), n)
     coeffs = np.array(list(P.terms.values()), dtype=np.int64)
     top = int(exps.max(initial=0))
-    binom = binomial_table(top + 1, 1, spec.p)
+    binom = lucas_binomial(spec.p, top)
     shells = []  # per weight walked so far: coefficients and shifts of its live terms
     mult = np.zeros(len(pts), dtype=np.int64)
     step = max(1, POINT_BLOCK_CELLS // (max(n, 1) * (top + 1)))
@@ -588,9 +605,6 @@ def _multiplicities(P: MultiPoly, pts: np.ndarray) -> np.ndarray:
             if not alive.size:
                 break
             if w == len(shells):
-                cols = binomial_columns(top, w)
-                if binom.shape[1] < cols:
-                    binom = binomial_table(top + 1, cols, spec.p, binom)
                 coef, shifts = hasse_coefficients(exps, shell_orders(w, n), binom, spec.p)
                 coef = vec.mul(coef, coeffs)
                 live = coef.any(axis=0)  # terms with some nonzero derivative of weight w

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .interpolate import (
     count_weighted_monomials,
     vanishing_interpolation,
 )
-from .mvpoly import MultiPoly
+from .mvpoly import MultiPoly, lucas_binomial, power_tables
 
 M_SEARCH_CAP = 10 ** 4
 CROSS_VALIDATE_CAP = 10 ** 4
@@ -45,10 +45,6 @@ ROOT_SCAN_BLOCK = 2 ** 12  # field elements per pass of the Y-root scan
 # candidate before composing the survivors exactly.
 ORACLE_BLOCK_CELLS = 2 ** 16
 PREFILTER_POINTS = 8
-
-# Auto cross-validation: on desk-scale fields the recursive root finder is
-# checked against exhaustive enumeration on every call.
-AUTO_CROSS_VALIDATE = True
 
 
 @dataclass(frozen=True)
@@ -165,33 +161,29 @@ def gs_interpolate(inst: RSInstance, params: GSParams, verify: bool = False) -> 
     return vanishing_interpolation(problem, verify=verify)
 
 
-def _y_levels(Q: MultiPoly) -> list[list[int]]:
-    """Q as sum_j Q_j(X) Y^j: the X-coefficient list of each Q_j, j = 0..deg_Y Q;
-    [] where Q has no Y^j term."""
-    levels: list[list[int]] = [[] for _ in range(1 + max(j for (_, j) in Q.terms))]
-    for (i, j), c in Q.terms.items():
-        row = levels[j]
-        row += [0] * (i + 1 - len(row))
-        row[i] = c
+def _y_levels(Q: MultiPoly) -> np.ndarray:
+    """Q as sum_j Q_j(X) Y^j: a dense (deg_Y Q + 1) x (deg_X Q + 1) array of
+    codes whose row j holds the X-coefficients of Q_j, low to high."""
+    exps = np.array(list(Q.terms), dtype=np.int64)
+    levels = np.zeros(tuple(exps.max(axis=0)[::-1] + 1), dtype=np.int64)
+    levels[exps[:, 1], exps[:, 0]] = list(Q.terms.values())
     return levels
 
 
-def _compose_rows(levels, cands: np.ndarray, vec) -> np.ndarray:
+def _compose_rows(levels: np.ndarray, cands: np.ndarray, vec) -> np.ndarray:
     """Q(X, f(X)) for every coefficient row f of ``cands``, as one row of
-    X-coefficients each, by Horner's rule in Y: acc <- acc*f + Q_j."""
-    n, k1 = cands.shape
-    acc = np.zeros((n, 0), dtype=np.int64)
-    for level in reversed(levels):
-        if acc.shape[1]:
-            w = acc.shape[1]
-            prod = np.zeros((n, w + k1 - 1), dtype=np.int64)
-            for t in range(k1):
-                prod[:, t : t + w] = vec.add(prod[:, t : t + w], vec.mul(acc, cands[:, t : t + 1]))
-            acc = prod
-        if level:
-            if acc.shape[1] < len(level):
-                acc = np.pad(acc, ((0, 0), (0, len(level) - acc.shape[1])))
-            acc[:, : len(level)] = vec.add(acc[:, : len(level)], np.array(level))
+    X-coefficients each, by Horner's rule in Y: acc <- acc*f + Q_j.  Each
+    product stays within the degree bound of the result, so the
+    convolution drops only zero terms."""
+    width = levels.shape[1] + (cands.shape[1] - 1) * (len(levels) - 1)
+    acc = np.zeros((len(cands), width), dtype=np.int64)
+    acc[:, : levels.shape[1]] = levels[-1]
+    for level in levels[-2::-1]:
+        prod = np.zeros_like(acc)
+        for t in range(cands.shape[1]):
+            prod[:, t:] = vec.add(prod[:, t:], vec.mul(acc[:, : width - t], cands[:, t : t + 1]))
+        prod[:, : len(level)] = vec.add(prod[:, : len(level)], level)
+        acc = prod
     return acc
 
 
@@ -211,9 +203,13 @@ def y_roots(Q: MultiPoly, k: int, cross_validate: bool | None = None) -> list[tu
         raise ZeroPolynomial("Y-roots of the zero polynomial are undefined")
     spec = Q.spec
     if cross_validate is None:
-        cross_validate = AUTO_CROSS_VALIDATE and spec.q ** (k + 1) <= CROSS_VALIDATE_CAP
+        cross_validate = spec.q ** (k + 1) <= CROSS_VALIDATE_CAP
+    levels = _y_levels(Q)
+    # C(j, l) mod p at [l, j]: the Y-degree is the same at every depth
+    ys = np.arange(len(levels))
+    binom = lucas_binomial(spec.p, len(levels) - 1)(ys, ys[:, None])
     found: list[tuple[int, ...]] = []
-    _rr_search(dict(Q.terms), 0, k, (), found, spec)
+    _rr_search(levels, 0, k, (), found, spec, binom)
     result = sorted(set(found), key=lambda f: tuple(reversed(f)))
     if cross_validate:
         brute = y_roots_bruteforce(Q, k)
@@ -236,9 +232,9 @@ def y_roots_bruteforce(Q: MultiPoly, k: int) -> list[tuple[int, ...]]:
     spec = Q.spec
     vec = spec.vec
     levels = _y_levels(Q)
-    width = max(map(len, levels)) + k * (len(levels) - 1)  # coefficients of Q(X, f(X))
+    width = levels.shape[1] + k * (len(levels) - 1)  # coefficients of Q(X, f(X))
     points = np.arange(min(spec.q, PREFILTER_POINTS))
-    q_at_points = [vec.poly_eval(level or [0], points) for level in levels]
+    q_at_points = vec.poly_eval(levels.T[:, :, None], points)  # Q_j(a) at [j, a]
     out: list[tuple[int, ...]] = []
     for cands in _candidate_blocks(spec.q, k, max(len(points), width)):
         fvals = _candidate_values(cands, points, vec)
@@ -265,27 +261,34 @@ def _candidate_values(cands: np.ndarray, xs: np.ndarray, vec) -> np.ndarray:
     return vec.poly_eval([cands[:, j : j + 1] for j in range(cands.shape[1])], xs)
 
 
-def _rr_search(terms, depth, k, prefix, out, spec: FieldSpec):
-    # strip the largest X power dividing the polynomial
-    shift = min(i for (i, _) in terms)
-    if shift:
-        terms = {(i - shift, j): c for (i, j), c in terms.items()}
-    # roots of Q(0, Y): the zero-X layer is nonzero after stripping
-    layer: dict[int, int] = {}
-    for (i, j), c in terms.items():
-        if i == 0:
-            layer[j] = c
-    coeffs = [0] * (max(layer) + 1)
-    for j, c in layer.items():
-        coeffs[j] = c
+def _rr_search(levels, depth, k, prefix, out, spec: FieldSpec, binom):
+    """Extend ``prefix`` by each y0 with Q(0, y0) = 0, where ``levels`` is
+    Q(X, Y) as ``_y_levels`` gives it, and ``binom`` holds C(j, l) mod p at
+    [l, j] for every pair of rows."""
+    # strip the largest X power dividing Q, and the zero columns past deg_X Q
+    cols = np.flatnonzero(levels.any(axis=0))
+    levels = levels[:, cols[0] : cols[-1] + 1]
+    # roots of Q(0, Y): the zero-X column is nonzero after stripping
+    coeffs = levels[: np.flatnonzero(levels[:, 0])[-1] + 1, 0].tolist()
     for y0 in _field_roots(coeffs, spec):
-        if depth == k:
-            if _vanishes_at_constant(terms, y0, spec):
-                out.append(prefix + (y0,))
-        else:
-            _rr_search(
-                _substitute_shift(terms, y0, spec), depth + 1, k, prefix + (y0,), out, spec
-            )
+        if depth < k:
+            shifted = _shift_levels(levels, y0, binom, spec.vec)
+            _rr_search(shifted, depth + 1, k, prefix + (y0,), out, spec, binom)
+        elif not spec.vec.poly_eval(levels, y0).any():  # Q(X, y0) = 0
+            out.append(prefix + (y0,))
+
+
+def _shift_levels(levels, y0: int, binom, vec) -> np.ndarray:
+    """Q(X, y0 + XY) from Q(X, Y), both as ``_y_levels`` arrays of the same
+    Y-degree.  (y0 + XY)^j = sum_l C(j, l) y0^(j-l) X^l Y^l, so row l is
+    sum_j C(j, l) y0^(j-l) Q_j(X), moved right by l."""
+    lj = np.arange(len(levels))
+    ypow = power_tables(vec, np.array([[y0]]), len(levels) - 1)[0, 0]
+    mix = vec.mul(binom, ypow[np.maximum(lj - lj[:, None], 0)])
+    rows = vec.dot(mix, levels, np.zeros_like(levels))
+    shifted = np.zeros((len(levels), levels.shape[1] + len(levels) - 1), dtype=np.int64)
+    shifted[lj[:, None], lj[:, None] + np.arange(levels.shape[1])] = rows
+    return shifted
 
 
 def _field_roots(coeffs, spec: FieldSpec) -> list[int]:
@@ -297,40 +300,6 @@ def _field_roots(coeffs, spec: FieldSpec) -> list[int]:
         acc = spec.vec.poly_eval(coeffs, ys)
         roots += (lo + np.flatnonzero(acc == 0)).tolist()
     return roots
-
-
-def _vanishes_at_constant(terms, y0: int, spec: FieldSpec) -> bool:
-    """Is Q(X, y0) the zero polynomial?"""
-    acc: dict[int, int] = {}
-    for (i, j), c in terms.items():
-        val = spec.mul(c, spec.pow(y0, j)) if j else c
-        if val:
-            acc[i] = spec.add(acc.get(i, 0), val)
-    return not any(acc.values())
-
-
-def _substitute_shift(terms, y0: int, spec: FieldSpec) -> dict:
-    """Q(X, y0 + X*Y) on the sparse term map."""
-    p = spec.p
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), c in terms.items():
-        # (y0 + X Y)^j = sum_l C(j,l) y0^(j-l) X^l Y^l
-        for l in range(j + 1):
-            b = comb(j, l) % p
-            if not b:
-                continue
-            val = spec.mul(c, spec.from_int(b))
-            if j > l:
-                val = spec.mul(val, spec.pow(y0, j - l))
-            if not val:
-                continue
-            key = (i + l, l)
-            s = spec.add(out.get(key, 0), val)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
 
 
 # -- decoding ------------------------------------------------------------------------

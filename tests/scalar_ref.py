@@ -1,13 +1,14 @@
 """Scalar references for the array kernels: the log/exp table walk, one
 polynomial product per power of the generator, and the one-point,
 one-derivative, one-``spec.mul`` walks of the Hasse-shell and Kakeya code,
-as the library ran them before those moved onto ``FieldSpec.vec``.  Tests
-only."""
+as the library ran them before those moved onto ``FieldSpec.vec``, and the
+term-map steps of the Y-root search: the test Q(X, y0) = 0 and the shift
+Q(X, y0 + XY).  Tests only."""
 
 import itertools
 from math import ceil, comb
 
-from ffmult.ff import parse_prime_power
+from ffmult.ff import FieldSpec, parse_prime_power
 from ffmult.kakeya import all_points, canonical_directions, kakeya_lower_bounds
 from ffmult.mvpoly import INF_MULT, MultiPoly, weak_compositions
 
@@ -128,3 +129,59 @@ def min_kakeya(q, n, size_cap=None):
             if all(any(mask & lm == lm for lm in masks) for masks in dir_line_masks):
                 return frozenset(points[i] for i in combo), size
     return None
+
+
+def y_roots_search(terms, k: int, spec: FieldSpec, depth=0, prefix=()):
+    """The Y-root recursion on term maps: strip the X power, then for each
+    root y0 of Q(0, Y) test Q(X, y0) = 0 at depth k, or recurse on
+    Q(X, y0 + XY) below it.  Roots in the order found."""
+    from ffmult.rs_decode import _field_roots
+
+    shift = min(i for (i, _) in terms)
+    terms = {(i - shift, j): c for (i, j), c in terms.items()}
+    coeffs = [0] * (1 + max(j for (i, j) in terms if i == 0))
+    for (i, j), c in terms.items():
+        if i == 0:
+            coeffs[j] = c
+    out = []
+    for y0 in _field_roots(coeffs, spec):
+        if depth < k:
+            out += y_roots_search(substitute_shift(terms, y0, spec), k, spec,
+                                  depth + 1, prefix + (y0,))
+        elif vanishes_at_constant(terms, y0, spec):
+            out.append(prefix + (y0,))
+    return out
+
+
+def vanishes_at_constant(terms, y0: int, spec: FieldSpec) -> bool:
+    """Is Q(X, y0) the zero polynomial?"""
+    acc: dict[int, int] = {}
+    for (i, j), c in terms.items():
+        val = spec.mul(c, spec.pow(y0, j)) if j else c
+        if val:
+            acc[i] = spec.add(acc.get(i, 0), val)
+    return not any(acc.values())
+
+
+def substitute_shift(terms, y0: int, spec: FieldSpec) -> dict:
+    """Q(X, y0 + X*Y) on the sparse term map."""
+    p = spec.p
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), c in terms.items():
+        # (y0 + X Y)^j = sum_l C(j,l) y0^(j-l) X^l Y^l
+        for l in range(j + 1):
+            b = comb(j, l) % p
+            if not b:
+                continue
+            val = spec.mul(c, spec.from_int(b))
+            if j > l:
+                val = spec.mul(val, spec.pow(y0, j - l))
+            if not val:
+                continue
+            key = (i + l, l)
+            s = spec.add(out.get(key, 0), val)
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out

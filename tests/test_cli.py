@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -35,6 +36,15 @@ def test_sz_mass_tight_example(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"mass": 6, "bound": 6, "ok": True}
+
+
+def test_mult_at_a_large_exponent(capsys):
+    # (X - 1)^50 * X^(10^5 - 50): multiplicity 50 at 1, from C(r, i) with r near 10^5
+    p = 1048573
+    poly = ";".join(f"{comb(50, k) * (-1) ** (50 - k) % p}:{10 ** 5 - 50 + k}" for k in range(51))
+    code, out = run_cli(capsys, "mult", "--field", str(p), "--n", "1", "--poly", poly, "--point", "1")
+    assert code == 0
+    assert json.loads(out)["multiplicity"] == 50
 
 
 def test_kakeya_search_example(capsys):
@@ -230,6 +240,7 @@ def test_unparsable_input_is_usage_error(capsys, argv):
      "DimensionMismatch"),
     (("kakeya-verify", "--field", "2", "--n", "40", "--points", "[]"), "UnsupportedSize"),
     (("kakeya-search", "--field", "2", "--n", "100000000"), "UnsupportedSize"),
+    (("hasse", "--field", "5", "--n", "1", "--poly", "1:2", "--order=-1"), "InvalidParameters"),
 ])
 def test_field_and_poly_out_of_domain_is_domain_error(capsys, argv, error):
     code, out = run_cli(capsys, *argv)

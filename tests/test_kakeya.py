@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,18 @@ def test_lower_bound_examples():
     for q, n in [(2, 3), (3, 2), (7, 4)]:
         crude, main = kakeya_lower_bounds(q, n)
         assert main >= crude
+
+
+def test_lower_bounds_refuse_a_huge_space_at_once():
+    # (4/3)^(10^7) alone takes seconds to form
+    t0 = time.perf_counter()
+    for q, n in [(2, 10 ** 8), (2, 21), (1024, 3)]:
+        with pytest.raises(errors.UnsupportedSize):
+            kakeya_lower_bounds(q, n)
+    assert time.perf_counter() - t0 < 0.5
+    # the largest spaces still answer
+    assert kakeya_lower_bounds(2, 20)[0] == 1
+    assert kakeya_lower_bounds(1024, 2)[0] == 512 ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
+import time
 from math import comb, inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,11 @@ from ffmult.ff import field_make, parse_prime_power, rng_stream
 from ffmult.mvpoly import (
     Curve,
     MultiPoly,
-    binomial_table,
     compose_curve,
     grid_multiplicities,
     hasse_derivative,
     homogeneous_part,
+    lucas_binomial,
     multiplicities,
     multiplicity,
     multiplicity_mass,
@@ -83,6 +85,10 @@ def test_vector_binomial_examples():
     assert vector_binomial((3, 3), (1, 2), F2) == F2.one()
     with pytest.raises(errors.DimensionMismatch):
         vector_binomial((1, 2), (1,), F5)
+    assert vector_binomial((), (), F5) == F5.one()
+    for i, j in (((-1, 2), (0, 0)), ((3,), (-1,))):  # no binomial: refused, not looped on
+        with pytest.raises(errors.InvalidParameters):
+            vector_binomial(i, j, F5)
 
 
 def test_hasse_examples():
@@ -91,6 +97,10 @@ def test_hasse_examples():
     assert hasse_derivative(X2, (2,)) == MultiPoly.constant(F2, 1, 1)
     P = MultiPoly(F5, 2, {(2, 1): 1})
     assert hasse_derivative(P, (1, 1)) == MultiPoly(F5, 2, {(1, 0): 2})
+    assert hasse_derivative(P, (0, 3)).is_zero
+    assert hasse_derivative(MultiPoly.zero(F5, 2), (1, 0)).is_zero
+    with pytest.raises(errors.InvalidParameters):
+        hasse_derivative(P, (1, -1))
 
 
 def test_hasse_against_shift_expansion_oracle():
@@ -394,8 +404,8 @@ def test_tables_do_not_depend_on_earlier_calls():
     # each call answers as it would in a fresh process
     assert multiplicity(MultiPoly(F5, 1, {(4_000_000,): 1}), (1,)) == 0
     assert multiplicity(MultiPoly(F5, 1, {(2,): 1}), (0,)) == 2
-    with pytest.raises(errors.UnsupportedSize):  # 100001 x 42 binomial cells
-        multiplicity(MultiPoly(F5, 1, {(100_000,): 1}), (0,))
+    with pytest.raises(errors.UnsupportedSize):  # 2^22 + 1 power-table cells
+        multiplicity(MultiPoly(F5, 1, {(2 ** 22,): 1}), (0,))
     assert multiplicity(MultiPoly(F5, 1, {(45,): 1}), (0,)) == 45
 
 
@@ -431,13 +441,25 @@ def test_mass_matches_scalar_pointwise_sum(q):
             assert multiplicity_mass(P, S) == want
 
 
-def test_binomial_table_matches_comb():
-    for p in (2, 3, 5, 7, 13, 1048573):
-        for rows, cols in ((1, 1), (4, 9), (12, 3), (30, 30), (5, 2)):
-            table = binomial_table(rows, cols, p)
-            assert table.shape == (rows, cols) and not table.flags.writeable
-            assert table.tolist() == [
-                [comb(r, i) % p for i in range(cols)] for r in range(rows)
-            ]
-    with pytest.raises(errors.UnsupportedSize):
-        binomial_table(2 ** 12, 2 ** 11 + 1, 3)
+def test_lucas_binomial_matches_comb():
+    rng = rng_stream(509, 0)
+    r, i = np.meshgrid(np.arange(300), np.arange(300), indexing="ij")
+    for p in (2, 3, 5, 7, 257, 1048573):
+        want = [[comb(a, b) % p for b in range(300)] for a in range(300)]
+        assert lucas_binomial(p, 299)(r, i).tolist() == want
+        # math.comb near r = 10^6 builds numbers of about 300,000 digits
+        r2 = rng.integers(10 ** 4, size=200)
+        i2 = np.where(np.arange(200) % 2, rng.integers(10 ** 4, size=200), r2 // 2)
+        got = lucas_binomial(p, int(r2.max()))(r2, i2)
+        assert got.tolist() == [comb(int(a), int(b)) % p for a, b in zip(r2, i2)]
+
+
+def test_binomials_of_large_exponents():
+    spec = field_make(1048573)
+    # C(10^6, 5*10^5) = 743907 and C(10^6, 3) = 512797 mod p, by math.comb once
+    t0 = time.perf_counter()
+    assert vector_binomial((10 ** 6, 10 ** 6), (5 * 10 ** 5, 3), spec) == spec.element(323333)
+    assert time.perf_counter() - t0 < 0.5
+    X = MultiPoly(spec, 1, {(1,): 1})
+    P = (X - MultiPoly.constant(spec, 1, 1)).power(50) * X.power(10 ** 5 - 50)
+    assert multiplicity(P, (1,)) == 50

@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+import scalar_ref
+
 from ffmult import rs_decode as rs
 from ffmult.ff import _modulus_table, field_make, poly_eval_univariate, rng_stream
 from ffmult.interpolate import (
@@ -21,7 +23,8 @@ from ffmult.interpolate import (
     nullspace_vector,
     vanishing_constraints,
 )
-from ffmult.mvpoly import exponents_below_weight
+from ffmult.mvpoly import MultiPoly, exponents_below_weight, lucas_binomial
+from ffmult.selftest import random_poly
 
 SMALL_EXTENSIONS = sorted(
     (p, e) for (p, e) in _modulus_table() if p ** e <= 2 ** 10
@@ -375,3 +378,37 @@ def test_root_scan_matches_scalar_evaluation(p, e):
         assert roots == sorted(roots)
         for y in ys:
             assert (y in roots) == (rs.poly_eval_univariate(coeffs, y, spec) == 0)
+
+
+@pytest.mark.parametrize("p,e", FAMILIES + [(2, 1)])
+def test_root_search_matches_term_map_search(p, e):
+    # the array shift Q(X, y0 + XY) and test Q(X, y0) = 0 against the term-map
+    # steps, alone and through a search of depth k
+    spec = field_make(p, e)
+    rng = rng_stream(409, spec.q)
+    X, Y = MultiPoly.variable(spec, 2, 0), MultiPoly.variable(spec, 2, 1)
+    stripped = 0
+    for trial in range(16):
+        R = random_poly(spec, 2, rng, max_deg=3, max_terms=4, nonzero=True)
+        y0 = int(rng.integers(spec.q))
+        f = MultiPoly(spec, 2, {(j, 0): int(c) for j, c in enumerate(rng.integers(spec.q, size=3))})
+        Q = [
+            (Y - MultiPoly.constant(spec, 2, y0)) * R,  # the shift leaves X^1 to strip
+            (Y - f) * R,  # the root f of degree <= 2
+            (Y - f - X * X * Y) * R,
+            X.power(trial % 5) * R,
+        ][trial % 4]
+        levels = rs._y_levels(Q)
+        ys = np.arange(len(levels))
+        binom = lucas_binomial(p, len(levels) - 1)(ys, ys[:, None])
+        for y in (y0, int(rng.integers(spec.q))):
+            shifted = rs._shift_levels(levels, y, binom, spec.vec)
+            want = scalar_ref.substitute_shift(Q.terms, y, spec)
+            nz = np.argwhere(shifted)
+            assert {(int(i), int(j)): int(shifted[j, i]) for j, i in nz} == want
+            stripped += not shifted[:, 0].any()
+        for k in range(3):
+            found = []
+            rs._rr_search(levels, 0, k, (), found, spec, binom)
+            assert found == scalar_ref.y_roots_search(Q.terms, k, spec)
+    assert stripped >= 4
