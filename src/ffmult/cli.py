@@ -276,7 +276,7 @@ def _load_source(spec, n: int, num_blocks: int, data) -> mg.SourceSpec:
 
 def cmd_merger_run(args) -> dict:
     delta, eps = args.delta, args.eps
-    d = mg.seed_length(delta, eps, args.num_blocks)
+    d = mg.checked_seed_length(delta, eps, args.num_blocks, args.n)
     spec = field_make(2, d)
     src = _load_source(spec, args.n, args.num_blocks, args.source)
     report = mg.verify_merger_theorem(delta, eps, args.num_blocks, args.n, sources=[src])

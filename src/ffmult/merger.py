@@ -10,6 +10,7 @@ the excess-mass distance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -32,6 +33,8 @@ from .ff import FieldSpec, field_make, poly_eval_univariate, uni_add, uni_mul
 from .mvpoly import coerce_point
 
 ENUMERATION_CAP = 10 ** 7
+# (seed, point) cells per block of the exact enumeration
+BLOCK_CELLS = 2 ** 16
 
 
 # -- exact finite distributions -------------------------------------------------
@@ -42,12 +45,15 @@ class Distribution:
 
     Only the support is stored; ``universe_size`` fixes the ambient outcome
     space (needed by min-entropy thresholds on sparse supports).
+    ``mass_counts`` maps each distinct mass to the number of outcomes that
+    carry it, so max-mass and excess-mass sums run over distinct masses only.
     """
 
-    __slots__ = ("probs", "universe_size")
+    __slots__ = ("probs", "universe_size", "mass_counts")
 
     def __init__(self, probs: dict, universe_size: int):
         clean = {}
+        mass_counts: dict[Fraction, int] = {}
         parts = []  # (numerator, denominator) of each nonzero mass
         for outcome, mass in probs.items():
             if not isinstance(mass, Fraction):
@@ -57,16 +63,42 @@ class Distribution:
                 raise InvalidParameters(f"negative probability for {outcome}")
             if num:
                 clean[outcome] = mass
+                mass_counts[mass] = mass_counts.get(mass, 0) + 1
                 parts.append((num, mass.denominator))
         # the exact sum, as an integer over the common denominator
         den = lcm(*(d for _, d in parts))
         total = sum(num * (den // d) for num, d in parts)
         if total != den:
             raise InvalidParameters(f"probabilities sum to {Fraction(total, den)}, not 1")
-        if len(clean) > universe_size:
+        self._set(clean, universe_size, mass_counts)
+
+    def _set(self, probs: dict, universe_size: int, mass_counts: dict) -> None:
+        if len(probs) > universe_size:
             raise InvalidParameters("support exceeds the declared universe")
-        self.probs = clean
+        self.probs = probs
         self.universe_size = universe_size
+        self.mass_counts = mass_counts
+
+    @classmethod
+    def from_counts(cls, outcomes, counts, universe_size: int) -> "Distribution":
+        """The distribution with mass c/total on each outcome, from parallel
+        sequences of distinct outcomes and their positive integer counts c.
+        Outcomes with equal counts share one Fraction, so only the distinct
+        counts are validated and divided."""
+        tally = Counter(counts)
+        for c in tally:
+            if not isinstance(c, Integral) or c <= 0:
+                raise InvalidParameters(f"count {c!r} is not a positive integer")
+        total = sum(int(c) * k for c, k in tally.items())
+        if not total:
+            raise InvalidParameters("no outcomes to count")
+        masses = {c: Fraction(int(c), total) for c in tally}
+        probs = dict(zip(outcomes, map(masses.__getitem__, counts)))
+        if len(probs) != len(counts):
+            raise InvalidParameters("outcomes repeat or do not match the counts")
+        self = cls.__new__(cls)
+        self._set(probs, universe_size, {masses[c]: k for c, k in tally.items()})
+        return self
 
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
@@ -82,7 +114,7 @@ class Distribution:
         return self.probs.get(outcome, Fraction(0))
 
     def max_prob(self) -> Fraction:
-        return max(self.probs.values())
+        return max(self.mass_counts)
 
     def __eq__(self, other):
         return (
@@ -171,7 +203,7 @@ def distance_to_min_entropy(p: Distribution, m=None, *, threshold: Fraction | No
             f"no distribution on {p.universe_size} outcomes has max probability <= {cap}"
         )
     return sum(
-        (mass - cap for mass in p.probs.values() if mass > cap), Fraction(0)
+        ((mass - cap) * k for mass, k in p.mass_counts.items() if mass > cap), Fraction(0)
     )
 
 
@@ -472,51 +504,107 @@ class SourceSpec:
         }
 
 
-def exact_output_distribution(ms: MergerSpec, src: SourceSpec) -> Distribution:
-    """The exact distribution of the merger output, enumerating all q^n
-    values of the uniform block against all q seeds with weight q^-(n+1).
+def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
+    """How many of the q^(n+1) (seed, uniform block) pairs send the merger to
+    each output, indexed by its base-q number, first coordinate most
+    significant: its index in itertools.product order.
 
-    Each seed mixes all q^n block tuples at once on code arrays: c*x is a
-    lookup in the row c*(0..q-1).  An output is counted under its base-q
-    number, first coordinate most significant, which is its index in
-    itertools.product order.
+    The (seed, point) grid is taken in blocks of at most BLOCK_CELLS cells:
+    all q^n points at a time when they fit, else one seed and BLOCK_CELLS
+    points.  A block forms c*x for the mix coefficients c of its seeds and
+    every code x in one ``vec.mul`` (an (L, seeds, q) array, so a block also
+    has at most BLOCK_CELLS // q seeds), gathers each input block's codes
+    from its row, sums the L terms and counts the outputs with one
+    ``bincount``.
     """
     if src.spec is not ms.spec or src.n != ms.n or src.num_blocks != ms.num_blocks:
         raise DimensionMismatch("source and merger dimensions differ")
     spec, n, q = ms.spec, ms.n, ms.spec.q
     vec, size = spec.vec, q ** n
-    pts = np.indices((q,) * n, dtype=np.int64).reshape(n, size).T
-    blocks = src.realize_all(pts)
-    codes = np.arange(q, dtype=np.int64)
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = np.arange(q, dtype=np.int64)
+    mix = ms.mix_table()[:, :, None]
+    span = min(size, BLOCK_CELLS)  # points per block
+    step = max(1, BLOCK_CELLS // max(span, q))  # seeds per block
     counts = np.zeros(size, dtype=np.int64)
-    for mix in ms.mix_table().T.tolist():
-        out = reduce(vec.add, [vec.mul(c, codes)[blk] for c, blk in zip(mix, blocks)])
-        counts += np.bincount(out @ place, minlength=size)
+    for lo in range(0, size, span):
+        pts = np.arange(lo, min(lo + span, size), dtype=np.int64)[:, None] // place % q
+        # a constant image is one n-vector, and n = 0 leaves every row empty
+        blocks = [np.broadcast_to(blk, pts.shape) for blk in src.realize_all(pts)]
+        for s in range(0, q, step):
+            rows = vec.mul(mix[:, s : s + step], codes)
+            out = reduce(vec.add, [np.take(r, blk, axis=1) for r, blk in zip(rows, blocks)])
+            index = np.zeros(out.shape[:-1], dtype=np.int64)
+            for j in range(n):  # Horner's rule: integer matmul is slower
+                index *= q
+                index += out[..., j]
+            counts += np.bincount(index.ravel(), minlength=size)
+    if int(counts.sum()) != q ** (n + 1):
+        raise InternalDefect(f"{counts.sum()} outputs counted for q^(n+1) = {q ** (n + 1)} pairs")
+    return counts
+
+
+def exact_output_distribution(ms: MergerSpec, src: SourceSpec) -> Distribution:
+    """The exact distribution of the merger output, enumerating all q^n
+    values of the uniform block against all q seeds with weight q^-(n+1)."""
+    counts = output_counts(ms, src)
+    q, n = ms.spec.q, ms.n
     support = np.flatnonzero(counts)
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     outcomes = map(tuple, (support[:, None] // place % q).tolist())
-    hits = counts[support].tolist()
-    total = q ** (n + 1)
-    masses = {c: Fraction(c, total) for c in set(hits)}  # few distinct counts
-    return Distribution({o: masses[c] for o, c in zip(outcomes, hits)}, size)
+    return Distribution.from_counts(outcomes, counts[support].tolist(), len(counts))
 
 
-def seed_length(delta, eps, num_blocks: int) -> int:
-    """ceil((1/delta) * log2(2L/eps)): the seed length whose field q = 2^d
-    meets the merger theorem's size hypothesis q >= (2L/eps)^(1/delta)."""
+def _seed_length_floor(delta, eps, num_blocks: int) -> tuple[int, Fraction, Fraction]:
+    """(d0, delta, ratio): the exact lower bound d0 = ceil(b*floor(log2 r)/a)
+    on the seed length, for delta = a/b and r = 2L/eps, once the parameters
+    are checked.  It costs no power of r."""
     delta, eps = Fraction(delta), Fraction(eps)
     if not 0 < delta <= 1 or not 0 < eps < 1 or num_blocks < 1:
         raise InvalidParameters(
             f"need 0 < delta <= 1, 0 < eps < 1, blocks >= 1; "
             f"got {delta}, {eps}, {num_blocks}"
         )
-    ratio = 2 * num_blocks / eps
+    ratio = 2 * num_blocks / eps  # > 2, so k >= 0 below
+    rn, rd = ratio.numerator, ratio.denominator
+    k = rn.bit_length() - rd.bit_length()
+    if rn < rd << k:
+        k -= 1  # now 2^k <= ratio < 2^(k+1)
+    return -(-delta.denominator * k // delta.numerator), delta, ratio
+
+
+def _seed_length_from(d: int, delta: Fraction, ratio: Fraction) -> int:
+    """The smallest d' >= d with 2^(d'*delta) >= ratio, compared exactly via
+    b-th powers for delta = a/b."""
     a, b = delta.numerator, delta.denominator
     rn, rd = ratio.numerator, ratio.denominator
-    d = 0
-    # smallest d with 2^(d*delta) >= ratio, compared exactly via b-th powers
     while 2 ** (d * a) * rd ** b < rn ** b:
         d += 1
+    return d
+
+
+def seed_length(delta, eps, num_blocks: int) -> int:
+    """ceil((1/delta) * log2(2L/eps)): the seed length whose field q = 2^d
+    meets the merger theorem's size hypothesis q >= (2L/eps)^(1/delta)."""
+    return _seed_length_from(*_seed_length_floor(delta, eps, num_blocks))
+
+
+def checked_seed_length(delta, eps, num_blocks: int, n: int) -> int:
+    """The seed length d, once the q^(n+1) = 2^(d(n+1)) pairs of an exact
+    merger check over blocks of dimension n fit ENUMERATION_CAP.
+
+    Refuses with EnumerationTooLarge before any power is formed when the
+    lower bound on d already passes the cap, so a huge n or a tiny delta
+    costs nothing.  The message states the exponent of 2."""
+    if n < 0:
+        raise InvalidParameters(f"block dimension {n} is negative")
+    top = ENUMERATION_CAP.bit_length()  # 2^k > cap exactly when k >= top
+    d, delta, ratio = _seed_length_floor(delta, eps, num_blocks)
+    if d * (n + 1) >= top:
+        raise EnumerationTooLarge(f"q^(n+1) >= 2^{d * (n + 1)} exceeds {ENUMERATION_CAP}")
+    d = _seed_length_from(d, delta, ratio)
+    if d * (n + 1) >= top:
+        raise EnumerationTooLarge(f"q^(n+1) = 2^{d * (n + 1)} exceeds {ENUMERATION_CAP}")
     return d
 
 
@@ -557,10 +645,8 @@ def verify_merger_theorem(delta, eps, num_blocks: int, n: int, sources=None) -> 
     here is the documented machine-checkable substitute.
     """
     delta, eps = Fraction(delta), Fraction(eps)
-    d = seed_length(delta, eps, num_blocks)
+    d = checked_seed_length(delta, eps, num_blocks, n)
     q = 2 ** d
-    if q ** (n + 1) > ENUMERATION_CAP:
-        raise EnumerationTooLarge(f"q^(n+1) = {q ** (n + 1)} exceeds {ENUMERATION_CAP}")
     spec = field_make(2, d)
     m = (1 - delta) * n * d
     if m.denominator != 1:

@@ -3,10 +3,14 @@ polynomial product per power of the generator, and the one-point,
 one-derivative, one-``spec.mul`` walks of the Hasse-shell and Kakeya code,
 as the library ran them before those moved onto ``FieldSpec.vec``, and the
 term-map steps of the Y-root search: the test Q(X, y0) = 0 and the shift
-Q(X, y0 + XY).  Tests only."""
+Q(X, y0 + XY), and the one-seed-at-a-time count of merger outputs.  Tests
+only."""
 
 import itertools
+from functools import reduce
 from math import ceil, comb
+
+import numpy as np
 
 from ffmult.ff import FieldSpec, parse_prime_power
 from ffmult.kakeya import all_points, canonical_directions, kakeya_lower_bounds
@@ -185,3 +189,21 @@ def substitute_shift(terms, y0: int, spec: FieldSpec) -> dict:
             else:
                 out.pop(key, None)
     return out
+
+
+def merger_counts_per_seed(ms, src) -> np.ndarray:
+    """The merger output counts of ``merger.output_counts``, one seed at a
+    time: each seed mixes all q^n block tuples at once on code arrays, where
+    c*x is a lookup in the row c*(0..q-1), and counts them under their
+    base-q number with one bincount."""
+    spec, n, q = ms.spec, ms.n, ms.spec.q
+    vec, size = spec.vec, q ** n
+    pts = np.indices((q,) * n, dtype=np.int64).reshape(n, size).T
+    blocks = src.realize_all(pts)
+    codes = np.arange(q, dtype=np.int64)
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
+    for mix in ms.mix_table().T.tolist():
+        out = reduce(vec.add, [vec.mul(c, codes)[blk] for c, blk in zip(mix, blocks)])
+        counts += np.bincount(out @ place, minlength=size)
+    return counts

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -227,6 +228,20 @@ def test_unparsable_input_is_usage_error(capsys, argv):
     assert captured.out == "" and "error: argument" in captured.err
 
 
+# merger checks whose q^(n+1) pairs pass the enumeration cap: refused before
+# any source list is built or any power of q (or of 2L/eps) is formed
+MERGER_REFUSALS = [
+    ("merger-run", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "100000000",
+     "--source", '{"type":"identical"}'),
+    ("merger-run", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "10000000",
+     "--source", '{"type":"constant"}'),
+    ("merger-run", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "10000000",
+     "--source", '{"type":"permutation"}'),
+    ("merger-verify", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "100000000"),
+    ("merger-verify", "--delta", "1/1000000", "--eps", "1/2", "--lambda", "2", "--n", "1"),
+]
+
+
 @pytest.mark.parametrize("argv,error", [
     (("mult", "--field", "4", "--n", "1", "--poly", "1:1", "--point", "0"),
      "NonPrimeCharacteristic"),
@@ -241,11 +256,22 @@ def test_unparsable_input_is_usage_error(capsys, argv):
     (("kakeya-verify", "--field", "2", "--n", "40", "--points", "[]"), "UnsupportedSize"),
     (("kakeya-search", "--field", "2", "--n", "100000000"), "UnsupportedSize"),
     (("hasse", "--field", "5", "--n", "1", "--poly", "1:2", "--order=-1"), "InvalidParameters"),
-])
+] + [(argv, "EnumerationTooLarge") for argv in MERGER_REFUSALS])
 def test_field_and_poly_out_of_domain_is_domain_error(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["error"] == error
+
+
+@pytest.mark.parametrize("argv", MERGER_REFUSALS)
+def test_merger_refusals_exit_within_a_second(capsys, argv):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    data = json.loads(out)
+    assert data["error"] == "EnumerationTooLarge"
+    assert "exceeds 10000000" in data["message"] and len(data["message"]) < 80
 
 
 def test_field_and_poly_text_errors_outside_the_cli():
@@ -435,10 +461,12 @@ SOURCES = st.sampled_from([
 # subcommand -> (option, well-formed values); selftest has no well-formed side,
 # since one run takes over a second, and the suite itself is pinned elsewhere
 FIELD_N = [("--field", FIELDS), ("--n", SMALL)]
-# seed length ceil(log2(2L/eps) / delta): these keep the merger field at q <= 64
-MERGER = [("--delta", st.sampled_from(["1/2", "3/4", "1", "0", "2"])),
+# seed length ceil(log2(2L/eps) / delta): these keep the merger field at q <= 64,
+# but for a delta of 1/10^6 and an n of 10^8, which are refused up front
+MERGER = [("--delta", st.sampled_from(["1/2", "3/4", "1", "0", "2", "1/1000000"])),
           ("--eps", st.sampled_from(["1/2", "3/4", "0", "1"])),
-          ("--lambda", st.integers(-1, 2).map(str)), ("--n", SMALL)]
+          ("--lambda", st.integers(-1, 2).map(str)),
+          ("--n", SMALL | st.just("100000000"))]
 COMMANDS = {
     "hasse": FIELD_N + [("--poly", POLYS), ("--order", INTS)],
     "mult": FIELD_N + [("--poly", POLYS), ("--point", INTS)],
@@ -476,6 +504,8 @@ def cli_argv(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cli_argv())
+@example(list(MERGER_REFUSALS[0]))
+@example(list(MERGER_REFUSALS[-1]))
 def test_cli_exit_code_contract_holds_for_fuzzed_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

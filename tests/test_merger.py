@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 import ffmult
 from ffmult import errors
 from ffmult import merger as mg
-from ffmult.ff import field_make, rng_stream
+from ffmult.ff import FieldSpec, _PolyVecOps, field_make, rng_stream
 from ffmult.selftest import (
     clip_redistribute,
     excess_mass_grid_minimum,
     statistical_distance_subset_max,
 )
+
+import scalar_ref
 
 F4 = field_make(2, 2)
 F5 = field_make(5)
@@ -98,11 +101,13 @@ def test_seed_length_monotone_in_delta():
 
 
 def test_seed_length_meets_size_hypothesis():
-    for delta, eps, blocks in [
-        (Fraction(1, 2), Fraction(1, 2), 2),
-        (Fraction(1, 3), Fraction(1, 4), 3),
-        (Fraction(2, 3), Fraction(1, 2), 5),
-    ]:
+    # 2L/eps of every form: a power of 2, an integer, a fraction such as 16/3
+    # whose bit lengths overstate floor(log2)
+    fracs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4), Fraction(1, 5)]
+    for delta, eps, blocks in itertools.chain(
+        [(Fraction(1, 3), Fraction(1, 4), 3), (Fraction(2, 3), Fraction(1, 2), 5)],
+        itertools.product([Fraction(1)] + fracs, fracs, (1, 2, 3)),
+    ):
         d = mg.seed_length(delta, eps, blocks)
         ratio = Fraction(2 * blocks) / eps
         a, b = delta.numerator, delta.denominator
@@ -262,6 +267,126 @@ def test_exact_distribution_zero_dimensional_blocks():
     ms = mg.merger_make(F5, 0, 2)
     src = mg.SourceSpec(F5, 0, 2, 0, {1: mg.AffineMap((), ())})
     assert mg.exact_output_distribution(ms, src) == mg.Distribution.point_mass((), 1)
+
+
+# ---------------------------------------------------------------------------
+# blocked counts against the one-seed-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+# (p, e, n), with at most 2^16 (seed, point) cells a block
+BLOCKED_SHAPES = [
+    (2, 6, 2),  # 4096 points, 16 seeds a block: 4 blocks
+    (7, 2, 2),  # 2401 points, 27 seeds a block: the last block has 22
+    (101, 1, 2),  # 10201 points, 6 seeds a block: 17 blocks, the last has 5
+    (2, 8, 1),  # 256 points, every seed in one block
+    (5, 1, 7),  # 78125 points: blocks of one seed, the second of 12589 points
+    (3, 1, 0),  # one point with no coordinates
+    (2, 4, 0),
+]
+
+
+def _poly_kernel_field(p, e):
+    """F_(p^e) with the table-free polynomial-basis kernel, which the
+    canonical field uses only above 2^16 elements."""
+    spec = FieldSpec(p, e, field_make(p, e).modulus)
+    spec._vec = _PolyVecOps(spec)
+    return spec
+
+
+def _check_blocked_counts(spec, n, seed):
+    rng = rng_stream(seed, spec.q * 10 + n)
+    maps = _every_map_kind(spec, n, rng)
+    for L in range(2, min(3, spec.q) + 1):
+        gamma = tuple(int(g) for g in rng.choice(spec.q, size=L, replace=False))
+        ms = mg.merger_make(spec, n, L, gamma)
+        for k in range(len(maps)):
+            ui = k % L
+            others = [j for j in range(L) if j != ui]
+            block_maps = {j: maps[(k + t) % len(maps)] for t, j in enumerate(others)}
+            src = mg.SourceSpec(spec, n, L, ui, block_maps)
+            got = mg.output_counts(ms, src).tolist()
+            assert got == scalar_ref.merger_counts_per_seed(ms, src).tolist(), (L, k)
+        if spec.q ** n > 4096:
+            break  # one L is enough on the large shapes
+
+
+@pytest.mark.parametrize("p,e,n", BLOCKED_SHAPES)
+def test_blocked_counts_match_per_seed_oracle(p, e, n):
+    _check_blocked_counts(field_make(p, e), n, 4245)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 6, 2), (3, 2, 2), (5, 2, 1)])
+def test_blocked_counts_on_the_polynomial_kernel(p, e, n):
+    spec = _poly_kernel_field(p, e)
+    assert isinstance(spec.vec, _PolyVecOps)
+    _check_blocked_counts(spec, n, 4246)
+
+
+def test_blocked_counts_guard_raises(monkeypatch):
+    ms = mg.merger_make(F5, 1, 2)
+    src = mg.SourceSpec(F5, 1, 2, 0, {1: mg.IdentityMap()})
+    table = mg.MergerSpec.mix_table
+    monkeypatch.setattr(mg.MergerSpec, "mix_table", lambda self: table(self)[:, :-1])
+    with pytest.raises(errors.InternalDefect, match="20 outputs counted for q\\^\\(n\\+1\\) = 25"):
+        mg.output_counts(ms, src)
+
+
+# ---------------------------------------------------------------------------
+# distributions built from counts
+# ---------------------------------------------------------------------------
+
+def _excess_or_refusal(dist, m):
+    try:
+        return mg.distance_to_min_entropy(dist, m)
+    except errors.UniverseTooSmall:
+        return "UniverseTooSmall"
+
+
+@pytest.mark.parametrize("p,e,n", DIFF_FIELDS)
+def test_counted_distribution_matches_init(p, e, n):
+    spec = field_make(p, e)
+    rng = rng_stream(4247, spec.q * 10 + n)
+    ms = mg.merger_make(spec, n, 2)
+    refused = 0
+    for bm in _every_map_kind(spec, n, rng):
+        dist = mg.exact_output_distribution(ms, mg.SourceSpec(spec, n, 2, 0, {1: bm}))
+        ref = mg.Distribution(dist.probs, dist.universe_size)
+        assert dist == ref
+        assert dist.mass_counts == ref.mass_counts == Counter(ref.probs.values())
+        assert dist.max_prob() == ref.max_prob() == max(ref.probs.values())
+        for m in range(n * spec.q.bit_length() + 1):
+            got = _excess_or_refusal(dist, m)
+            assert got == _excess_or_refusal(ref, m), m
+            if got == "UniverseTooSmall":
+                refused += 1
+            else:  # the excess-mass sum over every outcome, one at a time
+                cap = Fraction(1, 2 ** m)
+                assert got == sum((x - cap for x in ref.probs.values() if x > cap), Fraction(0))
+    assert refused
+
+
+def test_from_counts_shares_one_mass_per_count():
+    dist = mg.Distribution.from_counts(["a", "b", "c"], [2, 1, 1], 4)
+    assert dist == mg.Distribution({"a": Fraction(1, 2), "b": Fraction(1, 4),
+                                    "c": Fraction(1, 4)}, 4)
+    assert dist.mass_counts == {Fraction(1, 2): 1, Fraction(1, 4): 2}
+    assert dist.probs["b"] is dist.probs["c"]
+    assert dist.max_prob() == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("outcomes,counts,universe", [
+    ("abc", [2, 0, 1], 3),
+    ("abc", [2, -1, 1], 3),
+    ("abc", [2, 1.0, 1], 3),
+    ("abc", [2, Fraction(1, 2), 1], 3),
+    ("abc", [1, 1, 1], 2),  # support larger than the universe
+    ("aab", [1, 1, 1], 3),  # a repeated outcome
+    ("ab", [1, 1, 1], 3),  # fewer outcomes than counts
+    ("", [], 1),
+])
+def test_from_counts_refuses_bad_counts(outcomes, counts, universe):
+    with pytest.raises(errors.InvalidParameters):
+        mg.Distribution.from_counts(list(outcomes), counts, universe)
 
 
 @pytest.mark.parametrize("bm,error", [
@@ -509,8 +634,33 @@ def test_single_block_theorem_distance_zero():
 
 
 def test_enumeration_cap():
-    with pytest.raises(errors.EnumerationTooLarge):
+    with pytest.raises(errors.EnumerationTooLarge, match=r"2\^30 exceeds"):
         mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 4)
+
+
+def test_checked_seed_length_at_the_cap():
+    # 2^23 <= 10^7 < 2^24; delta = 1 makes d = ceil(log2(2/eps)) for one block
+    assert mg.checked_seed_length(1, Fraction(1, 2 ** 22), 1, 0) == 23
+    with pytest.raises(errors.EnumerationTooLarge, match=r">= 2\^24 exceeds"):
+        mg.checked_seed_length(1, Fraction(1, 2 ** 23), 1, 0)
+    # the lower bound floor(log2(2^23 + 1)) = 23 passes; d = 24 does not
+    with pytest.raises(errors.EnumerationTooLarge, match=r"= 2\^24 exceeds"):
+        mg.checked_seed_length(1, Fraction(2, 2 ** 23 + 1), 1, 0)
+    assert mg.checked_seed_length(Fraction(1, 2), Fraction(1, 2), 2, 2) == 6
+    with pytest.raises(errors.InvalidParameters, match="negative"):
+        mg.checked_seed_length(Fraction(1, 2), Fraction(1, 2), 2, -1)
+    with pytest.raises(errors.InvalidParameters):
+        mg.checked_seed_length(0, Fraction(1, 2), 2, 1)
+
+
+def test_checked_seed_length_refuses_before_forming_powers():
+    start = time.perf_counter()
+    # d >= ceil(10^6 * floor(log2 8)) = 3 * 10^6 puts 2^(2d) over the cap
+    with pytest.raises(errors.EnumerationTooLarge, match=r">= 2\^6000000 exceeds"):
+        mg.checked_seed_length(Fraction(1, 10 ** 6), Fraction(1, 2), 2, 1)
+    with pytest.raises(errors.EnumerationTooLarge, match=r"2\^600000006 exceeds"):
+        mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 10 ** 8)
+    assert time.perf_counter() - start < 1
 
 
 def test_non_integer_threshold_rejected():
