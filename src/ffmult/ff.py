@@ -547,7 +547,8 @@ class _PrimeVecOps(VecOps):
         acc = np.einsum("ik,kj->ij", np.asarray(a, dtype=np.float64),
                         np.asarray(b, dtype=np.float64), optimize=False)
         acc += c
-        return acc.astype(np.int64) % self.p
+        out = acc.astype(np.int64)
+        return np.remainder(out, self.p, out=out)
 
 
 class _LogVecOps(VecOps):
@@ -737,34 +738,6 @@ def field_sample(spec: FieldSpec, rng: np.random.Generator) -> FieldElement:
 
 
 # -- univariate polynomials on coefficient lists (low-to-high codes) -----------
-
-
-def uni_trim(coeffs: list[int]) -> list[int]:
-    """Drop trailing zero coefficients in place; the zero polynomial is []."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def uni_add(a, b, spec: FieldSpec) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = spec.add(out[i], c)
-    return uni_trim(out)
-
-
-def uni_mul(a, b, spec: FieldSpec) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = spec.add(out[i + j], spec.mul(ai, bj))
-    return uni_trim(out)
 
 
 def poly_eval_univariate(coeffs, x: int, spec: FieldSpec) -> int:

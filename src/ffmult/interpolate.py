@@ -142,73 +142,92 @@ def _constraint_matrix(problem: InterpolationProblem) -> np.ndarray:
 PANEL = 32
 
 
-def _eliminate(rows, ncols: int, spec: FieldSpec):
-    """Reduced row echelon form, as (matrix, [(pivot row, pivot column)]).
+def _codes(rows, ncols: int, width: int, vec) -> np.ndarray:
+    """The first ``width`` columns of the matrix ``rows``, as a fresh int64
+    array of codes."""
+    A = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
+    return vec.reduce(np.array(A[:, :width]))
+
+
+def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, int]]:
+    """Block echelon form of A, in place; returns [(pivot row, pivot column)].
 
     The pivot for column c is the first row at or below the current one that
-    is nonzero there.  Blocked Gauss-Jordan elimination: the columns are
-    taken in panels of PANEL, and each panel is reduced a column at a time
-    across all rows, next to one transform column per pivot.  A row that
-    becomes the panel's pivot t gets a 1 in transform column t, so the row
-    operations leave in the transform columns E, the combination of the
-    panel's pivot rows (as they were when the panel began) that each row
-    received.  One product ``vec.dot`` then applies the panel to the
-    columns right of it: those columns, with the pivot rows zeroed, plus E
-    times the pivot rows' old entries.
+    is nonzero there.  Blocked elimination below the pivots: the columns are
+    taken in panels of PANEL, and a panel whose first pivot row is r0 is
+    reduced Gauss-Jordan, a column at a time, among rows r0 and below only,
+    next to one transform column per pivot.  A row that becomes the panel's
+    pivot t gets a 1 in transform column t, so the row operations leave in
+    the transform columns E, the combination of the panel's pivot rows (as
+    they were when the panel began) that each row received.  One product
+    ``vec.dot`` then applies the panel to the columns right of it, on rows
+    r0 and below: those columns, with the pivot rows zeroed, plus E times
+    the pivot rows' old entries.  The rows of earlier panels are never
+    touched again, so each panel's pivot rows are zero left of the panel and
+    hold an identity on its pivot columns; what lies right of the panel is
+    not reduced.  With ``first_free``, elimination stops at the first column
+    that takes no pivot, so the pivots are exactly the columns before it.
     """
-    vec = spec.vec
-    A = vec.reduce(np.array(rows, dtype=np.int64).reshape(len(rows), ncols))
+    nrows, ncols = A.shape
     pivots: list[tuple[int, int]] = []
     for c0 in range(0, ncols, PANEL):
-        if len(pivots) == len(A):
+        r0 = len(pivots)
+        if r0 == nrows:
             break
         c1 = min(c0 + PANEL, ncols)
-        w, r0 = c1 - c0, len(pivots)
+        w = c1 - c0
         # the last panel has no columns right of it, and so no transform columns
-        panel = np.zeros((w if c1 == ncols else 2 * w, len(A)), dtype=np.int64)
-        panel[:w] = A[:, c0:c1].T
-        panel = _reduce_panel(panel, w, c0, A[:, c1:], pivots, vec)
-        A[:, c0:c1] = panel[:w].T
+        panel = np.zeros((w if c1 == ncols else 2 * w, nrows - r0), dtype=np.int64)
+        panel[:w] = A[r0:, c0:c1].T
+        panel = _reduce_panel(panel, w, c0, A[r0:, c1:], pivots, vec, first_free)
+        A[r0:, c0:c1] = panel[:w].T
         k = len(pivots) - r0
+        if first_free and k < w:
+            break
         if k and c1 < ncols:
             old = A[r0 : r0 + k, c1:].copy()
             A[r0 : r0 + k, c1:] = 0
-            A[:, c1:] = vec.dot(panel[w : w + k].T, old, A[:, c1:])
-    return A, pivots
+            A[r0:, c1:] = vec.dot(panel[w : w + k].T, old, A[r0:, c1:])
+    return pivots
 
 
-def _reduce_panel(panel: np.ndarray, w: int, c0: int, rest: np.ndarray, pivots: list, vec):
+def _reduce_panel(panel: np.ndarray, w: int, c0: int, rest: np.ndarray, pivots: list, vec,
+                  first_free: bool):
     """Gauss-Jordan steps on one panel, stored transposed: a row of
     ``panel`` per column, the w columns of the panel first, then its
-    transform columns, if any.  Appends each pivot to ``pivots``, and swaps
-    in ``rest``, the columns right of the panel, the rows it swaps.  Row
-    updates may leave representatives (see ``VecOps.sub_mul``); a column is
-    reduced to codes when it becomes current, and the panel is returned as
-    codes."""
+    transform columns, if any; a column of ``panel`` per matrix row, from
+    the panel's first pivot row down.  Appends each pivot to ``pivots``, and
+    swaps in ``rest``, the same rows of the columns right of the panel, the
+    rows it swaps.  With ``first_free`` it stops at a column with no pivot.
+    Row updates may leave representatives (see ``VecOps.sub_mul``); a column
+    is reduced to codes when it becomes current, and the panel is returned
+    as codes."""
     r0 = len(pivots)
     end = w  # rows of ``panel`` from here on are zero
     for j in range(w):
-        r = len(pivots)
+        r = len(pivots) - r0
         if r == panel.shape[1]:
             break
         panel[j] = vec.reduce(panel[j])
         nz = np.flatnonzero(panel[j, r:])
         if nz.size == 0:
+            if first_free:
+                break
             continue
         pr = r + int(nz[0])
         if pr != r:
             panel[:, [r, pr]] = panel[:, [pr, r]]
             rest[[r, pr]] = rest[[pr, r]]
         if len(panel) > w:
-            panel[w + r - r0, r] = 1
-            end = w + r - r0 + 1
+            panel[w + r, r] = 1
+            end = w + r + 1
         live = slice(j, end)
         panel[live, r] = vec.mul(vec.reduce(panel[live, r]), vec.inv(int(panel[j, r])))
         f = panel[j].copy()
         f[r] = 0
         panel[live] = vec.sub_mul(panel[live], f, panel[live, r, None])
-        pivots.append((r, c0 + j))
-        if vec.lazy_steps and (r + 1 - r0) % vec.lazy_steps == 0:
+        pivots.append((r0 + r, c0 + j))
+        if vec.lazy_steps and (r + 1) % vec.lazy_steps == 0:
             panel = vec.reduce(panel)
     return vec.reduce(panel)
 
@@ -216,26 +235,38 @@ def _reduce_panel(panel: np.ndarray, w: int, c0: int, rest: np.ndarray, pivots: 
 def nullspace_vector(rows, ncols: int, spec: FieldSpec):
     """A nonzero kernel vector of the matrix, or None when the kernel is trivial.
 
-    ``rows`` holds codes, as a list of rows or an int64 array.  Exact
-    elimination; the pivot for each column is the first row with a
-    nonzero entry there, and the returned vector sets the first free column
-    to one, making the choice canonical.
+    ``rows`` holds codes, as a list of rows or an int64 array.  The vector
+    is the unique one that is 1 at the first free column f (the first column
+    that depends on the columns before it), 0 past f, and below f expresses
+    column f in the independent columns 0..f-1.  Since f is at most the
+    number of rows, only the first min(ncols, nrows + 1) columns are
+    eliminated, and elimination stops at f, where the columns before f are
+    the pivots, each in the row of its own index.  Block back-substitution
+    then reads the vector a panel at a time, right to left:
+    x[c0:c1] = -(A[c0:c1, f] + A[c0:c1, c1:f] x[c1:f]).  Each solved panel
+    carries its terms into the rows above it with one ``vec.dot``, so no
+    product sums more than PANEL terms.
     """
-    A, pivots = _eliminate(rows, ncols, spec)
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(ncols) if c not in pivot_cols), None)
-    if free is None:
+    vec = spec.vec
+    A = _codes(rows, ncols, min(ncols, len(rows) + 1), vec)
+    f = len(_eliminate(A, vec, first_free=True))
+    if f == A.shape[1]:
         return None
-    vec = [0] * ncols
-    vec[free] = 1
-    for rr, cc in pivots:
-        vec[cc] = spec.neg(int(A[rr, free]))
-    return vec
+    x = np.zeros(ncols, dtype=np.int64)
+    x[f] = 1
+    rhs = A[:f, f, None]
+    for c0 in reversed(range(0, f, PANEL)):
+        c1 = min(c0 + PANEL, f)
+        x[c0:c1] = vec.neg(rhs[c0:c1, 0])
+        if c0:
+            rhs[:c0] = vec.dot(A[:c0, c0:c1], x[c0:c1, None], rhs[:c0])
+    return x.tolist()
 
 
 def matrix_rank(rows, ncols: int, spec: FieldSpec) -> int:
-    """Rank over F_q, by the same elimination used for kernel extraction."""
-    return len(_eliminate(rows, ncols, spec)[1])
+    """Rank over F_q: the number of pivots of the same elimination, run
+    over every column."""
+    return len(_eliminate(_codes(rows, ncols, ncols, spec.vec), spec.vec))
 
 
 def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False) -> MultiPoly:

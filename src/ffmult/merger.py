@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import ceil, lcm, log2
 from numbers import Integral
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
     UniverseMismatch,
     UniverseTooSmall,
 )
-from .ff import FieldSpec, field_make, poly_eval_univariate, uni_add, uni_mul
+from .ff import FieldSpec, field_make, poly_eval_univariate
 from .mvpoly import coerce_point
 
 ENUMERATION_CAP = 10 ** 7
@@ -231,9 +231,17 @@ class MergerSpec:
         return tuple(poly_eval_univariate(c, uc, self.spec) for c in self.basis)
 
     def mix_table(self) -> np.ndarray:
-        """c_i(u) for every block i and seed u, as an (L, q) code array."""
+        """c_i(u) for every block i and seed u, as an (L, q) code array: one
+        Horner pass whose coefficients are columns over the blocks."""
         seeds = np.arange(self.spec.q, dtype=np.int64)
-        return np.stack([self.spec.vec.poly_eval(c, seeds) for c in self.basis])
+        return self.spec.vec.poly_eval(_coefficient_columns(self.basis), seeds)
+
+
+def _coefficient_columns(polys) -> list[np.ndarray]:
+    """Coefficient k of every polynomial in ``polys``, low to high, as an
+    (len(polys), 1) array per k: the coefficients of ``vec.poly_eval``
+    that evaluate them all at once along a second axis."""
+    return list(np.array(polys, dtype=np.int64).T[:, :, None])
 
 
 def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerSpec:
@@ -255,31 +263,40 @@ def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerS
         raise DimensionMismatch(f"{len(gamma)} nodes for {num_blocks} blocks")
     if len(set(gamma)) != num_blocks:
         raise DuplicateNodes(f"nodes must be distinct, got {gamma}")
+    # the L x q mix table is the largest array a merger builds (L <= q)
+    if num_blocks * spec.q > ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"{num_blocks} x {spec.q} mix table exceeds {ENUMERATION_CAP} cells"
+        )
 
-    basis = []
-    for i, gi in enumerate(gamma):
-        num = [1]
-        denom = 1
-        for j, gj in enumerate(gamma):
-            if j == i:
-                continue
-            num = uni_mul(num, [spec.neg(gj), 1], spec)
-            denom = spec.mul(denom, spec.sub(gi, gj))
-        inv = spec.inv(denom)
-        coeffs = tuple(spec.mul(c, inv) for c in num)
-        basis.append(coeffs + (0,) * (num_blocks - len(coeffs)))
-    ms = MergerSpec(spec, n, num_blocks, gamma, tuple(basis))
+    # numerators N(X)/(X - g_i) of the node polynomial N(X) = prod (X - g_j),
+    # by synthetic division for every node at once: num[k] holds coefficient
+    # k of each numerator, and num_i(g_i) is its Lagrange denominator
+    vec, L = spec.vec, num_blocks
+    nodes = np.array(gamma, dtype=np.int64)
+    node_poly = np.zeros(L + 1, dtype=np.int64)
+    node_poly[0] = 1
+    for g in gamma:
+        node_poly = vec.sub(np.concatenate(([0], node_poly[:-1])), vec.mul(g, node_poly))
+    num = np.zeros((L, L), dtype=np.int64)
+    num[L - 1] = 1
+    for k in range(L - 1, 0, -1):
+        num[k - 1] = vec.add(node_poly[k], vec.mul(nodes, num[k]))
+    denom = vec.poly_eval(list(num), nodes)
+    inv = np.array([spec.inv(int(x)) for x in denom], dtype=np.int64)
+    basis = vec.mul(num, inv).T
+    ms = MergerSpec(spec, n, num_blocks, gamma, tuple(map(tuple, basis.tolist())))
 
-    # construction invariants: interpolation conditions and partition of unity
-    for i, coeffs in enumerate(ms.basis):
-        for j, gj in enumerate(gamma):
-            if poly_eval_univariate(coeffs, gj, spec) != (1 if i == j else 0):
-                raise InternalDefect(f"Lagrange basis {i} is wrong at node {gj}")
-    total: list[int] = []
-    for coeffs in ms.basis:
-        total = uni_add(total, coeffs, spec)
-    if total != [1]:
-        raise InternalDefect(f"Lagrange basis sums to {total}, not 1")
+    # construction invariants, checked on the stored basis: interpolation
+    # conditions on the L x L node grid, and partition of unity
+    grid = vec.poly_eval(_coefficient_columns(ms.basis), nodes)
+    wrong = np.argwhere(grid != np.eye(L, dtype=np.int64))
+    if wrong.size:
+        i, j = wrong[0]
+        raise InternalDefect(f"Lagrange basis {i} is wrong at node {gamma[j]}")
+    total = vec.sum(basis, axis=0)
+    if total[0] != 1 or total[1:].any():
+        raise InternalDefect(f"Lagrange basis sums to {total.tolist()}, not 1")
     return ms
 
 
@@ -520,6 +537,8 @@ def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
     if src.spec is not ms.spec or src.n != ms.n or src.num_blocks != ms.num_blocks:
         raise DimensionMismatch("source and merger dimensions differ")
     spec, n, q = ms.spec, ms.n, ms.spec.q
+    if n == 0:  # every pair sends the merger to the one empty output
+        return np.array([q], dtype=np.int64)
     vec, size = spec.vec, q ** n
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     codes = np.arange(q, dtype=np.int64)
@@ -574,10 +593,21 @@ def _seed_length_floor(delta, eps, num_blocks: int) -> tuple[int, Fraction, Frac
 
 
 def _seed_length_from(d: int, delta: Fraction, ratio: Fraction) -> int:
-    """The smallest d' >= d with 2^(d'*delta) >= ratio, compared exactly via
-    b-th powers for delta = a/b."""
+    """The smallest d' >= d with 2^(d'*delta) >= ratio, for delta = a/b: the
+    larger of d and ceil(x), x = (b/a)*log2(ratio).  x is computed in floating
+    point; when no integer lies within a certified margin of it, that decides
+    ceil(x).  Otherwise 2^(d'*a)*rd^b >= rn^b is compared exactly, with
+    b-th powers, from the first d' the margin leaves open."""
     a, b = delta.numerator, delta.denominator
     rn, rd = ratio.numerator, ratio.denominator
+    # log2 of an int is within 2^-50 * (1 + |log2|) of the truth, and each
+    # float operation adds a relative error of 2^-53: 2^-40 covers them all
+    x = b / a * (log2(rn) - log2(rd))
+    margin = 2 ** -40 * (b / a) * (log2(rn) + log2(rd) + 1)
+    low = ceil(x - margin)
+    if low == ceil(x + margin):
+        return max(d, low)
+    d = max(d, low)
     while 2 ** (d * a) * rd ** b < rn ** b:
         d += 1
     return d

@@ -48,6 +48,14 @@ LAW_MAX_N = 3
 LAW_MAX_DEG = 8
 
 
+def _check(ok, message: str = "", *args) -> None:
+    """Raise AssertionError(message, %-formatted with ``args`` if any) unless
+    ``ok``: a check's verdict, which unlike ``assert`` still holds under
+    ``python -O``.  With ``args`` the message is formatted only on failure."""
+    if not ok:
+        raise AssertionError(message % args if args else message)
+
+
 # -- randomized object generators ----------------------------------------------
 
 
@@ -174,7 +182,7 @@ def excess_mass_grid_minimum(p: mg.Distribution, cap: Fraction) -> Fraction:
     outcomes = list(range(p.universe_size))
     L = math.lcm(cap.denominator, *(p.mass(o).denominator for o in outcomes))
     cap_units = cap * L
-    assert cap_units.denominator == 1
+    _check(cap_units.denominator == 1)
     cap_units = int(cap_units)
     best = None
     for split in _compositions(L, len(outcomes)):
@@ -184,7 +192,7 @@ def excess_mass_grid_minimum(p: mg.Distribution, cap: Fraction) -> Fraction:
         dist = Fraction(dist, 2)
         if best is None or dist < best:
             best = dist
-    assert best is not None, "cap infeasible on this universe"
+    _check(best is not None, "cap infeasible on this universe")
     return best
 
 
@@ -209,7 +217,7 @@ def clip_redistribute(p: mg.Distribution, cap: Fraction) -> mg.Distribution:
         take = min(room, deficit)
         masses[o] += take
         deficit -= take
-    assert deficit == 0
+    _check(deficit == 0)
     return mg.Distribution({o: m for o, m in masses.items() if m}, p.universe_size)
 
 
@@ -222,22 +230,27 @@ def check_field_axioms(rng, trials: int) -> str:
         spec = field_make(p, e)
         q = spec.q
         codes = range(q)
+        where = (p, e)
         for a in codes:
-            assert spec.add(a, 0) == a and spec.mul(a, 1) == a, f"identities fail in ({p},{e})"
-            assert spec.add(a, spec.neg(a)) == 0, f"additive inverse fails in ({p},{e})"
+            _check(spec.add(a, 0) == a and spec.mul(a, 1) == a,
+                   "identities fail in (%d,%d)", *where)
+            _check(spec.add(a, spec.neg(a)) == 0, "additive inverse fails in (%d,%d)", *where)
             if a:
-                assert spec.mul(a, spec.inv(a)) == 1, f"multiplicative inverse fails in ({p},{e})"
+                _check(spec.mul(a, spec.inv(a)) == 1,
+                       "multiplicative inverse fails in (%d,%d)", *where)
         for a in codes:
             for b in codes:
-                assert spec.add(a, b) == spec.add(b, a), f"add commutativity fails in ({p},{e})"
-                assert spec.mul(a, b) == spec.mul(b, a), f"mul commutativity fails in ({p},{e})"
+                _check(spec.add(a, b) == spec.add(b, a),
+                       "add commutativity fails in (%d,%d)", *where)
+                _check(spec.mul(a, b) == spec.mul(b, a),
+                       "mul commutativity fails in (%d,%d)", *where)
                 for c in codes:
-                    assert spec.add(spec.add(a, b), c) == spec.add(a, spec.add(b, c)), \
-                        f"add associativity fails in ({p},{e})"
-                    assert spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c)), \
-                        f"mul associativity fails in ({p},{e})"
-                    assert spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c)), \
-                        f"distributivity fails in ({p},{e})"
+                    _check(spec.add(spec.add(a, b), c) == spec.add(a, spec.add(b, c)),
+                           "add associativity fails in (%d,%d)", *where)
+                    _check(spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c)),
+                           "mul associativity fails in (%d,%d)", *where)
+                    _check(spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c)),
+                           "distributivity fails in (%d,%d)", *where)
     return f"exhaustive over {fields}"
 
 
@@ -246,7 +259,7 @@ def check_field_fermat(rng, trials: int) -> str:
     for p, e in fields:
         spec = field_make(p, e)
         for a in range(1, spec.q):
-            assert spec.pow(a, spec.q - 1) == 1, f"a^(q-1) != 1 in ({p},{e})"
+            _check(spec.pow(a, spec.q - 1) == 1, f"a^(q-1) != 1 in ({p},{e})")
     return f"nonzero elements of {fields}"
 
 
@@ -254,14 +267,14 @@ def check_field_enumeration(rng, trials: int) -> str:
     for p, e in [(2, 1), (3, 1), (2, 2), (2, 6), (5, 1)]:
         spec = field_make(p, e)
         elems = spec.elements()
-        assert len(elems) == spec.q and len({x.code for x in elems}) == spec.q
-        assert elems[0].code == 0 and elems[1].code == 1
-        assert [x.code for x in elems] == list(range(spec.q))
+        _check(len(elems) == spec.q and len({x.code for x in elems}) == spec.q)
+        _check(elems[0].code == 0 and elems[1].code == 1)
+        _check([x.code for x in elems] == list(range(spec.q)))
     f4 = field_make(2, 2)
     # residue of X is code 2; X^2 = X + 1 modulo the canonical X^2+X+1
-    assert f4.mul(2, 2) == 3
+    _check(f4.mul(2, 2) == 3)
     f5 = field_make(5)
-    assert f5.inv(2) == 3
+    _check(f5.inv(2) == 3)
     return "order, duplicates, and canonical-modulus spot values"
 
 
@@ -269,13 +282,13 @@ def check_field_sampling(rng, trials: int) -> str:
     spec = field_make(2)
     draws = rng.integers(spec.q, size=10 ** 4)
     freq = float(draws.mean())
-    assert abs(freq - 0.5) <= 0.02, f"F_2 frequency {freq} outside 0.5 +- 0.02"
+    _check(abs(freq - 0.5) <= 0.02, f"F_2 frequency {freq} outside 0.5 +- 0.02")
     f64 = field_make(2, 6)
     a = rng_stream(12345, 7)
     b = rng_stream(12345, 7)
     seq_a = [int(a.integers(f64.q)) for _ in range(100)]
     seq_b = [int(b.integers(f64.q)) for _ in range(100)]
-    assert seq_a == seq_b, "identical seeds must reproduce the draw sequence"
+    _check(seq_a == seq_b, "identical seeds must reproduce the draw sequence")
     return f"F_2 frequency {freq:.4f}; 100-draw determinism in F_64"
 
 
@@ -283,8 +296,8 @@ def check_modulus_table(rng, trials: int) -> str:
     checked = 0
     for p, e in [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2), (2, 10), (11, 2)]:
         spec = field_make(p, e)
-        assert len(spec.modulus) == e + 1 and spec.modulus[-1] == 1
-        assert verify_modulus_irreducible(spec), f"reducible modulus shipped for ({p},{e})"
+        _check(len(spec.modulus) == e + 1 and spec.modulus[-1] == 1)
+        _check(verify_modulus_irreducible(spec), f"reducible modulus shipped for ({p},{e})")
         checked += 1
     return f"exhaustive factor check on {checked} entries"
 
@@ -296,7 +309,7 @@ def check_hasse_additivity(rng, trials: int) -> str:
         i = random_exponent(rng, n, 4)
         lhs = hasse_derivative(P, i) + hasse_derivative(Q, i)
         rhs = hasse_derivative(P + Q, i)
-        assert lhs == rhs, f"additivity fails: {P.to_text()}, {Q.to_text()}, order {i}"
+        _check(lhs == rhs, f"additivity fails: {P.to_text()}, {Q.to_text()}, order {i}")
     return f"{trials} random (P, Q, i)"
 
 
@@ -314,8 +327,8 @@ def check_hasse_homogeneity(rng, trials: int) -> str:
         i = random_exponent(rng, n, d)
         D = hasse_derivative(P, i)
         if not D.is_zero:
-            assert all(weight(e) == d - weight(i) for e in D.terms), \
-                "derivative of a homogeneous polynomial is not homogeneous"
+            _check(all(weight(e) == d - weight(i) for e in D.terms),
+                   "derivative of a homogeneous polynomial is not homogeneous")
     return f"{trials} random homogeneous instances"
 
 
@@ -327,10 +340,10 @@ def check_hasse_homogeneous_part(rng, trials: int) -> str:
         D = hasse_derivative(P, i)
         lhs = hasse_derivative(homogeneous_part(P), i)
         if not D.is_zero and D.degree == P.degree - weight(i):
-            assert lhs == homogeneous_part(D), "H_P derivative misses H_{P^(i)}"
+            _check(lhs == homogeneous_part(D), "H_P derivative misses H_{P^(i)}")
         else:
             drop_cases += 1
-            assert lhs.is_zero, "degree dropped but (H_P)^(i) is nonzero"
+            _check(lhs.is_zero, "degree dropped but (H_P)^(i) is nonzero")
     return f"{trials} instances, {drop_cases} in the degree-drop branch"
 
 
@@ -342,7 +355,7 @@ def check_hasse_iterated(rng, trials: int) -> str:
         ij = tuple(a + b for a, b in zip(i, j))
         lhs = hasse_derivative(hasse_derivative(P, i), j)
         rhs = hasse_derivative(P, ij).scale(vector_binomial(ij, i, spec))
-        assert lhs == rhs, f"iterated-derivative law fails on {P.to_text()}"
+        _check(lhs == rhs, f"iterated-derivative law fails on {P.to_text()}")
     return f"{trials} random (P, i, j)"
 
 
@@ -353,8 +366,7 @@ def check_mult_under_derivative(rng, trials: int) -> str:
         i = random_exponent(rng, n, 3)
         m = multiplicity(P, a)
         got = multiplicity(hasse_derivative(P, i), a)
-        assert got >= m - weight(i), \
-            f"mult({P.to_text()}^{i}) = {got} < {m} - {weight(i)}"
+        _check(got >= m - weight(i), f"mult({P.to_text()}^{i}) = {got} < {m} - {weight(i)}")
     return f"{trials} random (P, a, i)"
 
 
@@ -371,9 +383,9 @@ def check_mult_composition(rng, trials: int) -> str:
         m2 = multiplicity_tuple(shifted, (a,))
         lhs = multiplicity(composed, (a,))
         if m2 == INF_MULT:
-            assert lhs == INF_MULT, "constant curve but P(C) not identically zero"
+            _check(lhs == INF_MULT, "constant curve but P(C) not identically zero")
         else:
-            assert lhs >= m1 * m2, f"composition law fails: {lhs} < {m1}*{m2}"
+            _check(lhs >= m1 * m2, f"composition law fails: {lhs} < {m1}*{m2}")
     return f"{trials} random (P, C, a)"
 
 
@@ -387,7 +399,7 @@ def check_line_restriction(rng, trials: int) -> str:
         pt = tuple(spec.add(aj, spec.mul(t, bj)) for aj, bj in zip(a, b))
         lower = multiplicity(P, pt)
         got = multiplicity(restricted, (t,)) if not restricted.is_zero else INF_MULT
-        assert got >= lower, f"line restriction fails at t={t}: {got} < {lower}"
+        _check(got >= lower, f"line restriction fails at t={t}: {got} < {lower}")
     return f"{trials} random (P, a, b, t)"
 
 
@@ -399,14 +411,14 @@ def check_schwartz_zippel_mass(rng, trials: int) -> str:
         if d > spec.q:
             high_degree += 1
         mass = multiplicity_mass(P, range(spec.q))
-        assert mass <= d * spec.q ** (n - 1), \
-            f"mass {mass} exceeds {d}*q^(n-1) for {P.to_text()} over F_{spec.q}"
+        _check(mass <= d * spec.q ** (n - 1),
+               f"mass {mass} exceeds {d}*q^(n-1) for {P.to_text()} over F_{spec.q}")
     # the tight instance: X1*X2 over F_3 meets the bound exactly
     f3 = field_make(3)
     P = MultiPoly(f3, 2, {(1, 1): 1})
     mass = multiplicity_mass(P, range(3))
-    assert mass == 6 and mass == P.degree * 3, f"tight instance gives {mass}, want 6"
-    assert high_degree > 0, "corpus never exercised deg > q"
+    _check(mass == 6 and mass == P.degree * 3, f"tight instance gives {mass}, want 6")
+    _check(high_degree > 0, "corpus never exercised deg > q")
     return f"{trials} instances, {high_degree} with deg > q; tight case mass = 6"
 
 
@@ -421,12 +433,12 @@ def check_sz_zero_accounting(rng, trials: int) -> str:
             for _ in range(e):
                 P = P * factor
         d = P.degree
-        assert d == sum(exps)
+        _check(d == sum(exps))
         mass = multiplicity_mass(P, range(q))
-        assert mass == q * d, f"product-of-lines mass {mass} != d*q = {q * d}"
+        _check(mass == q * d, f"product-of-lines mass {mass} != d*q = {q * d}")
         for c in range(q):
             y = int(rng.integers(q))
-            assert multiplicity(P, (c, y)) == exps[c]
+            _check(multiplicity(P, (c, y)) == exps[c])
     return "mass saturates d*q^(n-1) on full products of (X1 - c)^e"
 
 
@@ -447,10 +459,10 @@ def check_interpolation_existence(rng, trials: int) -> str:
             d += 1
         problem = InterpolationProblem(spec, n, tuple(sorted(points)), m, TotalDegreeBasis(n, d))
         poly = vanishing_interpolation(problem)
-        assert not poly.is_zero, "interpolation returned the zero polynomial"
+        _check(not poly.is_zero, "interpolation returned the zero polynomial")
         for a in problem.points:
             got = multiplicity(poly, a)
-            assert got >= m, f"multiplicity {got} < {m} at {a} (q={q}, n={n}, d={d})"
+            _check(got >= m, f"multiplicity {got} < {m} at {a} (q={q}, n={n}, d={d})")
     return f"{runs} randomized problems, multiplicity re-verified independently"
 
 
@@ -461,8 +473,8 @@ def check_monomial_count_fact(rng, trials: int) -> str:
             for tenth in range(1, 11):
                 theta = Fraction(tenth, 10)
                 count = count_weighted_monomials(k, d, theta)
-                assert count > theta * (2 - theta) * d * d / (2 * k), \
-                    f"count fact fails at k={k}, d={d}, theta={theta}"
+                _check(count > theta * (2 - theta) * d * d / (2 * k),
+                       f"count fact fails at k={k}, d={d}, theta={theta}")
                 tested += 1
     return f"exhaustive over {tested} (k, d, theta) triples"
 
@@ -478,17 +490,17 @@ def check_nullspace(rng, trials: int) -> str:
         v = nullspace_vector(rows, ncols, spec)
         rank = matrix_rank(rows, ncols, spec)
         cols = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
-        assert rank == matrix_rank(cols, nrows, spec), "rank differs from transpose rank"
+        _check(rank == matrix_rank(cols, nrows, spec), "rank differs from transpose rank")
         if v is None:
-            assert rank == ncols, "trivial kernel reported but rank < columns"
+            _check(rank == ncols, "trivial kernel reported but rank < columns")
         else:
-            assert any(v), "kernel vector is zero"
-            assert rank < ncols
+            _check(any(v), "kernel vector is zero")
+            _check(rank < ncols)
             for row in rows:
                 acc = 0
                 for a, x in zip(row, v):
                     acc = spec.add(acc, spec.mul(a, x))
-                assert acc == 0, "A v != 0 for the returned kernel vector"
+                _check(acc == 0, "A v != 0 for the returned kernel vector")
     return f"{runs} random systems over q in (2,3,4,5)"
 
 
@@ -503,13 +515,13 @@ def check_kakeya_min_q3n2(rng, trials: int) -> str:
 def _kakeya_min_case(q: int, n: int, expected_floor: int) -> str:
     crude, main = kk.kakeya_lower_bounds(q, n)
     pts, size = kk.exhaustive_min_kakeya(q, n)
-    assert size >= expected_floor, f"minimum {size} below ceil(main bound) {expected_floor}"
-    assert size >= crude and size >= main
+    _check(size >= expected_floor, f"minimum {size} below ceil(main bound) {expected_floor}")
+    _check(size >= crude and size >= main)
     spec = parse_prime_power(q)
-    assert kk.is_kakeya(spec, n, pts).ok, "search returned a non-Kakeya set"
+    _check(kk.is_kakeya(spec, n, pts).ok, "search returned a non-Kakeya set")
     for p in sorted(pts):
-        assert not kk.is_kakeya(spec, n, pts - {p}).ok, \
-            f"set stays Kakeya after removing {p}: not minimal"
+        _check(not kk.is_kakeya(spec, n, pts - {p}).ok,
+               f"set stays Kakeya after removing {p}: not minimal")
     return f"minimum size {size} >= bounds ({crude}, {main}); minimality certified"
 
 
@@ -520,7 +532,7 @@ def check_kakeya_fullspace(rng, trials: int) -> str:
         spec = parse_prime_power(q)
         full = kk.all_points(spec, n)
         res = kk.is_kakeya(spec, n, full)
-        assert res.ok, f"full space not recognized as Kakeya for q={q}, n={n}"
+        _check(res.ok, f"full space not recognized as Kakeya for q={q}, n={n}")
     return f"{len(cases)} full spaces up to q^n = 4096"
 
 
@@ -538,9 +550,9 @@ def check_kakeya_homogeneous_vanishing(rng, trials: int) -> str:
     # a single point is feasible; the pipeline must deliver the multiplicity map
     one = kk.KakeyaInstance(spec2, 2, frozenset({(0, 0)}))
     report = kk.homogeneous_vanishing_check(one, ell=2, m=3, d=3)
-    assert not report["poly"].is_zero and not report["homogeneous_part"].is_zero
-    assert report["multiplicities"][(0, 0)] >= 3
-    assert set(report["multiplicities"]) == set(kk.all_points(spec2, 2))
+    _check(not report["poly"].is_zero and not report["homogeneous_part"].is_zero)
+    _check(report["multiplicities"][(0, 0)] >= 3)
+    _check(set(report["multiplicities"]) == set(kk.all_points(spec2, 2)))
     return "hypothesis gate and single-point pipeline behave as specified"
 
 
@@ -551,9 +563,9 @@ def check_stat_kakeya_reduction(rng, trials: int) -> str:
             inst = kk.full_space_reduction_instance(spec, n)
             report = kk.statistical_kakeya_check(inst)
             _, main = kk.kakeya_lower_bounds(q, n)
-            assert report["bound"] == main, \
-                f"reduction bound {report['bound']} != Kakeya bound {main} at q={q}, n={n}"
-            assert report["ok"] and report["hypothesis_ok"]
+            _check(report["bound"] == main,
+                   f"reduction bound {report['bound']} != Kakeya bound {main} at q={q}, n={n}")
+            _check(report["ok"] and report["hypothesis_ok"])
     return "lam = eta = 1, degree-1 reduction matches (q^2/(2q-1))^n exactly"
 
 
@@ -567,10 +579,10 @@ def check_merger_nodes(rng, trials: int) -> str:
         ms = mg.merger_make(spec, n, L)
         blocks = [random_point(spec, n, rng) for _ in range(L)]
         for i, g in enumerate(ms.gamma):
-            assert mg.f_dw(ms, blocks, g) == blocks[i], "node interpolation fails"
+            _check(mg.f_dw(ms, blocks, g) == blocks[i], "node interpolation fails")
         v = random_point(spec, n, rng)
         u = int(rng.integers(spec.q))
-        assert mg.f_dw(ms, [v] * L, u) == v, "partition of unity fails on equal blocks"
+        _check(mg.f_dw(ms, [v] * L, u) == v, "partition of unity fails on equal blocks")
     return f"{runs} random node/unity instances over F_5 and F_8"
 
 
@@ -593,9 +605,9 @@ def check_merger_affine_invariance(rng, trials: int) -> str:
         u = int(rng.integers(spec.q))
         out = mg.f_dw(ms, blocks, u)
         lin_out = mg.f_dw(ms, [lin.apply(spec, b) for b in blocks], u)
-        assert lin_out == lin.apply(spec, out), "linear equivariance fails"
+        _check(lin_out == lin.apply(spec, out), "linear equivariance fails")
         aff_out = mg.f_dw(ms, [aff.apply(spec, b) for b in blocks], u)
-        assert aff_out == aff.apply(spec, out), "affine equivariance fails"
+        _check(aff_out == aff.apply(spec, out), "affine equivariance fails")
     return f"{runs} random invertible maps over F_5"
 
 
@@ -605,18 +617,18 @@ def check_merger_distributions(rng, trials: int) -> str:
     ms1 = mg.merger_make(f4, 1, 1)
     src1 = mg.SourceSpec(f4, 1, 1, 0, {}, label="single")
     d1 = mg.exact_output_distribution(ms1, src1)
-    assert d1 == mg.Distribution.uniform([(c,) for c in range(4)])
+    _check(d1 == mg.Distribution.uniform([(c,) for c in range(4)]))
     # fully correlated blocks: the curve is constant, output uniform
     ms2 = mg.merger_make(f4, 1, 2)
     ident = mg.SourceSpec(f4, 1, 2, 0, {1: mg.IdentityMap()}, label="identical")
     d2 = mg.exact_output_distribution(ms2, ident)
-    assert d2 == mg.Distribution.uniform([(c,) for c in range(4)])
+    _check(d2 == mg.Distribution.uniform([(c,) for c in range(4)]))
     # q=4, L=2, second block pinned to zero: 16-pair hand table
     const0 = mg.SourceSpec(f4, 1, 2, 0, {1: mg.ConstantMap((0,))}, label="const0")
     d3 = mg.exact_output_distribution(ms2, const0)
     expected = {(0,): Fraction(7, 16), (1,): Fraction(3, 16),
                 (2,): Fraction(3, 16), (3,): Fraction(3, 16)}
-    assert d3 == mg.Distribution(expected, 4), f"got {d3.probs}"
+    _check(d3 == mg.Distribution(expected, 4), f"got {d3.probs}")
     return "degenerate, correlated, and 16-case hand-checked distributions"
 
 
@@ -626,14 +638,14 @@ def check_distance_metric(rng, trials: int) -> str:
         size = 2 + int(rng.integers(5))
         dists = [_random_distribution(rng, size) for _ in range(3)]
         p, r, s = dists
-        assert mg.statistical_distance(p, p) == 0
+        _check(mg.statistical_distance(p, p) == 0)
         d_pr = mg.statistical_distance(p, r)
-        assert d_pr == mg.statistical_distance(r, p)
-        assert 0 <= d_pr <= 1
-        assert d_pr <= mg.statistical_distance(p, s) + mg.statistical_distance(s, r), \
-            "triangle inequality fails"
-        assert d_pr == statistical_distance_subset_max(p, r), \
-            "half-L1 differs from the subset maximum"
+        _check(d_pr == mg.statistical_distance(r, p))
+        _check(0 <= d_pr <= 1)
+        _check(d_pr <= mg.statistical_distance(p, s) + mg.statistical_distance(s, r),
+               "triangle inequality fails")
+        _check(d_pr == statistical_distance_subset_max(p, r),
+               "half-L1 differs from the subset maximum")
     return f"{runs} random triples; subset-max equivalence exhaustive"
 
 
@@ -660,18 +672,18 @@ def check_excess_mass(rng, trials: int) -> str:
             continue
         val = mg.distance_to_min_entropy(p, threshold=cap)
         grid = excess_mass_grid_minimum(p, cap)
-        assert val == grid, f"excess mass {val} != grid minimum {grid}"
+        _check(val == grid, f"excess mass {val} != grid minimum {grid}")
         witness = clip_redistribute(p, cap)
-        assert witness.max_prob() <= cap
-        assert mg.statistical_distance(p, witness) == val, "witness misses the distance"
+        _check(witness.max_prob() <= cap)
+        _check(mg.statistical_distance(p, witness) == val, "witness misses the distance")
     # fixed cases from the design notes
     point = mg.Distribution.point_mass("a", universe_size=2)
-    assert mg.distance_to_min_entropy(point, 1) == Fraction(1, 2)
+    _check(mg.distance_to_min_entropy(point, 1) == Fraction(1, 2))
     tri = mg.Distribution({0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}, 3)
-    assert mg.distance_to_min_entropy(tri, threshold=Fraction(1, 3)) == Fraction(1, 6)
+    _check(mg.distance_to_min_entropy(tri, threshold=Fraction(1, 3)) == Fraction(1, 6))
     uni = mg.Distribution.uniform(range(8))
-    assert mg.distance_to_min_entropy(uni, 3) == 0
-    assert mg.min_entropy(uni).at_least(3) and not mg.min_entropy(uni).at_least(4)
+    _check(mg.distance_to_min_entropy(uni, 3) == 0)
+    _check(mg.min_entropy(uni).at_least(3) and not mg.min_entropy(uni).at_least(4))
     return "grid-oracle equality plus frozen worked cases"
 
 
@@ -679,18 +691,18 @@ def check_merger_theorem(rng, trials: int) -> str:
     details = []
     for n in (1, 2):
         report = mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, n)
-        assert report["seed_length"] == 6 and report["q"] == 64
-        assert report["entropy_threshold_bits"] == 3 * n
-        assert report["all_ok"], f"flagship merger check fails at n={n}"
+        _check(report["seed_length"] == 6 and report["q"] == 64)
+        _check(report["entropy_threshold_bits"] == 3 * n)
+        _check(report["all_ok"], f"flagship merger check fails at n={n}")
         worst = max(e["distance"] for e in report["sources"])
         details.append(f"n={n}: worst distance {worst}")
-    assert mg.seed_length(Fraction(1, 2), Fraction(1, 2), 2) == 6
-    assert mg.seed_length(1, Fraction(1, 2), 1) == 2
+    _check(mg.seed_length(Fraction(1, 2), Fraction(1, 2), 2) == 6)
+    _check(mg.seed_length(1, Fraction(1, 2), 1) == 2)
     prev = None
     for denom in (1, 2, 3, 4, 6, 8):
         d = mg.seed_length(Fraction(1, denom), Fraction(1, 2), 2)
         if prev is not None:
-            assert d >= prev, "seed length must grow as delta shrinks"
+            _check(d >= prev, "seed length must grow as delta shrinks")
         prev = d
     return "; ".join(details)
 
@@ -699,10 +711,10 @@ def check_rs_default_params(rng, trials: int) -> str:
     spec = field_make(5)
     inst = rs.RSInstance(spec, (0, 1, 2, 3, 4), (0, 1, 2, 0, 0), k=1, t=3)
     params = rs.choose_params(inst)  # default slack 1/4
-    assert inst.t * params.m > params.d
+    _check(inst.t * params.m > params.d)
     need = count_total_degree_monomials(2, params.m - 1) * inst.n
     have = count_weighted_monomials(inst.k, params.d, params.theta)
-    assert need < have, f"constraint count {need} not below monomial count {have}"
+    _check(need < have, f"constraint count {need} not below monomial count {have}")
     return f"default slack gives m={params.m}, d={params.d}, ydeg_cap={params.ydeg_cap}"
 
 
@@ -729,15 +741,15 @@ def check_rs_oracle(rng, trials: int) -> str:
                 params = rs.choose_params(inst, eps)
             got = rs.list_decode(inst, params=params)
             want = rs.brute_force_decode(inst)
-            assert got == want, f"decode mismatch at q={q}, k={k}, beta={betas}"
-            assert len(want) <= bound, f"list size {len(want)} exceeds {bound}"
+            _check(got == want, f"decode mismatch at q={q}, k={k}, beta={betas}")
+            _check(len(want) <= bound, f"list size {len(want)} exceeds {bound}")
             bound_checks += 1
     # the worked example: two qualifying lines
     spec5 = field_make(5)
     inst = rs.RSInstance(spec5, (0, 1, 2, 3, 4), (0, 1, 2, 0, 0), k=1, t=3)
     out = rs.list_decode(inst, eps=eps)
-    assert out == [(0, 0), (0, 1)], f"worked example returned {out}"
-    assert rs.list_size_bound(Fraction(3, 5), Fraction(1, 5)) == Fraction(15, 2)
+    _check(out == [(0, 0), (0, 1)], f"worked example returned {out}")
+    _check(rs.list_size_bound(Fraction(3, 5), Fraction(1, 5)) == Fraction(15, 2))
     return f"{words} words per config {RS_CONFIGS}; {bound_checks} list-size checks"
 
 
@@ -759,13 +771,13 @@ def check_y_roots(rng, trials: int) -> str:
             Q = Q * extra  # extra factors may add roots but never remove planted ones
         roots = rs.y_roots(Q, k, cross_validate=True)
         for f in planted:
-            assert f in roots, f"planted root {f} missing from {roots}"
+            _check(f in roots, f"planted root {f} missing from {roots}")
     # fixed cases
     spec3 = field_make(3)
     Q = MultiPoly(spec3, 2, {(0, 1): 1, (1, 0): spec3.neg(1)})  # Y - X
-    assert rs.y_roots(Q, 1) == [(0, 1)]
+    _check(rs.y_roots(Q, 1) == [(0, 1)])
     Q2 = MultiPoly(spec3, 2, {(0, 2): 1, (0, 0): 1})  # Y^2 + 1 has no root mod 3
-    assert rs.y_roots(Q2, 0) == []
+    _check(rs.y_roots(Q2, 0) == [])
     return f"{runs} planted-root instances plus fixed cases"
 
 

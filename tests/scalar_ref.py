@@ -3,8 +3,9 @@ polynomial product per power of the generator, and the one-point,
 one-derivative, one-``spec.mul`` walks of the Hasse-shell and Kakeya code,
 as the library ran them before those moved onto ``FieldSpec.vec``, and the
 term-map steps of the Y-root search: the test Q(X, y0) = 0 and the shift
-Q(X, y0 + XY), and the one-seed-at-a-time count of merger outputs.  Tests
-only."""
+Q(X, y0 + XY), the one-seed-at-a-time count of merger outputs, and the
+merger's Lagrange basis as one product of linear factors per node, on the
+scalar coefficient-list helpers ``uni_add`` and ``uni_mul``.  Tests only."""
 
 import itertools
 from functools import reduce
@@ -207,3 +208,50 @@ def merger_counts_per_seed(ms, src) -> np.ndarray:
         out = reduce(vec.add, [vec.mul(c, codes)[blk] for c, blk in zip(mix, blocks)])
         counts += np.bincount(out @ place, minlength=size)
     return counts
+
+
+# -- univariate polynomials on coefficient lists (low-to-high codes) -----------
+
+
+def uni_trim(coeffs: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def uni_add(a, b, spec: FieldSpec) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = spec.add(out[i], c)
+    return uni_trim(out)
+
+
+def uni_mul(a, b, spec: FieldSpec) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = spec.add(out[i + j], spec.mul(ai, bj))
+    return uni_trim(out)
+
+
+def lagrange_basis(spec, gamma) -> tuple[tuple[int, ...], ...]:
+    """The Lagrange basis on the nodes ``gamma``, low-to-high coefficients:
+    prod over j != i of (X - g_j) / (g_i - g_j), one scalar product of
+    polynomials per factor."""
+    basis = []
+    for i, gi in enumerate(gamma):
+        num, denom = [1], 1
+        for j, gj in enumerate(gamma):
+            if j != i:
+                num = uni_mul(num, [spec.neg(gj), 1], spec)
+                denom = spec.mul(denom, spec.sub(gi, gj))
+        inv = spec.inv(denom)
+        basis.append(tuple(spec.mul(c, inv) for c in num))
+    return tuple(basis)

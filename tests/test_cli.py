@@ -274,6 +274,17 @@ def test_merger_refusals_exit_within_a_second(capsys, argv):
     assert "exceeds 10000000" in data["message"] and len(data["message"]) < 80
 
 
+def test_seed_length_of_a_long_delta_is_decided_in_floating_point(capsys):
+    # delta = a/b with b = 10^8: the seed length comes from a float log, and
+    # the non-integer entropy threshold is refused as before
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "merger-verify", "--delta", "99999999/100000000",
+                        "--eps", "1/2", "--lambda", "2", "--n", "1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidParameters"
+
+
 def test_field_and_poly_text_errors_outside_the_cli():
     from ffmult.errors import InvalidParameters
     from ffmult.ff import field_make, parse_field_spec

@@ -48,6 +48,37 @@ def test_single_block_merger_is_identity():
         assert mg.f_dw(ms, [(3, 1)], u) == (3, 1)
 
 
+@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 6), (3, 3), (2, 17)])
+def test_lagrange_basis_matches_scalar_products(p, e):
+    # the node polynomial and its synthetic division against one scalar
+    # product of linear factors per node; the 2-D Horner mix table against
+    # one scalar evaluation per (block, seed)
+    spec = field_make(p, e)
+    rng = rng_stream(61, spec.q)
+    for L in (L for L in (1, 2, 3, 7, 33) if L <= spec.q):
+        gamma = tuple(int(g) for g in rng.choice(min(spec.q, 10 ** 4), size=L, replace=False))
+        ms = mg.merger_make(spec, 1, L, gamma)
+        assert ms.basis == scalar_ref.lagrange_basis(spec, gamma)
+        seeds = rng.integers(spec.q, size=20).tolist()
+        table = ms.mix_table()
+        assert table.shape == (L, spec.q)
+        assert table[:, seeds].T.tolist() == [list(ms.mix_coeffs(u)) for u in seeds]
+
+
+def test_many_blocks_build_fast_and_large_tables_are_refused(capsys):
+    from ffmult.cli import main
+
+    start = time.perf_counter()
+    assert main(["merger-verify", "--delta", "1", "--eps", "1/2", "--lambda", "200", "--n", "0"]) == 0
+    assert time.perf_counter() - start < 1
+    assert '"all_ok": true' in capsys.readouterr().out
+    # the L x q mix table is bounded by the enumeration cap
+    spec = field_make(2, 20)
+    with pytest.raises(errors.EnumerationTooLarge, match="mix table"):
+        mg.merger_make(spec, 0, mg.ENUMERATION_CAP // spec.q + 1)
+    assert mg.merger_make(spec, 0, 2).basis == ((1, 1), (0, 1))
+
+
 def test_too_few_field_elements():
     with pytest.raises(errors.TooFewFieldElements):
         mg.merger_make(field_make(2), 1, 3)
@@ -90,6 +121,31 @@ def test_seed_length_examples():
         mg.seed_length(0, Fraction(1, 2), 2)
     with pytest.raises(errors.InvalidParameters):
         mg.seed_length(Fraction(1, 2), 1, 2)
+
+
+def _exact_seed_length(delta, eps, blocks):
+    """The smallest d with 2^(d*a) * rd^b >= rn^b, walked up from 0."""
+    a, b = delta.numerator, delta.denominator
+    ratio = Fraction(2 * blocks) / eps
+    d = 0
+    while 2 ** (d * a) * ratio.denominator ** b < ratio.numerator ** b:
+        d += 1
+    return d
+
+
+def test_seed_length_float_bound_matches_exact_walk():
+    # powers of 2 put x exactly on an integer, and 2L/eps = 4(1 + 2^-50) puts
+    # it 2^-50/ln 2 above one, where log2 in float64 reads exactly 2
+    rng = rng_stream(62, 0)
+    cases = [(Fraction(1), Fraction(1, 2), 1), (Fraction(1, 2), Fraction(1, 4), 2),
+             (Fraction(3, 7), Fraction(1, 2), 4), (Fraction(999, 1000), Fraction(1, 2), 2),
+             (Fraction(1), Fraction(2 ** 50, 2 ** 50 + 1), 2)]
+    for _ in range(300):
+        a, b = sorted(int(x) for x in rng.integers(1, 60, size=2))
+        eps = Fraction(int(rng.integers(1, 40)), 41)
+        cases.append((Fraction(a, b), eps, int(rng.integers(1, 9))))
+    for delta, eps, blocks in cases:
+        assert mg.seed_length(delta, eps, blocks) == _exact_seed_length(delta, eps, blocks)
 
 
 def test_seed_length_monotone_in_delta():
@@ -421,13 +477,14 @@ def test_source_rejects_negative_dimension():
 
 
 def test_merger_make_guards_raise(monkeypatch):
-    monkeypatch.setattr(mg, "poly_eval_univariate", lambda coeffs, x, spec: 0)
+    true_basis = mg.merger_make(F5, 1, 2).basis
+    # every denominator inverted to 1 leaves the numerators unscaled
+    monkeypatch.setattr(F5, "inv", lambda a: 1)
     with pytest.raises(errors.InternalDefect, match="wrong at node"):
         mg.merger_make(F5, 1, 2)
-    # a wrong basis whose node checks (two blocks: i, j in row order) pass
-    deltas = iter([1, 0, 0, 1])
-    monkeypatch.setattr(mg, "poly_eval_univariate", lambda coeffs, x, spec: next(deltas))
-    monkeypatch.setattr(mg, "uni_mul", lambda a, b, spec: [0, 2])
+    # a wrong basis whose node checks pass: the node grid sees the true basis
+    columns = mg._coefficient_columns
+    monkeypatch.setattr(mg, "_coefficient_columns", lambda polys: columns(true_basis))
     with pytest.raises(errors.InternalDefect, match="sums to"):
         mg.merger_make(F5, 1, 2)
 
@@ -439,9 +496,10 @@ def test_merger_make_guards_survive_optimize():
         from ffmult.ff import field_make
 
         assert sys.flags.optimize, "not running under -O"
-        mg.poly_eval_univariate = lambda coeffs, x, spec: 0
+        spec = field_make(5)
+        spec.inv = lambda a: 1
         try:
-            mg.merger_make(field_make(5), 1, 2)
+            mg.merger_make(spec, 1, 2)
             sys.exit("merger_make node check did not raise")
         except errors.InternalDefect:
             pass

@@ -13,10 +13,12 @@ import ffmult
 
 from ffmult import errors
 from ffmult import rs_decode as rs
-from ffmult.ff import field_make, poly_eval_univariate, rng_stream, uni_add, uni_mul, uni_trim
+from ffmult.ff import field_make, poly_eval_univariate, rng_stream
 from ffmult.interpolate import count_weighted_monomials
 from ffmult.mvpoly import MultiPoly, multiplicity
 from ffmult.selftest import random_poly
+
+from scalar_ref import uni_add, uni_mul, uni_trim
 
 F3 = field_make(3)
 F5 = field_make(5)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from ffmult import ff
 from ffmult.selftest import CHECKS, run_selftest
 
@@ -34,3 +38,23 @@ def test_corrupted_modulus_table_is_reported_with_field_key(monkeypatch):
             f"no failure names the corrupted field: {failing}"
     finally:
         ff._field_make.cache_clear()
+
+
+def test_checks_hold_under_optimize():
+    # a kernel that returns all ones must fail nullspace-correctness also
+    # under python -O, which strips assert statements
+    code = (
+        "from ffmult import selftest\n"
+        "selftest.nullspace_vector = lambda rows, ncols, spec: [1] * ncols\n"
+        "check = dict(selftest.CHECKS)['nullspace-correctness']\n"
+        "try:\n"
+        "    check(selftest.rng_stream(7, 16), 10)\n"
+        "except AssertionError as exc:\n"
+        "    print('failed:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for flags in (["-O"], []):
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("failed: "), (flags, proc.stdout)

@@ -13,7 +13,15 @@ import pytest
 import scalar_ref
 
 from ffmult import rs_decode as rs
-from ffmult.ff import _modulus_table, field_make, poly_eval_univariate, rng_stream
+from ffmult.ff import (
+    FieldSpec,
+    _modulus_table,
+    _PolyVecOps,
+    field_make,
+    parse_field_spec,
+    poly_eval_univariate,
+    rng_stream,
+)
 from ffmult.interpolate import (
     PANEL,
     InterpolationProblem,
@@ -316,6 +324,116 @@ def test_blocked_elimination_matches_scalar_reference(p, e):
         rows = _random_system(spec, rng, nrows, ncols, rank, zero_cols)
         assert nullspace_vector(rows, ncols, spec) == _ref_nullspace(rows, ncols, spec)
         assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
+
+
+# every family: prime, F_2, GF(2^e) log tables, odd p^e Zech tables, and the
+# table-free polynomial basis, which runs GF(2^17) by itself and is put in
+# place of the Zech tables for GF(3^3), where the scalar reference is fast
+KERNEL_FAMILIES = ["7", "257", "2", "2^6", "3^3", "2^17", "3^3 poly"]
+
+
+@pytest.fixture(params=KERNEL_FAMILIES)
+def kernel_field(request):
+    field, _, kernel = request.param.partition(" ")
+    spec = parse_field_spec(field)
+    if kernel:
+        spec = FieldSpec(spec.p, spec.e, spec.modulus)
+        spec._vec = _PolyVecOps(spec)
+    return spec
+
+
+def _system_free_at(spec, rng, nrows, ncols, f):
+    """Random rows whose first free column is f <= nrows: columns 0..f-1
+    hold an invertible f x f block, rows shuffled, and column f (if any) is
+    a random combination of them."""
+    rows = np.array(_random_system(spec, rng, nrows, ncols), dtype=np.int64)
+    block = rows[:f, :f]
+    block[np.triu_indices(f)] = 0
+    block[np.diag_indices(f)] = 1
+    if f < min(nrows, ncols):
+        rows[:, f] = spec.vec.dot(rows[:, :f], rng.integers(spec.q, size=(f, 1)),
+                                  np.zeros((nrows, 1), dtype=np.int64))[:, 0]
+    return rows[rng.permutation(nrows)].tolist()
+
+
+def test_kernel_stops_at_the_first_free_column(kernel_field):
+    spec = kernel_field
+    rng = rng_stream(409, spec.q)
+    for f in (0, PANEL - 1, PANEL, 2 * PANEL):
+        nrows, ncols = f + 3, f + 5
+        rows = _system_free_at(spec, rng, nrows, ncols, f)
+        ref = _ref_nullspace(rows, ncols, spec)
+        assert max(c for c, x in enumerate(ref) if x) == f
+        assert nullspace_vector(rows, ncols, spec) == ref
+        assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
+    # f = nrows: the rows are independent, and every column past them is free
+    for nrows in (PANEL - 1, PANEL, PANEL + 1):
+        rows = _system_free_at(spec, rng, nrows, nrows + 2, nrows)
+        ref = _ref_nullspace(rows, nrows + 2, spec)
+        assert ref[nrows:] == [1, 0]
+        assert nullspace_vector(rows, nrows + 2, spec) == ref
+        assert matrix_rank(rows, nrows + 2, spec) == nrows
+
+
+def test_kernel_of_tall_zero_and_single_column_matrices(kernel_field):
+    spec = kernel_field
+    rng = rng_stream(410, spec.q)
+    cases = [
+        (_random_system(spec, rng, 50, 40, rank=35), 40),  # tall, dependent rows
+        (_random_system(spec, rng, 45, PANEL + 1, rank=PANEL), PANEL + 1),
+        (_random_system(spec, rng, 40, 36), 36),  # tall, trivial kernel (likely)
+        ([[0] * 37 for _ in range(40)], 37),
+        ([[0] * 5 for _ in range(3)], 5),
+        ([[0]], 1),
+        ([[1]], 1),
+        ([[0], [0], [0]], 1),
+        ([[0], [1], [0]], 1),
+        ([[int(rng.integers(1, spec.q))] for _ in range(PANEL + 2)], 1),
+    ]
+    for rows, ncols in cases:
+        assert nullspace_vector(rows, ncols, spec) == _ref_nullspace(rows, ncols, spec)
+        assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
+
+
+def test_wide_kernel_is_the_padded_kernel_of_the_first_columns(kernel_field):
+    # the first free column is at most nrows, so the columns past nrows never
+    # enter the vector
+    spec = kernel_field
+    rng = rng_stream(411, spec.q)
+    for nrows, ncols, rank in [(20, 150, None), (PANEL + 3, 5 * PANEL, None),
+                               (40, 200, 30), (3, 70, 1), (1, 9, None)]:
+        rows = _random_system(spec, rng, nrows, ncols, rank)
+        head = [row[: nrows + 1] for row in rows]
+        ref = _ref_nullspace(head, nrows + 1, spec)
+        assert nullspace_vector(rows, ncols, spec) == ref + [0] * (ncols - nrows - 1)
+        assert nullspace_vector(np.array(rows), ncols, spec) == ref + [0] * (ncols - nrows - 1)
+        assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
+
+
+def test_kernel_products_stay_below_the_pivots(monkeypatch):
+    """The products a kernel search forms, in order: each panel's trailing
+    update on the rows from its first pivot down, over the first nrows + 1
+    columns only, and none from the panel that holds the first free column;
+    then one product per solved panel, right to left, into the rows above."""
+    spec = field_make(257)
+    shapes = []
+    dot = spec.vec.dot
+    monkeypatch.setattr(spec.vec, "dot",
+                        lambda a, b, c: shapes.append((np.shape(a), np.shape(b))) or dot(a, b, c))
+    rng = rng_stream(412, spec.q)
+    nrows = 3 * PANEL + 4
+    rows = _system_free_at(spec, rng, nrows, nrows + 50, nrows)
+    assert nullspace_vector(rows, nrows + 50, spec) == _ref_nullspace(rows, nrows + 50, spec)
+    trailing = [((nrows - t * PANEL, PANEL), (PANEL, nrows + 1 - (t + 1) * PANEL))
+                for t in range(3)]
+    back = [((3 * PANEL, 4), (4, 1)), ((2 * PANEL, PANEL), (PANEL, 1)),
+            ((PANEL, PANEL), (PANEL, 1))]
+    assert shapes == trailing + back
+    # a free first column ends the search before any product
+    rows = _system_free_at(spec, rng, nrows, nrows + 50, 0)
+    shapes.clear()
+    assert nullspace_vector(rows, nrows + 50, spec) == [1] + [0] * (nrows + 49)
+    assert shapes == []
 
 
 # ---------------------------------------------------------------------------
