@@ -737,17 +737,6 @@ def field_sample(spec: FieldSpec, rng: np.random.Generator) -> FieldElement:
     return FieldElement(spec, int(rng.integers(spec.q)))
 
 
-# -- univariate polynomials on coefficient lists (low-to-high codes) -----------
-
-
-def poly_eval_univariate(coeffs, x: int, spec: FieldSpec) -> int:
-    """Horner evaluation of a coefficient list at a code x."""
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = spec.add(spec.mul(acc, x), c)
-    return acc
-
-
 # -- modulus verification (used by the self-test suite) ------------------------
 
 def verify_modulus_irreducible(spec: FieldSpec) -> bool:

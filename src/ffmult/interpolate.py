@@ -8,7 +8,6 @@ by exact Gaussian elimination with deterministic pivoting.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -306,49 +305,3 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
                 f"at {problem.points[low[0]]}"
             )
     return poly
-
-
-def problem_to_json(problem: InterpolationProblem) -> dict:
-    """JSON problem descriptor: field string, points, m, basis descriptor."""
-    spec = problem.spec
-    field = str(spec.p) if spec.e == 1 else f"{spec.p}^{spec.e}"
-    basis = problem.basis
-    if isinstance(basis, TotalDegreeBasis):
-        basis_desc = {"type": "total_degree", "d": basis.d}
-    else:
-        basis_desc = {
-            "type": "weighted_degree",
-            "d": basis.d,
-            "k": basis.k,
-            "ydeg_cap": basis.ydeg_cap,
-        }
-    return {
-        "field": field,
-        "n": problem.n,
-        "points": [list(p) for p in problem.points],
-        "m": problem.m,
-        "basis": basis_desc,
-    }
-
-
-def problem_from_json(data) -> InterpolationProblem:
-    """The problem that ``problem_to_json`` describes; JSON of any other
-    shape raises InvalidParameters."""
-    from .ff import parse_field_spec
-
-    try:
-        field, desc = str(data["field"]), data["basis"]
-        n, m = operator.index(data["n"]), operator.index(data["m"])
-        points = tuple(tuple(p) for p in data["points"])
-        kind = desc["type"]
-        if kind == "total_degree":
-            basis = TotalDegreeBasis(n, operator.index(desc["d"]))
-        elif kind == "weighted_degree":
-            basis = WeightedDegreeBasis(*(operator.index(desc[key]) for key in ("d", "k", "ydeg_cap")))
-        else:
-            raise InvalidParameters(f"unknown basis type {kind!r}")
-    except (KeyError, TypeError):
-        raise InvalidParameters(
-            "a problem is a JSON object with field, n, points, m and basis"
-        ) from None
-    return InterpolationProblem(parse_field_spec(field), n, points, m, basis)

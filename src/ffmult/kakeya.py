@@ -79,28 +79,39 @@ def _point_codes(coords: np.ndarray, q: int) -> np.ndarray:
     return codes
 
 
-def _line_points(spec: FieldSpec, n: int, dirs: np.ndarray, lines: np.ndarray):
-    """Line ``lines[k]`` of direction ``dirs[k]`` for each row k, as
-    (offsets, point codes of shape (rows, q) in t order).
+def _line_offsets(q: int, n: int, dirs: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """The offset of line ``lines[k]`` of direction ``dirs[k]`` for each row k.
 
     The q^(n-1) lines of a direction are numbered by their offsets on the
     hyperplane where the pivot coordinate (the first nonzero one) of the
     direction is zero, in itertools.product order over the other
     coordinates.  That hyperplane meets every line of the direction once.
     """
-    q, vec = spec.q, spec.vec
     pivot = np.argmax(dirs != 0, axis=1)
     offsets = np.zeros((len(lines), n), dtype=np.int64)
     rows = np.arange(len(lines))
     for k in range(n - 1):  # digit k of the line number, most significant first
         digit = lines // q ** (n - 2 - k) % q
         offsets[rows, k + (k >= pivot)] = digit
+    return offsets
+
+
+def _line_codes(spec: FieldSpec, dirs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The point codes of the line {offsets[k] + t*dirs[k]} for each row k,
+    of shape (rows, q) in t order."""
+    q, vec = spec.q, spec.vec
     t = np.arange(q)
-    coords = np.stack(
-        [vec.add(offsets[:, j, None], vec.mul(t, dirs[:, j, None])) for j in range(n)],
-        axis=-1,
-    )
-    return offsets, _point_codes(coords, q)
+    codes = np.zeros((len(offsets), q), dtype=np.int64)
+    for j in range(offsets.shape[1]):  # first coordinate most significant, as in _point_codes
+        codes = codes * q + vec.add(offsets[:, j, None], vec.mul(t, dirs[:, j, None]))
+    return codes
+
+
+def _witness_codes(spec: FieldSpec, n: int, witnesses: dict) -> np.ndarray:
+    """The point codes of the line {a + t*b} of each direction b -> offset a."""
+    rows = [[coerce_point(spec, n, x) for x in pair] for pair in witnesses.items()]
+    dirs, offsets = np.array(rows, dtype=np.int64).reshape(len(rows), 2, n).transpose(1, 0, 2)
+    return _line_codes(spec, dirs, offsets)
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,7 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
         counts = np.minimum(each, per_dir - tested[batch])
         d = np.repeat(batch, counts)
         line = tested[d] + np.arange(len(d)) - np.repeat(np.cumsum(counts) - counts, counts)
-        _, codes = _line_points(spec, n, dir_arr[d], line)
+        codes = _line_codes(spec, dir_arr[d], _line_offsets(q, n, dir_arr[d], line))
         pos = np.minimum(np.searchsorted(kcodes, codes), len(kcodes) - 1)
         inside = (kcodes[pos] == codes).all(axis=1)
         hit, first = np.unique(d[inside], return_index=True)
@@ -158,7 +169,7 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
         missing = np.flatnonzero((tested == per_dir) & (witness < 0))
         if missing.size:
             return KakeyaCheck(False, {}, dirs[missing[0]])
-    offsets, _ = _line_points(spec, n, dir_arr, witness)
+    offsets = _line_offsets(q, n, dir_arr, witness)
     return KakeyaCheck(True, dict(zip(dirs, map(tuple, offsets.tolist()))), None)
 
 
@@ -174,23 +185,18 @@ class KakeyaInstance:
     def verify_witnesses(self) -> bool:
         if self.witnesses is None:
             return False
-        for b, a in self.witnesses.items():
-            line = {
-                tuple(self.spec.add(aj, self.spec.mul(t, bj)) for aj, bj in zip(a, b))
-                for t in range(self.spec.q)
-            }
-            if not line <= self.K:
-                return False
-        return True
+        spec, n = self.spec, self.n
+        points = [coerce_point(spec, n, p) for p in self.K]
+        kcodes = _point_codes(np.array(points, dtype=np.int64).reshape(len(points), n), spec.q)
+        return bool(np.isin(_witness_codes(spec, n, self.witnesses), kcodes).all())
 
 
 def union_of_witness_lines(spec: FieldSpec, n: int, offsets: dict) -> KakeyaInstance:
     """Build the Kakeya set that is the union of one line per direction."""
-    pts: set[tuple[int, ...]] = set()
-    for b, a in offsets.items():
-        for t in range(spec.q):
-            pts.add(tuple(spec.add(aj, spec.mul(t, bj)) for aj, bj in zip(a, b)))
-    return KakeyaInstance(spec, n, frozenset(pts), dict(offsets))
+    codes = np.unique(_witness_codes(spec, n, offsets))
+    place = spec.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    pts = frozenset(map(tuple, (codes[:, None] // place % spec.q).tolist()))
+    return KakeyaInstance(spec, n, pts, dict(offsets))
 
 
 def exhaustive_min_kakeya(q: int, n: int, size_cap: int | None = None):
@@ -213,7 +219,7 @@ def exhaustive_min_kakeya(q: int, n: int, size_cap: int | None = None):
     _, main_bound = kakeya_lower_bounds(q, n)
     dirs = np.array(canonical_directions(spec, n), dtype=np.int64).reshape(-1, n)
     d, line = np.divmod(np.arange(len(dirs) * q ** (n - 1)), q ** (n - 1))
-    _, codes = _line_points(spec, n, dirs[d], line)
+    codes = _line_codes(spec, dirs[d], _line_offsets(q, n, dirs[d], line))
     bits = 1 << (npts - 1 - np.arange(npts))
     line_masks = np.bitwise_or.reduce(bits[codes], axis=1).reshape(len(dirs), -1)
     masks = np.arange(2 ** npts)

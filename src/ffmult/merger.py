@@ -29,7 +29,7 @@ from .errors import (
     UniverseMismatch,
     UniverseTooSmall,
 )
-from .ff import FieldSpec, field_make, poly_eval_univariate
+from .ff import FieldSpec, field_make
 from .mvpoly import coerce_point
 
 ENUMERATION_CAP = 10 ** 7
@@ -151,8 +151,6 @@ class MinEntropy:
 
     @property
     def bits(self) -> float:
-        from math import log2
-
         return -log2(self.max_prob)
 
     def at_least(self, m) -> bool:
@@ -225,11 +223,6 @@ class MergerSpec:
     gamma: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
 
-    def mix_coeffs(self, u) -> tuple[int, ...]:
-        """(c_1(u), ..., c_L(u)) for a seed element u."""
-        uc = self.spec.coerce(u)
-        return tuple(poly_eval_univariate(c, uc, self.spec) for c in self.basis)
-
     def mix_table(self) -> np.ndarray:
         """c_i(u) for every block i and seed u, as an (L, q) code array: one
         Horner pass whose coefficients are columns over the blocks."""
@@ -242,6 +235,18 @@ def _coefficient_columns(polys) -> list[np.ndarray]:
     (len(polys), 1) array per k: the coefficients of ``vec.poly_eval``
     that evaluate them all at once along a second axis."""
     return list(np.array(polys, dtype=np.int64).T[:, :, None])
+
+
+def _is_lagrange_basis(vec, nodes: np.ndarray, node_poly: np.ndarray, basis: np.ndarray) -> bool:
+    """Whether each row b_i of ``basis`` is 1 at node g_i and 0 at the other
+    nodes, for any monic N (``node_poly``) of degree L, in O(L^2): checks
+    that (X - g_i)*b_i = c_i*N, c_i the top coefficient of b_i, which below
+    X^L reads b_i[k-1] = g_i*b_i[k] + c_i*N[k], and that b_i(g_i) = 1.
+    At X = g_j the identity reads (g_j - g_i)*b_i(g_j) = c_i*N(g_j).  At
+    j = i it gives N(g_i) = 0, as c_i = 0 would make b_i zero; so b_i(g_j) = 0."""
+    below = vec.add(vec.mul(nodes[:, None], basis), vec.mul(basis[:, -1:], node_poly[:-1]))
+    return bool(not below[:, 0].any() and (below[:, 1:] == basis[:, :-1]).all()
+                and (vec.poly_eval(list(basis.T), nodes) == 1).all())
 
 
 def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerSpec:
@@ -287,13 +292,15 @@ def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerS
     basis = vec.mul(num, inv).T
     ms = MergerSpec(spec, n, num_blocks, gamma, tuple(map(tuple, basis.tolist())))
 
-    # construction invariants, checked on the stored basis: interpolation
-    # conditions on the L x L node grid, and partition of unity
-    grid = vec.poly_eval(_coefficient_columns(ms.basis), nodes)
-    wrong = np.argwhere(grid != np.eye(L, dtype=np.int64))
-    if wrong.size:
-        i, j = wrong[0]
-        raise InternalDefect(f"Lagrange basis {i} is wrong at node {gamma[j]}")
+    # construction invariants, checked on the stored basis: the Lagrange
+    # conditions, with the L x L node grid evaluated only to locate a failure,
+    # and partition of unity
+    if not _is_lagrange_basis(vec, nodes, node_poly, basis):
+        grid = vec.poly_eval(_coefficient_columns(ms.basis), nodes)
+        wrong = np.argwhere(grid != np.eye(L, dtype=np.int64))
+        if wrong.size:
+            i, j = wrong[0]
+            raise InternalDefect(f"Lagrange basis {i} is wrong at node {gamma[j]}")
     total = vec.sum(basis, axis=0)
     if total[0] != 1 or total[1:].any():
         raise InternalDefect(f"Lagrange basis sums to {total.tolist()}, not 1")
@@ -308,16 +315,10 @@ def f_dw(ms: MergerSpec, blocks, u) -> tuple[int, ...]:
     """
     if len(blocks) != ms.num_blocks:
         raise DimensionMismatch(f"{len(blocks)} blocks, expected {ms.num_blocks}")
-    pts = [coerce_point(ms.spec, ms.n, b) for b in blocks]
-    mix = ms.mix_coeffs(u)
-    spec = ms.spec
-    out = []
-    for coord in range(ms.n):
-        acc = 0
-        for ci, pt in zip(mix, pts):
-            acc = spec.add(acc, spec.mul(ci, pt[coord]))
-        out.append(acc)
-    return tuple(out)
+    spec, vec = ms.spec, ms.spec.vec
+    pts = np.array([coerce_point(spec, ms.n, b) for b in blocks], dtype=np.int64)
+    mix = vec.poly_eval(_coefficient_columns(ms.basis), spec.coerce(u))  # (L, 1)
+    return tuple(vec.sum(vec.mul(mix, pts), axis=0).tolist())
 
 
 # -- adversarial sources ----------------------------------------------------------
@@ -337,11 +338,8 @@ class BlockMap:
 
     kind = "abstract"
 
-    def apply(self, spec: FieldSpec, point: tuple[int, ...]) -> tuple[int, ...]:
-        raise NotImplementedError
-
     def apply_all(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
-        """``apply`` on every row of an (N, n) code array; the result
+        """The image of every row of an (N, n) code array; the result
         broadcasts to (N, n)."""
         raise NotImplementedError
 
@@ -355,9 +353,6 @@ class BlockMap:
 class IdentityMap(BlockMap):
     kind = "identical"
 
-    def apply(self, spec, point):
-        return point
-
     def apply_all(self, spec, pts):
         return pts
 
@@ -367,9 +362,6 @@ class ConstantMap(BlockMap):
 
     def __init__(self, value: tuple[int, ...]):
         self.value = tuple(value)
-
-    def apply(self, spec, point):
-        return self.value
 
     def apply_all(self, spec, pts):
         return np.array(self.value, dtype=np.int64)
@@ -386,9 +378,6 @@ class CoordinatePermutationMap(BlockMap):
 
     def __init__(self, perm: tuple[int, ...]):
         self.perm = tuple(perm)
-
-    def apply(self, spec, point):
-        return tuple(point[j] for j in self.perm)
 
     def apply_all(self, spec, pts):
         return pts[:, list(self.perm)]
@@ -409,15 +398,6 @@ class AffineMap(BlockMap):
     def __init__(self, matrix, offset):
         self.matrix = tuple(tuple(row) for row in matrix)
         self.offset = tuple(offset)
-
-    def apply(self, spec, point):
-        out = []
-        for row, off in zip(self.matrix, self.offset):
-            acc = off
-            for a, x in zip(row, point):
-                acc = spec.add(acc, spec.mul(a, x))
-            out.append(acc)
-        return tuple(out)
 
     def apply_all(self, spec, pts):
         vec = spec.vec
@@ -449,9 +429,6 @@ class TableMap(BlockMap):
 
     def __init__(self, table: dict):
         self.table = dict(table)
-
-    def apply(self, spec, point):
-        return self.table[point]
 
     def apply_all(self, spec, pts):
         images = [self.table[point] for point in map(tuple, pts.tolist())]
@@ -498,14 +475,8 @@ class SourceSpec:
                 raise InvalidParameters(f"block {j} is not a BlockMap: {bm!r}")
             bm.validate(self.spec, self.n)
 
-    def realize(self, v: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [
-            v if j == self.uniform_index else self.block_maps[j].apply(self.spec, v)
-            for j in range(self.num_blocks)
-        ]
-
     def realize_all(self, pts: np.ndarray) -> list[np.ndarray]:
-        """``realize`` for every row of an (N, n) array of uniform blocks."""
+        """Every block, for each row of an (N, n) array of uniform blocks."""
         return [
             pts if j == self.uniform_index else self.block_maps[j].apply_all(self.spec, pts)
             for j in range(self.num_blocks)

@@ -26,7 +26,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldSpec, poly_eval_univariate
+from .ff import FieldSpec
 from .interpolate import (
     InterpolationProblem,
     WeightedDegreeBasis,
@@ -148,7 +148,7 @@ def choose_params(inst: RSInstance, eps=Fraction(1, 4)) -> GSParams:
     raise NoFeasibleM(f"no feasible multiplicity up to {M_SEARCH_CAP}")
 
 
-def gs_interpolate(inst: RSInstance, params: GSParams, verify: bool = False) -> MultiPoly:
+def gs_interpolate(inst: RSInstance, params: GSParams) -> MultiPoly:
     """Nonzero Q(X, Y) of (1,k)-degree <= d and Y-degree <= ydeg_cap that
     vanishes with multiplicity >= m at every received point."""
     problem = InterpolationProblem(
@@ -158,7 +158,7 @@ def gs_interpolate(inst: RSInstance, params: GSParams, verify: bool = False) -> 
         m=params.m,
         basis=WeightedDegreeBasis(d=params.d, k=inst.k, ydeg_cap=params.ydeg_cap),
     )
-    return vanishing_interpolation(problem, verify=verify)
+    return vanishing_interpolation(problem)
 
 
 def _y_levels(Q: MultiPoly) -> np.ndarray:
@@ -190,20 +190,18 @@ def _compose_rows(levels: np.ndarray, cands: np.ndarray, vec) -> np.ndarray:
 # -- Y-root extraction --------------------------------------------------------------
 
 
-def y_roots(Q: MultiPoly, k: int, cross_validate: bool | None = None) -> list[tuple[int, ...]]:
+def y_roots(Q: MultiPoly, k: int) -> list[tuple[int, ...]]:
     """All f with deg f <= k and Q(X, f(X)) identically zero.
 
     Returned as coefficient tuples of length k+1 (low-to-high), canonically
     ordered with the top coefficient most significant.  The recursive finder
     strips X-power factors at each level and branches on the roots of
-    Q(0, Y); on small instances it is cross-validated against exhaustive
-    enumeration of all q^(k+1) candidates.
+    Q(0, Y).  Whenever q^(k+1) <= CROSS_VALIDATE_CAP it is cross-validated
+    against exhaustive enumeration of all q^(k+1) candidates.
     """
     if Q.is_zero:
         raise ZeroPolynomial("Y-roots of the zero polynomial are undefined")
     spec = Q.spec
-    if cross_validate is None:
-        cross_validate = spec.q ** (k + 1) <= CROSS_VALIDATE_CAP
     levels = _y_levels(Q)
     # C(j, l) mod p at [l, j]: the Y-degree is the same at every depth
     ys = np.arange(len(levels))
@@ -211,7 +209,7 @@ def y_roots(Q: MultiPoly, k: int, cross_validate: bool | None = None) -> list[tu
     found: list[tuple[int, ...]] = []
     _rr_search(levels, 0, k, (), found, spec, binom)
     result = sorted(set(found), key=lambda f: tuple(reversed(f)))
-    if cross_validate:
+    if spec.q ** (k + 1) <= CROSS_VALIDATE_CAP:
         brute = y_roots_bruteforce(Q, k)
         if result != brute:
             raise InternalDefect(
@@ -306,12 +304,10 @@ def _field_roots(coeffs, spec: FieldSpec) -> list[int]:
 
 
 def agreement(inst: RSInstance, fcoeffs) -> int:
-    spec = inst.spec
-    return sum(
-        1
-        for a, b in zip(inst.alphas, inst.betas)
-        if poly_eval_univariate(fcoeffs, a, spec) == b
-    )
+    """The number of received points (alpha_i, beta_i) with f(alpha_i) = beta_i."""
+    cands = np.array([fcoeffs], dtype=np.int64)
+    values = _candidate_values(cands, np.array(inst.alphas, dtype=np.int64), inst.spec.vec)
+    return int(np.count_nonzero(values[0] == inst.betas))
 
 
 def brute_force_decode(inst: RSInstance) -> list[tuple[int, ...]]:
@@ -360,7 +356,6 @@ def list_decode(
     inst: RSInstance,
     eps=Fraction(1, 4),
     params: GSParams | None = None,
-    cross_validate: bool | None = None,
 ) -> list[tuple[int, ...]]:
     """Exactly the degree-<=k polynomials agreeing with the received word in
     >= t places.
@@ -372,6 +367,6 @@ def list_decode(
     if params is None:
         params = choose_params(inst, eps)
     Q = gs_interpolate(inst, params)
-    candidates = y_roots(Q, inst.k, cross_validate=cross_validate)
+    candidates = y_roots(Q, inst.k)
     out = [f for f in candidates if agreement(inst, f) >= inst.t]
     return sorted(out, key=lambda f: tuple(reversed(f)))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from . import kakeya as kk
 from . import merger as mg
 from . import rs_decode as rs
@@ -40,6 +42,7 @@ from .mvpoly import (
     multiplicity_tuple,
     restrict_to_line,
     vector_binomial,
+    weak_compositions,
     weight,
 )
 
@@ -108,58 +111,6 @@ def _law_instances(rng, trials: int):
 # -- reference oracles (independent computation paths) ---------------------------
 
 
-def hasse_via_shift_expansion(P: MultiPoly, order) -> MultiPoly:
-    """P^(order) read off from P(X + Z), expanded by repeated multiplication.
-
-    Works in 2n variables, never touching the binomial term rule, so it is
-    an independent oracle for the production derivative.
-    """
-    spec, n = P.spec, P.n
-    shifted = MultiPoly.zero(spec, 2 * n)
-
-    def lifted_factor(j: int) -> MultiPoly:
-        # X_j + Z_j inside the 2n-variable ring
-        xe = [0] * (2 * n)
-        ze = [0] * (2 * n)
-        xe[j] = 1
-        ze[n + j] = 1
-        return MultiPoly(spec, 2 * n, {tuple(xe): 1, tuple(ze): 1})
-
-    for exps, coeff in P.terms.items():
-        term = MultiPoly.constant(spec, 2 * n, coeff)
-        for j, e in enumerate(exps):
-            factor = lifted_factor(j)
-            for _ in range(e):
-                term = term * factor
-        shifted = shifted + term
-    order = tuple(order)
-    out = {}
-    for exps, coeff in shifted.terms.items():
-        if exps[n:] == order:
-            out[exps[:n]] = coeff
-    return MultiPoly(spec, n, out)
-
-
-def multiplicity_via_shift(P: MultiPoly, point) -> int | float:
-    """Minimum weight of a monomial in P(point + Z), via the shift oracle."""
-    if P.is_zero:
-        return INF_MULT
-    spec, n = P.spec, P.n
-    shifted = MultiPoly.zero(spec, n)
-    for exps, coeff in P.terms.items():
-        term = MultiPoly.constant(spec, n, coeff)
-        for j, e in enumerate(exps):
-            factor = MultiPoly(
-                spec, n, {tuple(0 if l != j else 1 for l in range(n)): 1}
-            ) + MultiPoly.constant(spec, n, point[j])
-            for _ in range(e):
-                term = term * factor
-        shifted = shifted + term
-    if shifted.is_zero:
-        return INF_MULT
-    return min(weight(e) for e in shifted.terms)
-
-
 def statistical_distance_subset_max(p: mg.Distribution, r: mg.Distribution) -> Fraction:
     """max over events of the probability gap, by exhausting all subsets."""
     keys = sorted(set(p.probs) | set(r.probs))
@@ -185,7 +136,7 @@ def excess_mass_grid_minimum(p: mg.Distribution, cap: Fraction) -> Fraction:
     _check(cap_units.denominator == 1)
     cap_units = int(cap_units)
     best = None
-    for split in _compositions(L, len(outcomes)):
+    for split in weak_compositions(L, len(outcomes)):
         if any(u > cap_units for u in split):
             continue
         dist = sum(abs(p.mass(o) - Fraction(u, L)) for o, u in zip(outcomes, split))
@@ -194,15 +145,6 @@ def excess_mass_grid_minimum(p: mg.Distribution, cap: Fraction) -> Fraction:
             best = dist
     _check(best is not None, "cap infeasible on this universe")
     return best
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def clip_redistribute(p: mg.Distribution, cap: Fraction) -> mg.Distribution:
@@ -603,11 +545,12 @@ def check_merger_affine_invariance(rng, trials: int) -> str:
         aff = mg.AffineMap(A, t)
         blocks = [random_point(spec, n, rng) for _ in range(L)]
         u = int(rng.integers(spec.q))
-        out = mg.f_dw(ms, blocks, u)
-        lin_out = mg.f_dw(ms, [lin.apply(spec, b) for b in blocks], u)
-        _check(lin_out == lin.apply(spec, out), "linear equivariance fails")
-        aff_out = mg.f_dw(ms, [aff.apply(spec, b) for b in blocks], u)
-        _check(aff_out == aff.apply(spec, out), "affine equivariance fails")
+        # the map of the merger output is the last row of each stacked image
+        stacked = np.array(blocks + [mg.f_dw(ms, blocks, u)], dtype=np.int64)
+        *lin_blocks, lin_out = lin.apply_all(spec, stacked).tolist()
+        _check(mg.f_dw(ms, lin_blocks, u) == tuple(lin_out), "linear equivariance fails")
+        *aff_blocks, aff_out = aff.apply_all(spec, stacked).tolist()
+        _check(mg.f_dw(ms, aff_blocks, u) == tuple(aff_out), "affine equivariance fails")
     return f"{runs} random invertible maps over F_5"
 
 
@@ -769,7 +712,7 @@ def check_y_roots(rng, trials: int) -> str:
         extra = random_poly(spec, 2, rng, max_deg=2)
         if not extra.is_zero and int(rng.integers(2)):
             Q = Q * extra  # extra factors may add roots but never remove planted ones
-        roots = rs.y_roots(Q, k, cross_validate=True)
+        roots = rs.y_roots(Q, k)  # q^(k+1) <= 125: cross-checked by enumeration
         for f in planted:
             _check(f in roots, f"planted root {f} missing from {roots}")
     # fixed cases

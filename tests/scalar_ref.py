@@ -5,7 +5,10 @@ as the library ran them before those moved onto ``FieldSpec.vec``, and the
 term-map steps of the Y-root search: the test Q(X, y0) = 0 and the shift
 Q(X, y0 + XY), the one-seed-at-a-time count of merger outputs, and the
 merger's Lagrange basis as one product of linear factors per node, on the
-scalar coefficient-list helpers ``uni_add`` and ``uni_mul``.  Tests only."""
+scalar coefficient-list helpers ``uni_add`` and ``uni_mul``; the merger's
+block maps, sources and curve evaluated one point and one seed at a time;
+and Hasse derivatives and multiplicities read off a shift expansion, which
+never touches the binomial term rule.  Tests only."""
 
 import itertools
 from functools import reduce
@@ -13,9 +16,10 @@ from math import ceil, comb
 
 import numpy as np
 
+from ffmult import merger as mg
 from ffmult.ff import FieldSpec, parse_prime_power
 from ffmult.kakeya import all_points, canonical_directions, kakeya_lower_bounds
-from ffmult.mvpoly import INF_MULT, MultiPoly, weak_compositions
+from ffmult.mvpoly import INF_MULT, MultiPoly, weak_compositions, weight
 
 
 def poly_mul(spec, a: int, b: int) -> int:
@@ -81,6 +85,58 @@ def multiplicity(P: MultiPoly, point):
             if hasse_eval(P, i, point):
                 return w
     raise AssertionError("nonzero polynomial with multiplicity above its degree")
+
+
+def hasse_via_shift_expansion(P: MultiPoly, order) -> MultiPoly:
+    """P^(order) read off from P(X + Z), expanded by repeated multiplication.
+
+    Works in 2n variables, never touching the binomial term rule, so it is
+    an independent oracle for the production derivative.
+    """
+    spec, n = P.spec, P.n
+    shifted = MultiPoly.zero(spec, 2 * n)
+
+    def lifted_factor(j: int) -> MultiPoly:
+        # X_j + Z_j inside the 2n-variable ring
+        xe = [0] * (2 * n)
+        ze = [0] * (2 * n)
+        xe[j] = 1
+        ze[n + j] = 1
+        return MultiPoly(spec, 2 * n, {tuple(xe): 1, tuple(ze): 1})
+
+    for exps, coeff in P.terms.items():
+        term = MultiPoly.constant(spec, 2 * n, coeff)
+        for j, e in enumerate(exps):
+            factor = lifted_factor(j)
+            for _ in range(e):
+                term = term * factor
+        shifted = shifted + term
+    order = tuple(order)
+    out = {}
+    for exps, coeff in shifted.terms.items():
+        if exps[n:] == order:
+            out[exps[:n]] = coeff
+    return MultiPoly(spec, n, out)
+
+
+def multiplicity_via_shift(P: MultiPoly, point) -> int | float:
+    """Minimum weight of a monomial in P(point + Z), via the shift oracle."""
+    if P.is_zero:
+        return INF_MULT
+    spec, n = P.spec, P.n
+    shifted = MultiPoly.zero(spec, n)
+    for exps, coeff in P.terms.items():
+        term = MultiPoly.constant(spec, n, coeff)
+        for j, e in enumerate(exps):
+            factor = MultiPoly(
+                spec, n, {tuple(0 if l != j else 1 for l in range(n)): 1}
+            ) + MultiPoly.constant(spec, n, point[j])
+            for _ in range(e):
+                term = term * factor
+        shifted = shifted + term
+    if shifted.is_zero:
+        return INF_MULT
+    return min(weight(e) for e in shifted.terms)
 
 
 def lines_in_direction(spec, n, b):
@@ -213,6 +269,14 @@ def merger_counts_per_seed(ms, src) -> np.ndarray:
 # -- univariate polynomials on coefficient lists (low-to-high codes) -----------
 
 
+def uni_eval(coeffs, x: int, spec: FieldSpec) -> int:
+    """Horner evaluation of a coefficient list at a code x."""
+    acc = 0
+    for c in reversed(list(coeffs)):
+        acc = spec.add(spec.mul(acc, x), c)
+    return acc
+
+
 def uni_trim(coeffs: list[int]) -> list[int]:
     """Drop trailing zero coefficients in place; the zero polynomial is []."""
     while coeffs and coeffs[-1] == 0:
@@ -255,3 +319,50 @@ def lagrange_basis(spec, gamma) -> tuple[tuple[int, ...], ...]:
         inv = spec.inv(denom)
         basis.append(tuple(spec.mul(c, inv) for c in num))
     return tuple(basis)
+
+
+# -- the merger one point and one seed at a time ---------------------------------
+
+
+def apply(bm, spec, point: tuple) -> tuple:
+    """The image of one point under a block map, one ``spec.mul`` at a time."""
+    if isinstance(bm, mg.IdentityMap):
+        return point
+    if isinstance(bm, mg.ConstantMap):
+        return bm.value
+    if isinstance(bm, mg.CoordinatePermutationMap):
+        return tuple(point[j] for j in bm.perm)
+    if isinstance(bm, mg.AffineMap):
+        out = []
+        for row, off in zip(bm.matrix, bm.offset):
+            acc = off
+            for a, x in zip(row, point):
+                acc = spec.add(acc, spec.mul(a, x))
+            out.append(acc)
+        return tuple(out)
+    if isinstance(bm, mg.TableMap):
+        return bm.table[point]
+    raise TypeError(f"no scalar form for {bm!r}")
+
+
+def realize(src, v: tuple) -> list:
+    """Every block of the source when its uniform block is v."""
+    return [v if j == src.uniform_index else apply(src.block_maps[j], src.spec, v)
+            for j in range(src.num_blocks)]
+
+
+def mix_coeffs(ms, u: int) -> tuple:
+    """(c_1(u), ..., c_L(u)) for a seed element u."""
+    return tuple(uni_eval(c, u, ms.spec) for c in ms.basis)
+
+
+def f_dw(ms, blocks, u: int) -> tuple:
+    """The merger output sum_i c_i(u) * x_i, a coordinate at a time."""
+    spec, mix = ms.spec, mix_coeffs(ms, u)
+    out = []
+    for coord in range(ms.n):
+        acc = 0
+        for ci, pt in zip(mix, blocks):
+            acc = spec.add(acc, spec.mul(ci, pt[coord]))
+        out.append(acc)
+    return tuple(out)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -372,6 +373,32 @@ def test_byte_identical_runs():
     code1, out1 = run_subprocess(*args)
     code2, out2 = run_subprocess(*args)
     assert code1 == code2 == 0 and out1 == out2
+
+
+# the README's CLI examples and the selftest --seed 7 report, pinned by the
+# sha256 of their stdout: a refactor that claims byte identity must keep these
+PINNED_OUTPUTS = [
+    (("sz-mass", "--field", "3", "--n", "2", "--poly", "1:1,1"),
+     "149c66be240ac454ff06863897da5f98214ebe0ca131cd10e723e8ccb88b8c17"),
+    (("kakeya-search", "--field", "3", "--n", "2"),
+     "fb2fd84596aad4b29a86d0ef805fbf641618fca62920e72b1f7d1796356bae84"),
+    (("kakeya-stat", "--field", "3", "--n", "2"),
+     "6b9f4a2e7ca1d018cd4b3fd8688bd4644caf928338298ab261894cec964157aa"),
+    (("merger-verify", "--delta", "1/2", "--eps", "1/2", "--lambda", "2", "--n", "2"),
+     "eb70b591edb0da6a732d16a5800dbc244c5716c2528e9db6c6659bd0cb4742d2"),
+    (("rs-decode", "--field", "5", "--alphas", "0,1,2,3,4", "--betas", "0,1,2,0,0",
+      "--k", "1", "--t", "3"),
+     "c2087486796719dc8178ca89c36af491f9cf218b1f2e1f0c018a2ebbff006cf5"),
+    (("selftest", "--seed", "7"),
+     "31cdb4d8f932be854b17e4d2a73805b0a8f000118f7330aaffb83da81ef20be4"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=[a[0] for a, _ in PINNED_OUTPUTS])
+def test_pinned_outputs_are_byte_identical(argv, digest):
+    code, out = run_subprocess(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out[:400]
 
 
 def test_jobs_flag_does_not_change_output():

@@ -198,19 +198,3 @@ def test_interpolation_is_deterministic():
     prob1 = InterpolationProblem(F5, 2, ((1, 3), (2, 2)), 2, TotalDegreeBasis(2, 3))
     prob2 = InterpolationProblem(F5, 2, ((1, 3), (2, 2)), 2, TotalDegreeBasis(2, 3))
     assert vanishing_interpolation(prob1) == vanishing_interpolation(prob2)
-
-
-def test_problem_json_roundtrip():
-    from ffmult.interpolate import problem_from_json, problem_to_json
-
-    for basis in (TotalDegreeBasis(2, 3), WeightedDegreeBasis(d=5, k=1, ydeg_cap=2)):
-        prob = InterpolationProblem(F5, 2, ((1, 3), (2, 2)), 2, basis)
-        again = problem_from_json(problem_to_json(prob))
-        assert again == prob
-        assert vanishing_interpolation(again) == vanishing_interpolation(prob)
-    good = problem_to_json(InterpolationProblem(F5, 2, ((1, 3),), 2, TotalDegreeBasis(2, 3)))
-    for bad in ([1], "5", None, {**good, "n": "2"}, {**good, "points": [1, 2]},
-                {**good, "basis": []}, {**good, "basis": {"type": "total_degree"}},
-                {**good, "basis": {"type": "other"}}, {k: good[k] for k in ("field", "n")}):
-        with pytest.raises(errors.InvalidParameters):
-            problem_from_json(bad)

@@ -184,6 +184,24 @@ def test_is_kakeya_matches_scalar_walk(p, e):
                 assert ok == brute_force_is_kakeya(spec, n, K)
 
 
+@pytest.mark.parametrize("p,e", KAKEYA_FIELDS)
+def test_witness_lines_match_scalar_lines(p, e):
+    # the union of one random line per direction against the scalar lines;
+    # the witnesses hold on the union and fail once a point of a line is gone
+    spec = field_make(p, e)
+    rng = rng_stream(558, spec.q)
+    for n in (1, 2, 3):
+        offsets = {b: tuple(int(x) for x in rng.integers(spec.q, size=n))
+                   for b in canonical_directions(spec, n)}
+        inst = union_of_witness_lines(spec, n, offsets)
+        assert inst.K == set().union(*(_line(spec, a, b) for b, a in offsets.items()))
+        assert inst.verify_witnesses()
+        b, a = next(iter(offsets.items()))
+        dropped = KakeyaInstance(spec, n, inst.K - {sorted(_line(spec, a, b))[0]}, offsets)
+        assert not dropped.verify_witnesses()
+    assert union_of_witness_lines(spec, 2, {}).K == frozenset()
+
+
 def test_is_kakeya_in_dimension_zero_and_one():
     for spec in (F2, F3, F4):
         for K in ([()], []):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -8,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,14 +64,39 @@ def test_lagrange_basis_matches_scalar_products(p, e):
         seeds = rng.integers(spec.q, size=20).tolist()
         table = ms.mix_table()
         assert table.shape == (L, spec.q)
-        assert table[:, seeds].T.tolist() == [list(ms.mix_coeffs(u)) for u in seeds]
+        assert table[:, seeds].T.tolist() == [list(scalar_ref.mix_coeffs(ms, u)) for u in seeds]
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 6), (3, 3), (2, 17)])
+def test_lagrange_check_rejects_every_corrupted_coefficient(p, e):
+    # a changed coefficient moves b_i off the node grid; the O(L^2) check must
+    # see it, at nodes that include 0 (where b_i(0) ignores all but b_i[0])
+    spec = field_make(p, e)
+    rng = rng_stream(62, spec.q)
+    for L in (1, 2, 3, 5):
+        random_gamma = tuple(int(g) for g in rng.choice(min(spec.q, 10 ** 4), size=L, replace=False))
+        for gamma in (tuple(range(L)), random_gamma):
+            basis = np.array(scalar_ref.lagrange_basis(spec, gamma), dtype=np.int64)
+            node_poly = np.array(functools.reduce(
+                lambda acc, g: scalar_ref.uni_mul(acc, [spec.neg(g), 1], spec), gamma, [1]))
+            nodes = np.array(gamma, dtype=np.int64)
+            assert mg._is_lagrange_basis(spec.vec, nodes, node_poly, basis)
+            # the rows still follow N's upper coefficients, but N misses the nodes
+            off_nodes = node_poly.copy()
+            off_nodes[0] = spec.add(int(off_nodes[0]), 1)
+            assert not mg._is_lagrange_basis(spec.vec, nodes, off_nodes, basis)
+            for i, k in itertools.product(range(L), repeat=2):
+                bad = basis.copy()
+                bad[i, k] = spec.add(int(bad[i, k]), 1 + int(rng.integers(spec.q - 1)))
+                assert not mg._is_lagrange_basis(spec.vec, nodes, node_poly, bad), (gamma, i, k)
 
 
 def test_many_blocks_build_fast_and_large_tables_are_refused(capsys):
     from ffmult.cli import main
 
+    # L = 1000 blocks over GF(2^12): the basis is built and checked in O(L^2)
     start = time.perf_counter()
-    assert main(["merger-verify", "--delta", "1", "--eps", "1/2", "--lambda", "200", "--n", "0"]) == 0
+    assert main(["merger-verify", "--delta", "1", "--eps", "1/2", "--lambda", "1000", "--n", "0"]) == 0
     assert time.perf_counter() - start < 1
     assert '"all_ok": true' in capsys.readouterr().out
     # the L x q mix table is bounded by the enumeration cap
@@ -226,11 +253,11 @@ def _scalar_distribution(ms, src):
     spec, n, q = ms.spec, ms.n, ms.spec.q
     mix_tabs = []
     for u in range(q):
-        mix = ms.mix_coeffs(u)
+        mix = scalar_ref.mix_coeffs(ms, u)
         mix_tabs.append([[spec.mul(ci, x) for x in range(q)] for ci in mix])
     counts = {}
     for v in itertools.product(range(q), repeat=n):
-        blocks = src.realize(v)
+        blocks = scalar_ref.realize(src, v)
         for u in range(q):
             tabs = mix_tabs[u]
             out = []
@@ -249,7 +276,7 @@ def _f_dw_distribution(ms, src):
     """The merger output counted by f_dw over every (v, u)."""
     q, n = ms.spec.q, ms.n
     counts = Counter(
-        mg.f_dw(ms, src.realize(v), u)
+        mg.f_dw(ms, scalar_ref.realize(src, v), u)
         for v in itertools.product(range(q), repeat=n)
         for u in range(q)
     )
@@ -302,6 +329,26 @@ def test_exact_distribution_matches_scalar_references(p, e, n):
                     if L == 1:
                         break  # no correlated blocks: every kind is the same source
     assert checked >= 5
+
+
+@pytest.mark.parametrize("p,e,n", DIFF_FIELDS + [(5, 1, 0), (2, 3, 0)])
+def test_array_maps_and_curve_match_scalar_oracles(p, e, n):
+    # apply_all of every map kind on all of F_q^n against the image of one
+    # point at a time, and the array f_dw against the scalar curve
+    spec = field_make(p, e)
+    rng = rng_stream(4248, spec.q * 10 + n)
+    pts = list(itertools.product(range(spec.q), repeat=n))
+    arr = np.array(pts, dtype=np.int64).reshape(len(pts), n)
+    for bm in _every_map_kind(spec, n, rng):
+        images = np.broadcast_to(bm.apply_all(spec, arr), arr.shape).tolist()
+        assert list(map(tuple, images)) == [scalar_ref.apply(bm, spec, v) for v in pts], bm.kind
+    for L in range(1, min(4, spec.q) + 1):
+        gamma = tuple(int(g) for g in rng.choice(spec.q, size=L, replace=False))
+        ms = mg.merger_make(spec, n, L, gamma)
+        for _ in range(10):
+            blocks = [pts[i] for i in rng.integers(len(pts), size=L).tolist()]
+            u = int(rng.integers(spec.q))
+            assert mg.f_dw(ms, blocks, u) == scalar_ref.f_dw(ms, blocks, u), (L, blocks, u)
 
 
 def test_exact_distribution_matches_scalar_reference_gf256():

@@ -13,12 +13,12 @@ import ffmult
 
 from ffmult import errors
 from ffmult import rs_decode as rs
-from ffmult.ff import field_make, poly_eval_univariate, rng_stream
+from ffmult.ff import field_make, rng_stream
 from ffmult.interpolate import count_weighted_monomials
 from ffmult.mvpoly import MultiPoly, multiplicity
 from ffmult.selftest import random_poly
 
-from scalar_ref import uni_add, uni_mul, uni_trim
+from scalar_ref import uni_add, uni_eval, uni_mul, uni_trim
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -115,7 +115,7 @@ def test_gs_interpolate_single_point():
 
 def test_gs_interpolate_multiplicity_postcondition():
     params = rs.choose_params(WORKED, Fraction(1, 16))
-    Q = rs.gs_interpolate(WORKED, params, verify=True)
+    Q = rs.gs_interpolate(WORKED, params)
     for a, b in zip(WORKED.alphas, WORKED.betas):
         assert multiplicity(Q, (a, b)) >= params.m
     # weighted degree stays within the bound
@@ -159,7 +159,9 @@ def test_y_roots_with_x_power_factor():
     assert (0, 1) in rs.y_roots(Q, 1)
 
 
-def test_y_roots_matches_bruteforce_random():
+def test_y_roots_matches_bruteforce_random(monkeypatch):
+    # the recursive search alone, with no cross-check inside y_roots
+    monkeypatch.setattr(rs, "CROSS_VALIDATE_CAP", 0)
     rng = rng_stream(911, 0)
     from ffmult.selftest import random_poly
 
@@ -168,7 +170,7 @@ def test_y_roots_matches_bruteforce_random():
         spec = field_make(q)
         k = int(rng.integers(3))
         Q = random_poly(spec, 2, rng, max_deg=4, max_terms=5, nonzero=True)
-        got = rs.y_roots(Q, k, cross_validate=False)
+        got = rs.y_roots(Q, k)
         want = rs.y_roots_bruteforce(Q, k)
         assert got == want
 
@@ -212,7 +214,7 @@ def _scalar_brute_force_decode(inst):
     spec = inst.spec
     out = []
     for f in itertools.product(range(spec.q), repeat=inst.k + 1):
-        evals = [poly_eval_univariate(f, a, spec) for a in inst.alphas]
+        evals = [uni_eval(f, a, spec) for a in inst.alphas]
         if sum(1 for e, b in zip(evals, inst.betas) if e == b) >= inst.t:
             out.append(f)
     return sorted(out, key=lambda f: tuple(reversed(f)))
@@ -289,7 +291,7 @@ def test_y_roots_cross_check_raises_on_disagreement(monkeypatch):
     Q = MultiPoly(F3, 2, {(0, 1): 1, (1, 0): F3.neg(1)})  # Y - X
     monkeypatch.setattr(rs, "y_roots_bruteforce", lambda Q, k: [])
     with pytest.raises(errors.InternalDefect):
-        rs.y_roots(Q, 1, cross_validate=True)
+        rs.y_roots(Q, 1)  # q^(k+1) = 9: cross-checked
 
 
 def test_internal_checks_survive_optimize_flag():
@@ -305,7 +307,7 @@ def test_internal_checks_survive_optimize_flag():
         F3 = field_make(3)
         rs.y_roots_bruteforce = lambda Q, k: []
         try:
-            rs.y_roots(MultiPoly(F3, 2, {(0, 1): 1, (1, 0): 2}), 1, cross_validate=True)
+            rs.y_roots(MultiPoly(F3, 2, {(0, 1): 1, (1, 0): 2}), 1)
             sys.exit("y_roots cross-check did not raise")
         except errors.InternalDefect:
             pass
@@ -402,7 +404,7 @@ def test_brute_force_contains_interpolant_at_full_agreement():
         assert len(out) == 1
         f = out[0]
         assert all(
-            rs.poly_eval_univariate(f, a, F5) == b
+            uni_eval(f, a, F5) == b
             for a, b in zip(inst.alphas, inst.betas)
         )
 
