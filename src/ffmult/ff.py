@@ -193,10 +193,6 @@ class FieldSpec:
             code = code * self.p + (c % self.p)
         return code
 
-    def from_int(self, value: int) -> int:
-        """Embed an integer via the prime subfield (value mod p)."""
-        return value % self.p
-
     def element(self, value) -> FieldElement:
         return FieldElement(self, self.coerce(value))
 
@@ -435,6 +431,12 @@ class VecOps:
             acc = self.add(self.mul(acc, xs), c)
         return acc
 
+    def poly_eval_rows(self, rows, xs) -> np.ndarray:
+        """Every row of the 2-D array ``rows``, low-to-high coefficient codes
+        (at least one column), at every code of the 1-D xs: entry [i, j] is
+        row i at xs[j].  One Horner pass over the columns."""
+        return self.poly_eval(list(np.asarray(rows, dtype=np.int64).T[:, :, None]), xs)
+
 
 class _PolyVecOps(VecOps):
     """Extension fields in the polynomial basis, with no tables: the family
@@ -660,6 +662,30 @@ def _make_vec_ops(spec: FieldSpec) -> VecOps:
     if spec.q > _LOG_TABLE_CAP:
         return _PolyVecOps(spec)
     return _LogVecOps(spec) if spec.p == 2 else _ZechVecOps(spec)
+
+
+# -- the point order of F_q^n ------------------------------------------------------
+
+
+def point_codes(coords, q: int) -> np.ndarray:
+    """The code of each point of F_q^n whose coordinates lie on the last axis
+    of ``coords``: its base-q number, the first coordinate most significant,
+    which is its index in ``itertools.product(range(q), repeat=n)`` order."""
+    coords = np.asarray(coords)
+    codes = np.zeros(coords.shape[:-1], dtype=np.int64)
+    # Horner's rule in place: this is the merger enumeration's inner loop,
+    # where an integer matmul with the place values is slower
+    for j in range(coords.shape[-1]):
+        codes *= q
+        codes += coords[..., j]
+    return codes
+
+
+def code_points(codes, q: int, n: int) -> np.ndarray:
+    """The points of F_q^n with the given ``point_codes``, as an (..., n)
+    int64 array of coordinates."""
+    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64)[..., None] // place % q
 
 
 def field_make(p: int, e: int = 1) -> FieldSpec:

@@ -114,17 +114,13 @@ class InterpolationProblem:
         return count_total_degree_monomials(self.n, self.m - 1) * len(self.points)
 
 
-def vanishing_constraints(problem: InterpolationProblem) -> list[list[int]]:
-    """One row per (point a, order i with wt(i) < m), expressing P^(i)(a) = 0.
+def vanishing_constraints(problem: InterpolationProblem) -> np.ndarray:
+    """One row per (point a, order i with wt(i) < m), expressing P^(i)(a) = 0,
+    as an int64 array of codes.
 
     The column for monomial r carries C(r, i) * a^(r - i), zero when r < i
     coordinatewise; columns follow the basis order.
     """
-    return _constraint_matrix(problem).tolist()
-
-
-def _constraint_matrix(problem: InterpolationProblem) -> np.ndarray:
-    """The rows of ``vanishing_constraints`` as an int64 array of codes."""
     spec, n = problem.spec, problem.n
     monomials = np.array(problem.basis.monomials(), dtype=np.int64).reshape(-1, n)
     orders = np.array(list(exponents_below_weight(problem.m, n)), dtype=np.int64)
@@ -281,7 +277,7 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
             f"{n_constraints} constraints vs {len(monomials)} monomials: "
             "existence is not guaranteed"
         )
-    rows = _constraint_matrix(problem)
+    rows = vanishing_constraints(problem)
     vec = nullspace_vector(rows, len(monomials), problem.spec)
     if vec is None:
         raise InternalNoSolution(

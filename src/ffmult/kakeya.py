@@ -26,7 +26,8 @@ from .errors import (
     UnsatisfiedCountHypothesis,
     UnsupportedSize,
 )
-from .ff import FieldSpec, field_make, parse_prime_power  # noqa: F401  field_make is re-exported
+from .ff import FieldSpec, code_points, parse_prime_power, point_codes
+from .ff import field_make  # noqa: F401  re-exported
 from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_interpolation
 from .mvpoly import Curve, coerce_point, grid_multiplicities, homogeneous_part
 
@@ -59,24 +60,14 @@ def all_points(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(spec.q), repeat=n))
 
 
-def canonical_directions(spec: FieldSpec, n: int) -> list[tuple[int, ...]]:
-    """One representative per projective direction: first nonzero entry is 1."""
+def canonical_directions(spec: FieldSpec, n: int) -> np.ndarray:
+    """One representative per projective direction, first nonzero entry 1,
+    as a (directions, n) code array in ``all_points`` order."""
     _check_space(spec.q, n)
-    dirs = []
-    for b in itertools.product(range(spec.q), repeat=n):
-        nz = next((x for x in b if x), None)
-        if nz == 1:
-            dirs.append(b)
-    return dirs
-
-
-def _point_codes(coords: np.ndarray, q: int) -> np.ndarray:
-    """Base-q codes of points along the last axis, the first coordinate most
-    significant: the index of each point in ``all_points`` order."""
-    codes = np.zeros(coords.shape[:-1], dtype=np.int64)
-    for j in range(coords.shape[-1]):
-        codes = codes * q + coords[..., j]
-    return codes
+    pts = code_points(np.arange(spec.q ** n), spec.q, n)
+    nonzero = pts != 0
+    first = nonzero & (np.cumsum(nonzero, axis=1) == 1)
+    return pts[(first & (pts == 1)).any(axis=1)]
 
 
 def _line_offsets(q: int, n: int, dirs: np.ndarray, lines: np.ndarray) -> np.ndarray:
@@ -87,24 +78,18 @@ def _line_offsets(q: int, n: int, dirs: np.ndarray, lines: np.ndarray) -> np.nda
     direction is zero, in itertools.product order over the other
     coordinates.  That hyperplane meets every line of the direction once.
     """
-    pivot = np.argmax(dirs != 0, axis=1)
+    pivot = np.argmax(dirs != 0, axis=1)[:, None]
+    k = np.arange(n - 1)
     offsets = np.zeros((len(lines), n), dtype=np.int64)
-    rows = np.arange(len(lines))
-    for k in range(n - 1):  # digit k of the line number, most significant first
-        digit = lines // q ** (n - 2 - k) % q
-        offsets[rows, k + (k >= pivot)] = digit
+    offsets[np.arange(len(lines))[:, None], k + (k >= pivot)] = code_points(lines, q, n - 1)
     return offsets
 
 
 def _line_codes(spec: FieldSpec, dirs: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The point codes of the line {offsets[k] + t*dirs[k]} for each row k,
     of shape (rows, q) in t order."""
-    q, vec = spec.q, spec.vec
-    t = np.arange(q)
-    codes = np.zeros((len(offsets), q), dtype=np.int64)
-    for j in range(offsets.shape[1]):  # first coordinate most significant, as in _point_codes
-        codes = codes * q + vec.add(offsets[:, j, None], vec.mul(t, dirs[:, j, None]))
-    return codes
+    vec, t = spec.vec, np.arange(spec.q)[:, None]
+    return point_codes(vec.add(offsets[:, None], vec.mul(t, dirs[:, None])), spec.q)
 
 
 def _witness_codes(spec: FieldSpec, n: int, witnesses: dict) -> np.ndarray:
@@ -139,12 +124,11 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
     kset = {coerce_point(spec, n, p) for p in K}
     dirs = canonical_directions(spec, n)
     if not kset:
-        return KakeyaCheck(False, {}, dirs[0] if dirs else None)
-    if not dirs:  # n = 0: no direction to cover
+        return KakeyaCheck(False, {}, tuple(dirs[0].tolist()) if len(dirs) else None)
+    if not len(dirs):  # n = 0: no direction to cover
         return KakeyaCheck(True, {}, None)
     q = spec.q
-    kcodes = np.sort(_point_codes(np.array(list(kset), dtype=np.int64), q))
-    dir_arr = np.array(dirs, dtype=np.int64).reshape(len(dirs), n)
+    kcodes = np.sort(point_codes(np.array(list(kset), dtype=np.int64), q))
     per_dir = q ** (n - 1)
     witness = np.full(len(dirs), -1)  # line number of the first line in K
     tested = np.zeros(len(dirs), dtype=np.int64)  # lines tested so far
@@ -156,7 +140,7 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
         counts = np.minimum(each, per_dir - tested[batch])
         d = np.repeat(batch, counts)
         line = tested[d] + np.arange(len(d)) - np.repeat(np.cumsum(counts) - counts, counts)
-        codes = _line_codes(spec, dir_arr[d], _line_offsets(q, n, dir_arr[d], line))
+        codes = _line_codes(spec, dirs[d], _line_offsets(q, n, dirs[d], line))
         pos = np.minimum(np.searchsorted(kcodes, codes), len(kcodes) - 1)
         inside = (kcodes[pos] == codes).all(axis=1)
         hit, first = np.unique(d[inside], return_index=True)
@@ -168,9 +152,10 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
         # the first exhausted one without a witness is settled
         missing = np.flatnonzero((tested == per_dir) & (witness < 0))
         if missing.size:
-            return KakeyaCheck(False, {}, dirs[missing[0]])
-    offsets = _line_offsets(q, n, dir_arr, witness)
-    return KakeyaCheck(True, dict(zip(dirs, map(tuple, offsets.tolist()))), None)
+            return KakeyaCheck(False, {}, tuple(dirs[missing[0]].tolist()))
+    offsets = _line_offsets(q, n, dirs, witness)
+    witnesses = zip(map(tuple, dirs.tolist()), map(tuple, offsets.tolist()))
+    return KakeyaCheck(True, dict(witnesses), None)
 
 
 @dataclass(frozen=True)
@@ -187,15 +172,14 @@ class KakeyaInstance:
             return False
         spec, n = self.spec, self.n
         points = [coerce_point(spec, n, p) for p in self.K]
-        kcodes = _point_codes(np.array(points, dtype=np.int64).reshape(len(points), n), spec.q)
+        kcodes = point_codes(np.array(points, dtype=np.int64).reshape(len(points), n), spec.q)
         return bool(np.isin(_witness_codes(spec, n, self.witnesses), kcodes).all())
 
 
 def union_of_witness_lines(spec: FieldSpec, n: int, offsets: dict) -> KakeyaInstance:
     """Build the Kakeya set that is the union of one line per direction."""
     codes = np.unique(_witness_codes(spec, n, offsets))
-    place = spec.q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    pts = frozenset(map(tuple, (codes[:, None] // place % spec.q).tolist()))
+    pts = frozenset(map(tuple, code_points(codes, spec.q, n).tolist()))
     return KakeyaInstance(spec, n, pts, dict(offsets))
 
 
@@ -217,7 +201,7 @@ def exhaustive_min_kakeya(q: int, n: int, size_cap: int | None = None):
     if npts > 16:
         raise SearchSpaceTooLarge(f"q^n = {npts} > 16")
     _, main_bound = kakeya_lower_bounds(q, n)
-    dirs = np.array(canonical_directions(spec, n), dtype=np.int64).reshape(-1, n)
+    dirs = canonical_directions(spec, n)
     d, line = np.divmod(np.arange(len(dirs) * q ** (n - 1)), q ** (n - 1))
     codes = _line_codes(spec, dirs[d], _line_offsets(q, n, dirs[d], line))
     bits = 1 << (npts - 1 - np.arange(npts))

@@ -29,7 +29,7 @@ from .errors import (
     UniverseMismatch,
     UniverseTooSmall,
 )
-from .ff import FieldSpec, field_make
+from .ff import FieldSpec, code_points, field_make, point_codes
 from .mvpoly import coerce_point
 
 ENUMERATION_CAP = 10 ** 7
@@ -224,17 +224,8 @@ class MergerSpec:
     basis: tuple[tuple[int, ...], ...]
 
     def mix_table(self) -> np.ndarray:
-        """c_i(u) for every block i and seed u, as an (L, q) code array: one
-        Horner pass whose coefficients are columns over the blocks."""
-        seeds = np.arange(self.spec.q, dtype=np.int64)
-        return self.spec.vec.poly_eval(_coefficient_columns(self.basis), seeds)
-
-
-def _coefficient_columns(polys) -> list[np.ndarray]:
-    """Coefficient k of every polynomial in ``polys``, low to high, as an
-    (len(polys), 1) array per k: the coefficients of ``vec.poly_eval``
-    that evaluate them all at once along a second axis."""
-    return list(np.array(polys, dtype=np.int64).T[:, :, None])
+        """c_i(u) for every block i and seed u, as an (L, q) code array."""
+        return self.spec.vec.poly_eval_rows(self.basis, np.arange(self.spec.q))
 
 
 def _is_lagrange_basis(vec, nodes: np.ndarray, node_poly: np.ndarray, basis: np.ndarray) -> bool:
@@ -296,7 +287,7 @@ def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerS
     # conditions, with the L x L node grid evaluated only to locate a failure,
     # and partition of unity
     if not _is_lagrange_basis(vec, nodes, node_poly, basis):
-        grid = vec.poly_eval(_coefficient_columns(ms.basis), nodes)
+        grid = vec.poly_eval_rows(basis, nodes)
         wrong = np.argwhere(grid != np.eye(L, dtype=np.int64))
         if wrong.size:
             i, j = wrong[0]
@@ -317,7 +308,7 @@ def f_dw(ms: MergerSpec, blocks, u) -> tuple[int, ...]:
         raise DimensionMismatch(f"{len(blocks)} blocks, expected {ms.num_blocks}")
     spec, vec = ms.spec, ms.spec.vec
     pts = np.array([coerce_point(spec, ms.n, b) for b in blocks], dtype=np.int64)
-    mix = vec.poly_eval(_coefficient_columns(ms.basis), spec.coerce(u))  # (L, 1)
+    mix = vec.poly_eval_rows(ms.basis, [spec.coerce(u)])  # (L, 1)
     return tuple(vec.sum(vec.mul(mix, pts), axis=0).tolist())
 
 
@@ -494,8 +485,7 @@ class SourceSpec:
 
 def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
     """How many of the q^(n+1) (seed, uniform block) pairs send the merger to
-    each output, indexed by its base-q number, first coordinate most
-    significant: its index in itertools.product order.
+    each output, indexed by its ``point_codes`` code.
 
     The (seed, point) grid is taken in blocks of at most BLOCK_CELLS cells:
     all q^n points at a time when they fit, else one seed and BLOCK_CELLS
@@ -511,24 +501,19 @@ def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
     if n == 0:  # every pair sends the merger to the one empty output
         return np.array([q], dtype=np.int64)
     vec, size = spec.vec, q ** n
-    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     codes = np.arange(q, dtype=np.int64)
     mix = ms.mix_table()[:, :, None]
     span = min(size, BLOCK_CELLS)  # points per block
     step = max(1, BLOCK_CELLS // max(span, q))  # seeds per block
     counts = np.zeros(size, dtype=np.int64)
     for lo in range(0, size, span):
-        pts = np.arange(lo, min(lo + span, size), dtype=np.int64)[:, None] // place % q
+        pts = code_points(np.arange(lo, min(lo + span, size)), q, n)
         # a constant image is one n-vector, and n = 0 leaves every row empty
         blocks = [np.broadcast_to(blk, pts.shape) for blk in src.realize_all(pts)]
         for s in range(0, q, step):
             rows = vec.mul(mix[:, s : s + step], codes)
             out = reduce(vec.add, [np.take(r, blk, axis=1) for r, blk in zip(rows, blocks)])
-            index = np.zeros(out.shape[:-1], dtype=np.int64)
-            for j in range(n):  # Horner's rule: integer matmul is slower
-                index *= q
-                index += out[..., j]
-            counts += np.bincount(index.ravel(), minlength=size)
+            counts += np.bincount(point_codes(out, q).ravel(), minlength=size)
     if int(counts.sum()) != q ** (n + 1):
         raise InternalDefect(f"{counts.sum()} outputs counted for q^(n+1) = {q ** (n + 1)} pairs")
     return counts
@@ -540,8 +525,7 @@ def exact_output_distribution(ms: MergerSpec, src: SourceSpec) -> Distribution:
     counts = output_counts(ms, src)
     q, n = ms.spec.q, ms.n
     support = np.flatnonzero(counts)
-    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    outcomes = map(tuple, (support[:, None] // place % q).tolist())
+    outcomes = map(tuple, code_points(support, q, n).tolist())
     return Distribution.from_counts(outcomes, counts[support].tolist(), len(counts))
 
 

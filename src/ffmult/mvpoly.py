@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSize,
     ZeroPolynomial,
 )
-from .ff import FieldElement, FieldSpec
+from .ff import FieldElement, FieldSpec, code_points
 
 NEG_INF = float("-inf")   # degree of the zero polynomial
 INF_MULT = inf            # multiplicity of the zero polynomial
@@ -435,9 +435,7 @@ def grid_multiplicities(P: MultiPoly, S) -> np.ndarray:
     codes = np.array(sorted({spec.coerce(s) for s in S}), dtype=np.int64)
     if not codes.size:
         raise EmptySet("S must be non-empty")
-    axes = np.meshgrid(*[codes] * n, indexing="ij")
-    grid = np.stack(axes, axis=-1).reshape(-1, n) if n else np.zeros((1, 0), dtype=np.int64)
-    return _multiplicities(P, grid)
+    return _multiplicities(P, codes[code_points(np.arange(len(codes) ** n), len(codes), n)])
 
 
 def multiplicity_mass(P: MultiPoly, S) -> int:

@@ -26,7 +26,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldSpec
+from .ff import FieldSpec, code_points
 from .interpolate import (
     InterpolationProblem,
     WeightedDegreeBasis,
@@ -232,10 +232,10 @@ def y_roots_bruteforce(Q: MultiPoly, k: int) -> list[tuple[int, ...]]:
     levels = _y_levels(Q)
     width = levels.shape[1] + k * (len(levels) - 1)  # coefficients of Q(X, f(X))
     points = np.arange(min(spec.q, PREFILTER_POINTS))
-    q_at_points = vec.poly_eval(levels.T[:, :, None], points)  # Q_j(a) at [j, a]
+    q_at_points = vec.poly_eval_rows(levels, points)  # Q_j(a) at [j, a]
     out: list[tuple[int, ...]] = []
     for cands in _candidate_blocks(spec.q, k, max(len(points), width)):
-        fvals = _candidate_values(cands, points, vec)
+        fvals = vec.poly_eval_rows(cands, points)
         cands = cands[~vec.poly_eval(q_at_points, fvals).any(axis=1)]
         if len(cands):
             cands = cands[~_compose_rows(levels, cands, vec).any(axis=1)]
@@ -246,17 +246,10 @@ def y_roots_bruteforce(Q: MultiPoly, k: int) -> list[tuple[int, ...]]:
 def _candidate_blocks(q: int, k: int, cols: int):
     """All q^(k+1) coefficient rows (f_0, ..., f_k) in itertools.product
     order, as int64 arrays of at most ORACLE_BLOCK_CELLS // cols rows."""
-    weights = np.array([q ** (k - j) for j in range(k + 1)], dtype=np.int64)
     rows = max(1, ORACLE_BLOCK_CELLS // cols)
     total = q ** (k + 1)
     for lo in range(0, total, rows):
-        idx = np.arange(lo, min(lo + rows, total), dtype=np.int64)
-        yield idx[:, None] // weights % q
-
-
-def _candidate_values(cands: np.ndarray, xs: np.ndarray, vec) -> np.ndarray:
-    """f(x) for every coefficient row f of ``cands`` and every code x of xs."""
-    return vec.poly_eval([cands[:, j : j + 1] for j in range(cands.shape[1])], xs)
+        yield code_points(np.arange(lo, min(lo + rows, total)), q, k + 1)
 
 
 def _rr_search(levels, depth, k, prefix, out, spec: FieldSpec, binom):
@@ -303,11 +296,13 @@ def _field_roots(coeffs, spec: FieldSpec) -> list[int]:
 # -- decoding ------------------------------------------------------------------------
 
 
-def agreement(inst: RSInstance, fcoeffs) -> int:
-    """The number of received points (alpha_i, beta_i) with f(alpha_i) = beta_i."""
-    cands = np.array([fcoeffs], dtype=np.int64)
-    values = _candidate_values(cands, np.array(inst.alphas, dtype=np.int64), inst.spec.vec)
-    return int(np.count_nonzero(values[0] == inst.betas))
+def agreement(inst: RSInstance, cands) -> np.ndarray:
+    """For each row f of ``cands``, k + 1 coefficient codes low to high, the
+    number of received points (alpha_i, beta_i) with f(alpha_i) = beta_i:
+    one evaluation of every row at every alpha."""
+    cands = np.asarray(cands, dtype=np.int64).reshape(len(cands), inst.k + 1)
+    values = inst.spec.vec.poly_eval_rows(cands, np.array(inst.alphas, dtype=np.int64))
+    return (values == np.array(inst.betas, dtype=np.int64)).sum(axis=1)
 
 
 def brute_force_decode(inst: RSInstance) -> list[tuple[int, ...]]:
@@ -316,12 +311,9 @@ def brute_force_decode(inst: RSInstance) -> list[tuple[int, ...]]:
         raise SearchSpaceTooLarge(
             f"q^(k+1) = {inst.spec.q ** (inst.k + 1)} exceeds {BRUTE_FORCE_CAP}"
         )
-    alphas = np.array(inst.alphas, dtype=np.int64)
-    betas = np.array(inst.betas, dtype=np.int64)
     out: list[tuple[int, ...]] = []
     for cands in _candidate_blocks(inst.spec.q, inst.k, inst.n):
-        hits = (_candidate_values(cands, alphas, inst.spec.vec) == betas).sum(axis=1)
-        out += map(tuple, cands[hits >= inst.t].tolist())
+        out += map(tuple, cands[agreement(inst, cands) >= inst.t].tolist())
     return sorted(out, key=lambda f: tuple(reversed(f)))
 
 
@@ -367,6 +359,6 @@ def list_decode(
     if params is None:
         params = choose_params(inst, eps)
     Q = gs_interpolate(inst, params)
-    candidates = y_roots(Q, inst.k)
-    out = [f for f in candidates if agreement(inst, f) >= inst.t]
-    return sorted(out, key=lambda f: tuple(reversed(f)))
+    candidates = y_roots(Q, inst.k)  # in the canonical order
+    hits = agreement(inst, candidates).tolist()
+    return [f for f, h in zip(candidates, hits) if h >= inst.t]

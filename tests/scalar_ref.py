@@ -18,7 +18,7 @@ import numpy as np
 
 from ffmult import merger as mg
 from ffmult.ff import FieldSpec, parse_prime_power
-from ffmult.kakeya import all_points, canonical_directions, kakeya_lower_bounds
+from ffmult.kakeya import all_points, kakeya_lower_bounds
 from ffmult.mvpoly import INF_MULT, MultiPoly, weak_compositions, weight
 
 
@@ -69,7 +69,7 @@ def hasse_eval(P: MultiPoly, i, point) -> int:
             b = (b * comb(rk, ik)) % p
         if not b:
             continue
-        val = spec.mul(c, spec.from_int(b))
+        val = spec.mul(c, b)
         for rk, ik, ak in zip(r, i, point):
             val = spec.mul(val, spec.pow(ak, rk - ik))
         acc = spec.add(acc, val)
@@ -137,6 +137,13 @@ def multiplicity_via_shift(P: MultiPoly, point) -> int | float:
     if shifted.is_zero:
         return INF_MULT
     return min(weight(e) for e in shifted.terms)
+
+
+def canonical_directions(spec, n):
+    """One direction per projective class, its first nonzero entry 1, in
+    itertools.product order."""
+    return [b for b in itertools.product(range(spec.q), repeat=n)
+            if next((x for x in b if x), None) == 1]
 
 
 def lines_in_direction(spec, n, b):
@@ -234,7 +241,7 @@ def substitute_shift(terms, y0: int, spec: FieldSpec) -> dict:
             b = comb(j, l) % p
             if not b:
                 continue
-            val = spec.mul(c, spec.from_int(b))
+            val = spec.mul(c, b)
             if j > l:
                 val = spec.mul(val, spec.pow(y0, j - l))
             if not val:

@@ -1,3 +1,4 @@
+import itertools
 from math import gcd
 
 import numpy as np
@@ -8,10 +9,12 @@ from ffmult import errors
 from ffmult.ff import (
     FieldElement,
     _modulus_table,
+    code_points,
     field_enumerate,
     field_make,
     field_sample,
     parse_field_spec,
+    point_codes,
     rng_stream,
     verify_modulus_irreducible,
 )
@@ -195,6 +198,19 @@ def test_enumeration_constant_term_fastest():
     coeffs = [x.coeffs for x in field_enumerate(f9)]
     # constant coefficient cycles 0,1,2 before the X coefficient moves
     assert coeffs[:4] == [(0, 0), (1, 0), (2, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_point_order_is_itertools_product(q):
+    for n in range(4):
+        pts = code_points(np.arange(q ** n), q, n)
+        assert pts.shape == (q ** n, n)
+        assert pts.tolist() == [list(p) for p in itertools.product(range(q), repeat=n)]
+        assert point_codes(pts, q).tolist() == list(range(q ** n))
+        # narrow coordinate dtypes, as the table kernels return, and leading axes
+        stacked = np.stack([pts, pts[::-1]]).astype(np.uint8)
+        assert point_codes(stacked, q).tolist() == [list(range(q ** n)),
+                                                   list(range(q ** n))[::-1]]
 
 
 def test_sampling_determinism_and_uniformity():

@@ -6,7 +6,7 @@ import pytest
 
 import scalar_ref
 from ffmult import errors, kakeya
-from ffmult.ff import field_make, rng_stream
+from ffmult.ff import field_make, parse_prime_power, rng_stream
 from ffmult.kakeya import (
     KakeyaInstance,
     StatKakeyaInstance,
@@ -114,9 +114,19 @@ def test_point_lists_are_capped(monkeypatch):
         all_points(F2, 5)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+def test_canonical_directions_match_scalar_loop(q):
+    spec = parse_prime_power(q)
+    for n in range(4):
+        dirs = canonical_directions(spec, n)
+        want = scalar_ref.canonical_directions(spec, n)
+        assert dirs.shape == (len(want), n) and len(want) == (q ** n - 1) // (q - 1)
+        assert dirs.tolist() == [list(b) for b in want]
+
+
 def test_four_line_union_q3():
     # one line per canonical direction gives a small Kakeya set
-    dirs = canonical_directions(F3, 2)
+    dirs = list(map(tuple, canonical_directions(F3, 2).tolist()))
     assert len(dirs) == 4
     inst = union_of_witness_lines(F3, 2, {b: (0, 0) for b in dirs})
     assert len(inst.K) <= 9
@@ -156,7 +166,7 @@ def _kakeya_cases(spec, n, rng):
     of two densities, the full space, one point and the empty set."""
     pts = all_points(spec, n)
     union = set()
-    for b in canonical_directions(spec, n):
+    for b in map(tuple, canonical_directions(spec, n).tolist()):
         union |= _line(spec, tuple(int(x) for x in rng.integers(spec.q, size=n)), b)
     yield union
     yield union - {sorted(union)[int(rng.integers(len(union)))]}
@@ -192,7 +202,7 @@ def test_witness_lines_match_scalar_lines(p, e):
     rng = rng_stream(558, spec.q)
     for n in (1, 2, 3):
         offsets = {b: tuple(int(x) for x in rng.integers(spec.q, size=n))
-                   for b in canonical_directions(spec, n)}
+                   for b in map(tuple, canonical_directions(spec, n).tolist())}
         inst = union_of_witness_lines(spec, n, offsets)
         assert inst.K == set().union(*(_line(spec, a, b) for b, a in offsets.items()))
         assert inst.verify_witnesses()

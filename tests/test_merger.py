@@ -530,8 +530,8 @@ def test_merger_make_guards_raise(monkeypatch):
     with pytest.raises(errors.InternalDefect, match="wrong at node"):
         mg.merger_make(F5, 1, 2)
     # a wrong basis whose node checks pass: the node grid sees the true basis
-    columns = mg._coefficient_columns
-    monkeypatch.setattr(mg, "_coefficient_columns", lambda polys: columns(true_basis))
+    rows_eval = F5.vec.poly_eval_rows
+    monkeypatch.setattr(F5.vec, "poly_eval_rows", lambda rows, xs: rows_eval(true_basis, xs))
     with pytest.raises(errors.InternalDefect, match="sums to"):
         mg.merger_make(F5, 1, 2)
 

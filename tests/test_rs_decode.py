@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffmult
@@ -381,6 +382,25 @@ def test_brute_force_decode_matches_scalar_enumeration(p, e, monkeypatch):
             t = int(rng.integers(1, n + 1))
             inst = rs.RSInstance(spec, alphas, betas, k=k, t=t)
             assert rs.brute_force_decode(inst) == _scalar_brute_force_decode(inst)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (257, 1), (2, 3), (3, 2), (2, 17)])
+def test_block_agreement_matches_scalar_count(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(985, spec.q)
+    k, n = 2, min(spec.q, 12)
+    alphas = tuple(int(a) for a in rng.permutation(spec.q)[:n])
+    planted = tuple(int(c) for c in rng.integers(spec.q, size=k + 1))
+    betas = [uni_eval(planted, a, spec) for a in alphas]
+    betas[:2] = [int(b) for b in rng.integers(spec.q, size=2)]
+    inst = rs.RSInstance(spec, alphas, tuple(betas), k=k, t=1)
+    others = [tuple(row) for row in rng.integers(spec.q, size=(8, k + 1)).tolist()]
+    for count in (0, 1, 2, 9):  # the planted polynomial first
+        cands = ([planted] + others)[:count]
+        want = [sum(uni_eval(f, a, spec) == b for a, b in zip(alphas, betas)) for f in cands]
+        assert rs.agreement(inst, cands).tolist() == want
+        rows = np.array(cands, dtype=np.int64).reshape(count, k + 1)
+        assert rs.agreement(inst, rows).tolist() == want
 
 
 def test_brute_force_worked_example():
