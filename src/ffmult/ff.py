@@ -388,10 +388,6 @@ class VecOps:
     it with its own add, mul, sub and neg.  The methods here are folds over
     those, for the families that have nothing faster."""
 
-    # How many chained sub_mul calls an entry may take before ``reduce`` is
-    # due; None where sub_mul already returns codes.
-    lazy_steps: int | None = None
-
     def inv(self, a: int) -> int:
         return self.spec.inv(a)
 
@@ -425,8 +421,10 @@ class VecOps:
         """The polynomial with low-to-high coefficient codes ``coeffs`` (at
         least one) at every code of xs, by Horner's rule.  A coefficient may
         be an array of codes; the result has the broadcast shape of all."""
-        shape = np.broadcast_shapes(np.shape(xs), *map(np.shape, coeffs))
-        acc = np.full(shape, coeffs[-1], dtype=np.int64)
+        if len(coeffs) == 1:
+            shape = np.broadcast_shapes(np.shape(xs), np.shape(coeffs[0]))
+            return np.full(shape, coeffs[0], dtype=np.int64)
+        acc = coeffs[-1]  # each step broadcasts against xs and one coefficient
         for c in reversed(coeffs[:-1]):
             acc = self.add(self.mul(acc, xs), c)
         return acc
@@ -509,11 +507,10 @@ class _PolyVecOps(VecOps):
 class _PrimeVecOps(VecOps):
     """F_p as int64 arithmetic mod p.  Products of codes are at most
     (p-1)^2 < 2^40.  sub_mul skips the reduction, so each call moves an entry
-    by at most (p-1)^2; lazy_steps calls keep it below 2^62."""
+    by at most (p-1)^2; elimination reduces after at most PANEL calls."""
 
     def __init__(self, spec: FieldSpec):
         self.spec, self.p = spec, spec.p
-        self.lazy_steps = (2 ** 62 - self.p) // (self.p - 1) ** 2
 
     def add(self, a, b):
         return np.add(a, b, dtype=np.int64) % self.p

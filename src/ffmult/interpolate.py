@@ -15,6 +15,7 @@ from math import comb
 import numpy as np
 
 from .errors import (
+    InternalDefect,
     InternalNoSolution,
     InvalidParameters,
     UnsatisfiedCountHypothesis,
@@ -163,6 +164,9 @@ def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, 
     not reduced.  With ``first_free``, elimination stops at the first column
     that takes no pivot, so the pivots are exactly the columns before it.
     """
+    if PANEL * (vec.spec.p - 1) ** 2 + vec.spec.p >= 2 ** 62:
+        # a panel entry takes at most PANEL unreduced sub_mul steps from a code
+        raise InternalDefect(f"{PANEL} unreduced row updates may overflow int64")
     nrows, ncols = A.shape
     pivots: list[tuple[int, int]] = []
     for c0 in range(0, ncols, PANEL):
@@ -222,8 +226,6 @@ def _reduce_panel(panel: np.ndarray, w: int, c0: int, rest: np.ndarray, pivots: 
         f[r] = 0
         panel[live] = vec.sub_mul(panel[live], f, panel[live, r, None])
         pivots.append((r0 + r, c0 + j))
-        if vec.lazy_steps and (r + 1) % vec.lazy_steps == 0:
-            panel = vec.reduce(panel)
     return vec.reduce(panel)
 
 

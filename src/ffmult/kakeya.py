@@ -23,6 +23,7 @@ from .errors import (
     InvalidParameters,
     ParameterViolation,
     SearchSpaceTooLarge,
+    SpecMismatch,
     UnsatisfiedCountHypothesis,
     UnsupportedSize,
 )
@@ -302,17 +303,23 @@ def statistical_kakeya_bound(q: int, n: int, lam, eta, max_degree: int) -> Fract
 
 def statistical_kakeya_check(instance: StatKakeyaInstance) -> dict:
     """Verify the hypotheses of the statistical Kakeya theorem on the
-    instance, evaluate the bound exactly, and check |K| against it."""
+    instance, evaluate the bound exactly, and check |K| against it.  A point
+    of S or K outside F_q^n lies on no curve and in no K."""
     spec, n = instance.spec, instance.n
     q = spec.q
+    _check_space(q, n)
     lam, eta, Lam = instance.lam, instance.eta, instance.max_degree
     if not (eta * q > Lam):
         raise ParameterViolation(f"need eta*q > curve degree bound, got {eta * q} <= {Lam}")
+    if len(set(instance.S)) != len(instance.S):
+        raise InvalidParameters("S must be duplicate-free")
     if Fraction(len(instance.S), q ** n) != lam:
         raise InvalidParameters(
             f"|S| = {len(instance.S)} does not equal lam*q^n = {lam * q ** n}"
         )
     kset = instance.K
+    kpoints = [p for p in kset if _in_space(q, n, p)]
+    kcodes = np.sort(point_codes(np.array(kpoints, dtype=np.int64).reshape(len(kpoints), n), q))
     required = eta * q
     witnesses = {}
     for x in instance.S:
@@ -323,10 +330,13 @@ def statistical_kakeya_check(instance: StatKakeyaInstance) -> dict:
             raise HypothesisViolation(
                 f"curve at {x} has degree {curve.degree} > {Lam}"
             )
-        values = [curve.eval(t) for t in range(q)]
-        if x not in values:
+        if curve.spec is not spec:
+            raise SpecMismatch(f"curve at {x} is over a different field")
+        values = curve.values(np.arange(q))
+        if not (curve.n == n and _in_space(q, n, x) and (values == x).all(axis=1).any()):
             raise HypothesisViolation(f"curve at {x} does not pass through it")
-        hits = sum(1 for v in values if v in kset)
+        codes = point_codes(values, q)
+        hits = int((np.searchsorted(kcodes, codes, "right") - np.searchsorted(kcodes, codes)).sum())
         if hits < required:
             raise HypothesisViolation(
                 f"curve at {x} meets K in {hits} parameter values < eta*q = {required}"
@@ -340,6 +350,11 @@ def statistical_kakeya_check(instance: StatKakeyaInstance) -> dict:
         "witnesses": witnesses,
         "ok": len(kset) >= bound,
     }
+
+
+def _in_space(q: int, n: int, point) -> bool:
+    """Is the point an n-tuple of codes of F_q, a point of F_q^n?"""
+    return isinstance(point, tuple) and len(point) == n and all(c in range(q) for c in point)
 
 
 def full_space_reduction_instance(spec: FieldSpec, n: int) -> StatKakeyaInstance:

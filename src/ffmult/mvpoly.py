@@ -195,10 +195,19 @@ class MultiPoly:
 
     # -- evaluation ---------------------------------------------------------------
 
+    def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms as a (T, n) int64 array of exponent vectors and a (T,)
+        int64 array of their coefficient codes, in term order."""
+        return (_code_rows(list(self.terms), self.n),
+                np.array(list(self.terms.values()), dtype=np.int64))
+
     def eval_codes(self, point: tuple[int, ...]) -> int:
-        spec = self.spec
-        powtabs = _power_tables(spec, point, self.terms)
-        return _eval_terms(spec, self.terms, powtabs)
+        """P at a point of codes: the Hasse derivative of order 0, whose
+        coefficients C(r, 0) are 1 and whose shifts are the exponents r."""
+        exps, coeffs = self.term_arrays()
+        vec = self.spec.vec
+        powers = power_tables(vec, _code_rows([point], self.n), int(exps.max(initial=0)))
+        return int(vec.sum(hasse_values(vec, coeffs[None], exps.T[:, None], powers), axis=2)[0, 0])
 
     # -- serialization --------------------------------------------------------------
 
@@ -245,36 +254,6 @@ def parse_terms(text: str) -> list[tuple[int, tuple[int, ...]]]:
     return terms
 
 
-def _power_tables(spec: FieldSpec, point, terms) -> list[list[int]]:
-    """Per-coordinate power tables covering the exponents appearing in terms."""
-    n = len(point)
-    maxes = [0] * n
-    for exps in terms:
-        for j, e in enumerate(exps):
-            if e > maxes[j]:
-                maxes[j] = e
-    tabs = []
-    for j in range(n):
-        tab = [1] * (maxes[j] + 1)
-        for k in range(1, maxes[j] + 1):
-            tab[k] = spec.mul(tab[k - 1], point[j])
-        tabs.append(tab)
-    return tabs
-
-
-def _eval_terms(spec: FieldSpec, terms, powtabs) -> int:
-    acc = 0
-    for exps, coeff in terms.items():
-        val = coeff
-        for j, e in enumerate(exps):
-            if e:
-                val = spec.mul(val, powtabs[j][e])
-                if not val:
-                    break
-        acc = spec.add(acc, val)
-    return acc
-
-
 # -- operations ---------------------------------------------------------------------
 
 
@@ -309,10 +288,10 @@ def hasse_derivative(P: MultiPoly, i) -> MultiPoly:
     spec = P.spec
     if P.is_zero:
         return P
-    exps = _code_rows(list(P.terms), P.n)
+    exps, coeffs = P.term_arrays()
     binom = lucas_binomial(spec.p, int(exps.max(initial=0)))
     coef, shifts = hasse_coefficients(exps, _code_rows([i], P.n), binom, spec.p)
-    coef = spec.vec.mul(coef[0], np.array(list(P.terms.values()), dtype=np.int64))
+    coef = spec.vec.mul(coef[0], coeffs)
     return MultiPoly(spec, P.n, {
         tuple(r.tolist()): int(c) for r, c in zip(shifts[:, 0].T, coef) if c
     })
@@ -377,9 +356,17 @@ class Curve:
         degs = [c.degree for c in self.components if not c.is_zero]
         return max(degs, default=0)
 
+    def values(self, ts) -> np.ndarray:
+        """The points C(t) at every code t of the 1-D ts, as a (len(ts), n)
+        array of codes: one Horner pass over the component coefficient rows."""
+        rows = np.zeros((self.n, self.degree + 1), dtype=np.int64)
+        for row, comp in zip(rows, self.components):
+            exps, coeffs = comp.term_arrays()
+            row[exps[:, 0]] = coeffs
+        return self.spec.vec.poly_eval_rows(rows, ts).T
+
     def eval(self, t) -> tuple[int, ...]:
-        tc = self.spec.coerce(t)
-        return tuple(c.eval_codes((tc,)) for c in self.components)
+        return tuple(self.values(np.array([self.spec.coerce(t)]))[0].tolist())
 
     def shifted_by_value_at(self, t) -> list[MultiPoly]:
         """The tuple C - C(t), one component polynomial per coordinate."""
@@ -589,8 +576,7 @@ def _multiplicities(P: MultiPoly, pts: np.ndarray) -> np.ndarray:
     if P.is_zero:
         raise ZeroPolynomial("multiplicities of the zero polynomial are infinite")
     spec, n, vec = P.spec, P.n, P.spec.vec
-    exps = _code_rows(list(P.terms), n)
-    coeffs = np.array(list(P.terms.values()), dtype=np.int64)
+    exps, coeffs = P.term_arrays()
     top = int(exps.max(initial=0))
     binom = lucas_binomial(spec.p, top)
     shells = []  # per weight walked so far: coefficients and shifts of its live terms

@@ -164,9 +164,9 @@ def gs_interpolate(inst: RSInstance, params: GSParams) -> MultiPoly:
 def _y_levels(Q: MultiPoly) -> np.ndarray:
     """Q as sum_j Q_j(X) Y^j: a dense (deg_Y Q + 1) x (deg_X Q + 1) array of
     codes whose row j holds the X-coefficients of Q_j, low to high."""
-    exps = np.array(list(Q.terms), dtype=np.int64)
+    exps, coeffs = Q.term_arrays()
     levels = np.zeros(tuple(exps.max(axis=0)[::-1] + 1), dtype=np.int64)
-    levels[exps[:, 1], exps[:, 0]] = list(Q.terms.values())
+    levels[exps[:, 1], exps[:, 0]] = coeffs
     return levels
 
 

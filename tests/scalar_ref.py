@@ -1,24 +1,27 @@
 """Scalar references for the array kernels: the log/exp table walk, one
 polynomial product per power of the generator, and the one-point,
-one-derivative, one-``spec.mul`` walks of the Hasse-shell and Kakeya code,
-as the library ran them before those moved onto ``FieldSpec.vec``, and the
-term-map steps of the Y-root search: the test Q(X, y0) = 0 and the shift
-Q(X, y0 + XY), the one-seed-at-a-time count of merger outputs, and the
-merger's Lagrange basis as one product of linear factors per node, on the
-scalar coefficient-list helpers ``uni_add`` and ``uni_mul``; the merger's
-block maps, sources and curve evaluated one point and one seed at a time;
-and Hasse derivatives and multiplicities read off a shift expansion, which
-never touches the binomial term rule.  Tests only."""
+one-derivative, one-``spec.mul`` walks of the evaluation, Hasse-shell and
+Kakeya code, as the library ran them before those moved onto
+``FieldSpec.vec``, with the statistical Kakeya check that evaluated each
+curve one parameter at a time; the term-map steps of the Y-root search: the
+test Q(X, y0) = 0 and the shift Q(X, y0 + XY), the one-seed-at-a-time count
+of merger outputs, and the merger's Lagrange basis as one product of linear
+factors per node, on the scalar coefficient-list helpers ``uni_add`` and
+``uni_mul``; the merger's block maps, sources and curve evaluated one point
+and one seed at a time; and Hasse derivatives and multiplicities read off a
+shift expansion, which never touches the binomial term rule.  Tests only."""
 
 import itertools
 from functools import reduce
+from fractions import Fraction
 from math import ceil, comb
 
 import numpy as np
 
 from ffmult import merger as mg
 from ffmult.ff import FieldSpec, parse_prime_power
-from ffmult.kakeya import all_points, kakeya_lower_bounds
+from ffmult.errors import HypothesisViolation, InvalidParameters, ParameterViolation
+from ffmult.kakeya import _check_space, all_points, kakeya_lower_bounds, statistical_kakeya_bound
 from ffmult.mvpoly import INF_MULT, MultiPoly, weak_compositions, weight
 
 
@@ -55,6 +58,72 @@ def log_exp_tables(spec):
                 log[x] = i
             return exp, log
     raise AssertionError(f"no generator of {spec!r}")
+
+
+def eval_codes(P: MultiPoly, point) -> int:
+    """P at a point of codes, term by term, on per-coordinate power tables
+    built one ``spec.mul`` at a time."""
+    spec = P.spec
+    tabs = []
+    for j, x in enumerate(point):
+        tab = [1]
+        for _ in range(max((exps[j] for exps in P.terms), default=0)):
+            tab.append(spec.mul(tab[-1], x))
+        tabs.append(tab)
+    acc = 0
+    for exps, coeff in P.terms.items():
+        val = coeff
+        for j, e in enumerate(exps):
+            if e:
+                val = spec.mul(val, tabs[j][e])
+                if not val:
+                    break
+        acc = spec.add(acc, val)
+    return acc
+
+
+def statistical_kakeya_check(instance) -> dict:
+    """The statistical Kakeya check with every curve evaluated by
+    ``eval_codes`` one parameter at a time, its points looked up as tuples
+    in K, after the same refusals of the space and of a repeated point of S."""
+    spec, n = instance.spec, instance.n
+    q = spec.q
+    _check_space(q, n)
+    lam, eta, Lam = instance.lam, instance.eta, instance.max_degree
+    if not (eta * q > Lam):
+        raise ParameterViolation(f"need eta*q > curve degree bound, got {eta * q} <= {Lam}")
+    if len(set(instance.S)) != len(instance.S):
+        raise InvalidParameters("S must be duplicate-free")
+    if Fraction(len(instance.S), q ** n) != lam:
+        raise InvalidParameters(
+            f"|S| = {len(instance.S)} does not equal lam*q^n = {lam * q ** n}"
+        )
+    kset = instance.K
+    required = eta * q
+    witnesses = {}
+    for x in instance.S:
+        curve = instance.curve_map.get(x)
+        if curve is None:
+            raise HypothesisViolation(f"no curve supplied for point {x}")
+        if curve.degree > Lam:
+            raise HypothesisViolation(f"curve at {x} has degree {curve.degree} > {Lam}")
+        values = [tuple(eval_codes(c, (t,)) for c in curve.components) for t in range(q)]
+        if x not in values:
+            raise HypothesisViolation(f"curve at {x} does not pass through it")
+        hits = sum(1 for v in values if v in kset)
+        if hits < required:
+            raise HypothesisViolation(
+                f"curve at {x} meets K in {hits} parameter values < eta*q = {required}"
+            )
+        witnesses[x] = hits
+    bound = statistical_kakeya_bound(q, n, lam, eta, Lam)
+    return {
+        "hypothesis_ok": True,
+        "bound": bound,
+        "set_size": len(kset),
+        "witnesses": witnesses,
+        "ok": len(kset) >= bound,
+    }
 
 
 def hasse_eval(P: MultiPoly, i, point) -> int:

@@ -243,6 +243,12 @@ MERGER_REFUSALS = [
 ]
 
 
+# kakeya-stat instances that a dict in argv stands for, written to a file
+EMPTY_STAT = {"S": [], "K": [], "curves": [], "lambda": 0, "eta": 1, "degree": 1}
+REPEATED_S = {"S": [[0], [0]], "K": [[0]], "curves": [{"point": [0], "components": [[0]]}],
+              "lambda": 1, "eta": 1, "degree": 1}
+
+
 @pytest.mark.parametrize("argv,error", [
     (("mult", "--field", "4", "--n", "1", "--poly", "1:1", "--point", "0"),
      "NonPrimeCharacteristic"),
@@ -257,9 +263,20 @@ MERGER_REFUSALS = [
     (("kakeya-verify", "--field", "2", "--n", "40", "--points", "[]"), "UnsupportedSize"),
     (("kakeya-search", "--field", "2", "--n", "100000000"), "UnsupportedSize"),
     (("hasse", "--field", "5", "--n", "1", "--poly", "1:2", "--order=-1"), "InvalidParameters"),
-] + [(argv, "EnumerationTooLarge") for argv in MERGER_REFUSALS])
-def test_field_and_poly_out_of_domain_is_domain_error(capsys, argv, error):
-    code, out = run_cli(capsys, *argv)
+] + [(argv, "EnumerationTooLarge") for argv in MERGER_REFUSALS] + [
+    # a repeated point of S would count twice towards lambda
+    (("kakeya-stat", "--field", "2", "--n", "1", "--input", REPEATED_S), "InvalidParameters"),
+    (("kakeya-stat", "--field", "2", "--n", "-1", "--input", EMPTY_STAT), "InvalidParameters"),
+    (("kakeya-stat", "--field", "3", "--n", "100000000", "--input", EMPTY_STAT),
+     "UnsupportedSize"),
+])
+def test_field_and_poly_out_of_domain_is_domain_error(tmp_path, capsys, argv, error):
+    target = tmp_path / "input.json"
+    for doc in [a for a in argv if isinstance(a, dict)]:
+        target.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *[str(target) if isinstance(a, dict) else a for a in argv])
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert json.loads(out)["error"] == error
 
@@ -391,10 +408,16 @@ PINNED_OUTPUTS = [
      "c2087486796719dc8178ca89c36af491f9cf218b1f2e1f0c018a2ebbff006cf5"),
     (("selftest", "--seed", "7"),
      "31cdb4d8f932be854b17e4d2a73805b0a8f000118f7330aaffb83da81ef20be4"),
+    (("kakeya-stat", "--field", "2^4", "--n", "2"),
+     "af03ac121b3bec8c8e183f5269b727ea1330dc02be8e1536d4783d891529780a"),
+    (("kakeya-stat", "--field", "13", "--n", "2"),
+     "dbd572f8e5d9d42f0d9c95b5e07b7d15c9a3e3edc3d226f409c7d0cf1e470b91"),
 ]
+PINNED_IDS = [argv[0] for argv, _ in PINNED_OUTPUTS]
+PINNED_IDS[-2:] = ["kakeya-stat-2^4", "kakeya-stat-13"]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=[a[0] for a, _ in PINNED_OUTPUTS])
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=PINNED_IDS)
 def test_pinned_outputs_are_byte_identical(argv, digest):
     code, out = run_subprocess(*argv)
     assert code == 0

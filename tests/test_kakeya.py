@@ -364,6 +364,80 @@ def test_stat_curve_must_pass_through_point():
         statistical_kakeya_check(inst)
 
 
+def test_stat_curve_over_another_field_is_refused():
+    curves = {(0,): Curve.line(F3, (0,), (1,))}
+    inst = StatKakeyaInstance(
+        F4, 1, ((0,),), frozenset({(0,)}), curves, lam=Fraction(1, 4), eta=Fraction(1, 2),
+        max_degree=1,
+    )
+    with pytest.raises(errors.SpecMismatch):
+        statistical_kakeya_check(inst)
+
+
+def _random_stat_instance(spec, n, rng):
+    """A statistical Kakeya instance that meets the hypotheses unless one of
+    the random defects below is planted: a missing, too steep, misplaced or
+    wrong-length curve, a wrong lambda or eta, a repeated point of S, points
+    of S and K outside F_q^n, or too few points of K on a curve."""
+    q, pts = spec.q, all_points(spec, n)
+    S = [pts[i] for i in rng.permutation(len(pts))[: 1 + rng.integers(len(pts))]]
+    Lam = 1 + int(rng.integers(min(3, q - 1)))
+    outside = [(q,) + (0,) * (n - 1), (0,) * (n - 1) + (q + 1,), (0,) * (n + 1), (-1,) * n]
+    if rng.integers(6) == 0:
+        S[int(rng.integers(len(S)))] = outside[int(rng.integers(len(outside)))]
+    if rng.integers(8) == 0:
+        S.append(S[0])
+    K, curves = set(), {}
+    for x in S:
+        defect = int(rng.integers(14))
+        if defect == 0:
+            continue  # no curve
+        width = n + 1 if defect == 1 else n
+        lists = [rng.integers(q, size=1 + rng.integers(Lam + 1)).tolist() for _ in range(width)]
+        if defect == 2:
+            lists[0] = lists[0] + [0] * Lam + [1]  # degree above Lam
+        elif defect != 3 and width == n and x in pts:  # else rarely through x
+            t0 = int(rng.integers(q))
+            for lst, xj in zip(lists, x):
+                lst[0] = spec.add(lst[0], spec.sub(xj, scalar_ref.uni_eval(lst, t0, spec)))
+        curves[x] = Curve.from_coeff_lists(spec, lists)
+        for t in range(q):
+            if rng.integers(5):
+                K.add(tuple(scalar_ref.uni_eval(lst, t, spec) for lst in lists))
+    K.update(pts[i] for i in rng.integers(len(pts), size=rng.integers(3)))
+    K.update(outside[: rng.integers(len(outside) + 1)])
+    lam = Fraction(len(S), q ** n) + (Fraction(1, q ** n) if rng.integers(10) == 0 else 0)
+    eta = Fraction(int(rng.integers(Lam + 1, q + 1)) if rng.integers(8) else Lam, q)
+    return StatKakeyaInstance(spec, n, tuple(S), frozenset(K), curves, lam, eta, Lam)
+
+
+def _stat_outcome(check, inst):
+    try:
+        return check(inst)
+    except errors.FFMultError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# a phrase of each message the check raises
+STAT_FAILURES = ("eta*q > curve degree", "duplicate-free", "does not equal lam", "no curve",
+                 "has degree", "does not pass", "meets K in")
+
+
+def test_stat_check_matches_scalar_loop():
+    rng = rng_stream(322, 0)
+    kinds = set()
+    for q, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 2), (5, 1), (5, 2), (7, 1),
+                 (8, 1), (9, 2)]:
+        spec = parse_prime_power(q)
+        for _ in range(40):
+            inst = _random_stat_instance(spec, n, rng)
+            got = _stat_outcome(statistical_kakeya_check, inst)
+            assert got == _stat_outcome(scalar_ref.statistical_kakeya_check, inst), inst
+            kinds.add("report" if isinstance(got, dict) else
+                      next((k for k in STAT_FAILURES if k in got[1]), got[0]))
+    assert kinds == {"report", *STAT_FAILURES}, kinds
+
+
 MIN_KAKEYA_CASES = [(q, 1) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)] + [
     (2, 2), (3, 2), (4, 2), (2, 3), (2, 4)]
 

@@ -11,6 +11,7 @@ import scalar_ref
 from ffmult import errors
 from ffmult.ff import field_make, parse_prime_power, rng_stream
 from ffmult.mvpoly import (
+    TABLE_CELLS,
     Curve,
     MultiPoly,
     compose_curve,
@@ -44,6 +45,33 @@ def test_poly_eval_examples():
     assert poly_eval(Z, (1, 2)) == F3.zero()
     Q = MultiPoly(F2, 2, {(2, 0): 1, (0, 1): 1})
     assert poly_eval(Q, (1, 1)) == F2.zero()
+
+
+EVAL_FIELDS = [(7, 1), (257, 1), (2, 6), (3, 3), (2, 17)]
+
+
+@pytest.mark.parametrize("p,e", EVAL_FIELDS)
+def test_eval_codes_matches_scalar_walk(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(320, spec.q)
+    for n in (1, 2, 3):
+        polys = [MultiPoly.zero(spec, n), MultiPoly.constant(spec, n, spec.q - 1)]
+        polys += [random_poly(spec, n, rng, max_deg=7) for _ in range(12)]
+        points = [(0,) * n, (0,) * (n - 1) + (spec.q - 1,)]
+        points += [random_point(spec, n, rng) for _ in range(6)]
+        for P in polys:
+            for a in points:
+                assert P.eval_codes(a) == scalar_ref.eval_codes(P, a), (P, a)
+
+
+def test_single_point_power_table_is_capped():
+    # one point of a polynomial of degree TABLE_CELLS needs a power table of
+    # TABLE_CELLS + 1 cells, refused as a multiplicity at that point is
+    P = MultiPoly(F5, 1, {(TABLE_CELLS,): 1})
+    with pytest.raises(errors.UnsupportedSize):
+        P.eval_codes((1,))
+    with pytest.raises(errors.UnsupportedSize):
+        multiplicity(P, (1,))
 
 
 def test_eval_dimension_mismatch():
@@ -210,6 +238,21 @@ def test_curve_degree_and_eval():
     assert C.eval(1) == (3, 3)
     const = Curve.from_coeff_lists(F5, [(2,), (0,)])
     assert const.degree == 0
+
+
+@pytest.mark.parametrize("p,e", EVAL_FIELDS)
+def test_curve_values_match_scalar_components(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(321, spec.q)
+    ts = np.concatenate([[0, 1, spec.q - 1], rng.integers(spec.q, size=13)])
+    for n in (0, 1, 2, 3):
+        for _ in range(4):
+            # components of 0 to 4 coefficients: zero, constant and higher degree
+            coeff_lists = [rng.integers(spec.q, size=rng.integers(5)).tolist() for _ in range(n)]
+            C = Curve.from_coeff_lists(spec, coeff_lists)
+            want = [[scalar_ref.eval_codes(c, (t,)) for c in C.components] for t in ts.tolist()]
+            assert C.values(ts).tolist() == want
+            assert C.eval(int(ts[-1])) == tuple(want[-1])
 
 
 # ---------------------------------------------------------------------------

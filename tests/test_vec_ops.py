@@ -12,7 +12,9 @@ import pytest
 
 import scalar_ref
 
+from ffmult import interpolate
 from ffmult import rs_decode as rs
+from ffmult.errors import InternalDefect
 from ffmult.ff import (
     FieldSpec,
     _modulus_table,
@@ -71,6 +73,7 @@ def test_vec_ops_match_scalar(p, e):
     assert vec.poly_eval(coeffs, a[:1000]).tolist() == [
         scalar_ref.uni_eval(coeffs, x, spec) for x in al[:1000]
     ]
+    _check_poly_eval_shapes(spec, a[:50])
     nonzero = range(1, spec.q) if spec.q <= 2 ** 10 else sorted(set(al) - {0})
     for x in nonzero:
         assert spec.mul(x, vec.inv(x)) == 1
@@ -104,6 +107,27 @@ def test_fallback_vec_ops_match_scalar(p, e):
     assert vec.poly_eval(bl[:3], a[:100]).tolist() == [
         scalar_ref.uni_eval(bl[:3], x, spec) for x in al[:100]
     ]
+    _check_poly_eval_shapes(spec, a[:50])
+
+
+def _check_poly_eval_shapes(spec, xs):
+    """poly_eval against scalar Horner with one coefficient and with three,
+    as codes and as columns of codes that broadcast against xs, at the
+    array xs and at 0-d points."""
+    vec, xl = spec.vec, xs.tolist()
+    columns = np.resize(xs[::-1], 12).reshape(3, 4, 1)
+    for k in (1, 3):
+        coeffs = list(columns[:k])
+        rows = [[int(c[i, 0]) for c in coeffs] for i in range(4)]
+        want = [[scalar_ref.uni_eval(row, x, spec) for x in xl] for row in rows]
+        assert vec.poly_eval(coeffs, xs).tolist() == want
+        assert vec.poly_eval(rows[1], xs).tolist() == want[1]
+        for x in xl[:2] + [0]:
+            assert vec.poly_eval(coeffs, x).tolist() == [
+                [scalar_ref.uni_eval(row, x, spec)] for row in rows]
+            assert vec.poly_eval(rows[2], x).tolist() == scalar_ref.uni_eval(rows[2], x, spec)
+            assert vec.poly_eval(rows[2], np.int64(x)).tolist() == scalar_ref.uni_eval(
+                rows[2], x, spec)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (1048573, 1), (2, 4), (2, 16), (3, 2),
@@ -160,19 +184,23 @@ def test_prime_dot_refuses_an_inexact_float_sum():
     assert proc.stdout == "refused\n"
 
 
-def test_prime_intermediates_stay_below_2_62():
+def test_prime_intermediates_stay_below_2_62(monkeypatch):
     p = 1048573  # the largest prime field under the 2^20 size cap
     vec = field_make(p).vec
     # mul multiplies two codes; sub_mul moves an entry by at most one such
-    # product per call, and elimination reduces after lazy_steps calls
+    # product per call, and elimination reduces a panel after at most PANEL calls
     assert (p - 1) ** 2 < 2 ** 40
-    assert p + vec.lazy_steps * (p - 1) ** 2 < 2 ** 62
+    assert p + PANEL * (p - 1) ** 2 < 2 ** 62
     # a panel's product sums PANEL products of codes and one code in float64
     assert PANEL * (p - 1) ** 2 + p < 2 ** 53
     top = np.array([p - 1, p - 2])
     assert vec.mul(top, top).tolist() == [field_make(p).mul(x, x) for x in (p - 1, p - 2)]
     rep = vec.sub_mul(np.array([p - 1]), np.array([p - 1]), np.array([p - 1]))
     assert int(vec.reduce(rep)[0]) == field_make(p).sub(p - 1, field_make(p).mul(p - 1, p - 1))
+    # a panel too wide for that bound is refused before any update
+    monkeypatch.setattr(interpolate, "PANEL", 2 ** 23)
+    with pytest.raises(InternalDefect):
+        nullspace_vector([[1, 2]], 2, field_make(p))
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +322,10 @@ def test_elimination_matches_scalar_reference(p, e):
         cases.append((_random_system(spec, rng, nrows, ncols, rank, zero_cols), ncols))
     cases.append((_random_system(spec, rng, 12, 5), 5))  # ncols < nrows
     cases.append((_random_system(spec, rng, 12, 5, rank=3), 5))
+    cases += [(_random_system(spec, rng, 9, 10, rank), 10) for rank in (None, 6)]
     for rows, ncols in cases:
         assert nullspace_vector(rows, ncols, spec) == _ref_nullspace(rows, ncols, spec)
         assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
-
-
-def test_elimination_with_intermediate_reductions(monkeypatch):
-    # force the periodic reduction of lazily updated entries after every pivot pair
-    spec = field_make(257)
-    monkeypatch.setattr(spec.vec, "lazy_steps", 2)
-    rng = rng_stream(405, 0)
-    for trial in range(10):
-        rows = _random_system(spec, rng, 9, 10, rank=None if trial % 2 else 6)
-        assert nullspace_vector(rows, 10, spec) == _ref_nullspace(rows, 10, spec)
-        assert matrix_rank(rows, 10, spec) == _ref_rank(rows, 10, spec)
-    rows = _random_system(spec, rng, 40, 70, rank=37)  # three panels
-    assert nullspace_vector(rows, 70, spec) == _ref_nullspace(rows, 70, spec)
-    assert matrix_rank(rows, 70, spec) == _ref_rank(rows, 70, spec)
 
 
 # (rows, columns, rank bound, zero columns): panel edges at 31/32/33 and 64/65,
@@ -326,6 +341,7 @@ BLOCK_SHAPES = [
     (0, 65, None, ()),
     (12, 0, None, ()),
     (100, 100, 97, (5, 50)),
+    (40, 70, 37, ()),
 ]
 
 
