@@ -392,8 +392,9 @@ class VecOps:
         return self.spec.inv(a)
 
     def sub_mul(self, a, f, b) -> np.ndarray:
-        """A representative of a - f*b; ``a`` may itself be a representative,
-        f and b are codes."""
+        """A representative of a - f*b; ``a``, an int64 array, may itself be
+        a representative and may be overwritten by the result; f and b are
+        codes."""
         return self.sub(a, self.mul(f, b))
 
     def reduce(self, a) -> np.ndarray:
@@ -525,8 +526,7 @@ class _PrimeVecOps(VecOps):
         return np.negative(a, dtype=np.int64) % self.p
 
     def sub_mul(self, a, f, b):
-        prod = np.multiply(f, b, dtype=np.int64)
-        return np.subtract(a, prod, out=prod)
+        return np.subtract(a, np.multiply(f, b, dtype=np.int64), out=a)
 
     def reduce(self, a):
         return np.remainder(a, self.p)
@@ -536,18 +536,24 @@ class _PrimeVecOps(VecOps):
         return np.sum(a, axis=axis, dtype=np.int64) % self.p
 
     def dot(self, a, b, c):
-        # float64 holds every integer below 2^53, and c plus a sum of k
-        # products of codes stays below k*(p-1)^2 + p: then the float sum is
-        # exact.  einsum without optimize never calls BLAS, whose threads
+        # c plus k products of codes stays below k*(p-1)^2 + p; float32 holds
+        # every integer below 2^24 and float64 below 2^53, so the narrowest
+        # type the bound allows (FFLAS-FFPACK's rule) sums exactly in any
+        # order.  einsum without optimize never calls BLAS, whose threads
         # cost more than they save at these sizes.
         k = np.shape(a)[1]
-        if k * (self.p - 1) ** 2 + self.p >= 2 ** 53:
+        bound = k * (self.p - 1) ** 2 + self.p
+        if bound >= 2 ** 53:
             raise InternalDefect(f"a sum of {k} products is not exact in float64 mod {self.p}")
-        acc = np.einsum("ik,kj->ij", np.asarray(a, dtype=np.float64),
-                        np.asarray(b, dtype=np.float64), optimize=False)
-        acc += c
-        out = acc.astype(np.int64)
-        return np.remainder(out, self.p, out=out)
+        real, whole = (np.float32, np.int32) if bound < 2 ** 24 else (np.float64, np.int64)
+        acc = np.einsum("ik,kj->ij", np.asarray(a, dtype=real), np.asarray(b, dtype=real),
+                        optimize=False)
+        out = acc.astype(whole)
+        np.add(out, c, out=out, casting="unsafe")  # c holds codes, of any dtype
+        quot = out // self.p  # cheaper than np.remainder
+        quot *= self.p
+        out -= quot
+        return out
 
 
 class _LogVecOps(VecOps):

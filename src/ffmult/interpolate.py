@@ -155,14 +155,16 @@ def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, 
     next to one transform column per pivot.  A row that becomes the panel's
     pivot t gets a 1 in transform column t, so the row operations leave in
     the transform columns E, the combination of the panel's pivot rows (as
-    they were when the panel began) that each row received.  One product
-    ``vec.dot`` then applies the panel to the columns right of it, on rows
-    r0 and below: those columns, with the pivot rows zeroed, plus E times
-    the pivot rows' old entries.  The rows of earlier panels are never
-    touched again, so each panel's pivot rows are zero left of the panel and
-    hold an identity on its pivot columns; what lies right of the panel is
-    not reduced.  With ``first_free``, elimination stops at the first column
-    that takes no pivot, so the pivots are exactly the columns before it.
+    they were when the panel began) that each row received.  The panel's row
+    swaps reach the columns right of it as one permutation of rows r0 and
+    below, and one product ``vec.dot`` then applies the panel to those
+    columns: them, with the pivot rows zeroed, plus E times the pivot rows'
+    old entries.  The rows of earlier panels are never touched again, so
+    each panel's pivot rows are zero left of the panel and hold an identity
+    on its pivot columns; what lies right of the panel is not reduced.  With
+    ``first_free``, elimination stops at the first column that takes no
+    pivot, so the pivots are exactly the columns before it, and the columns
+    right of that panel are left as they are.
     """
     if PANEL * (vec.spec.p - 1) ** 2 + vec.spec.p >= 2 ** 62:
         # a panel entry takes at most PANEL unreduced sub_mul steps from a code
@@ -178,55 +180,62 @@ def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, 
         # the last panel has no columns right of it, and so no transform columns
         panel = np.zeros((w if c1 == ncols else 2 * w, nrows - r0), dtype=np.int64)
         panel[:w] = A[r0:, c0:c1].T
-        panel = _reduce_panel(panel, w, c0, A[r0:, c1:], pivots, vec, first_free)
+        panel, order = _reduce_panel(panel, w, c0, pivots, vec, first_free)
         A[r0:, c0:c1] = panel[:w].T
         k = len(pivots) - r0
         if first_free and k < w:
             break
         if k and c1 < ncols:
-            old = A[r0 : r0 + k, c1:].copy()
-            A[r0 : r0 + k, c1:] = 0
-            A[r0:, c1:] = vec.dot(panel[w : w + k].T, old, A[r0:, c1:])
+            rest = A[r0:, c1:]
+            rest[:] = rest[order]
+            old = rest[:k].copy()
+            rest[:k] = 0
+            A[r0:, c1:] = vec.dot(panel[w : w + k].T, old, rest)
     return pivots
 
 
-def _reduce_panel(panel: np.ndarray, w: int, c0: int, rest: np.ndarray, pivots: list, vec,
-                  first_free: bool):
+def _reduce_panel(panel: np.ndarray, w: int, c0: int, pivots: list, vec, first_free: bool):
     """Gauss-Jordan steps on one panel, stored transposed: a row of
     ``panel`` per column, the w columns of the panel first, then its
     transform columns, if any; a column of ``panel`` per matrix row, from
-    the panel's first pivot row down.  Appends each pivot to ``pivots``, and
-    swaps in ``rest``, the same rows of the columns right of the panel, the
-    rows it swaps.  With ``first_free`` it stops at a column with no pivot.
-    Row updates may leave representatives (see ``VecOps.sub_mul``); a column
-    is reduced to codes when it becomes current, and the panel is returned
-    as codes."""
+    the panel's first pivot row down.  Appends each pivot to ``pivots``;
+    with ``first_free`` it stops at a column with no pivot.  A column takes
+    one reduction of its row, whose first nonzero entry at or below the
+    current row is the pivot, and one rank-one update by that row times the
+    pivot's inverse, with 1 - inverse at the pivot so that the same update
+    scales the pivot row.  Row updates may leave representatives (see
+    ``VecOps.sub_mul``).  Returns the panel as codes and its row swaps as
+    one permutation: matrix row i of the result was row ``order[i]``."""
     r0 = len(pivots)
+    order = np.arange(panel.shape[1])
     end = w  # rows of ``panel`` from here on are zero
     for j in range(w):
         r = len(pivots) - r0
         if r == panel.shape[1]:
             break
-        panel[j] = vec.reduce(panel[j])
-        nz = np.flatnonzero(panel[j, r:])
+        row = vec.reduce(panel[j])
+        nz = row[r:].nonzero()[0]
         if nz.size == 0:
             if first_free:
                 break
             continue
         pr = r + int(nz[0])
+        inv = vec.inv(int(row[pr]))
+        g = vec.mul(row, inv)  # 1 at pr
         if pr != r:
-            panel[:, [r, pr]] = panel[:, [pr, r]]
-            rest[[r, pr]] = rest[[pr, r]]
+            g[pr] = g[r]
+            panel[:, r], panel[:, pr] = panel[:, pr], panel[:, r].copy()
+            order[r], order[pr] = order[pr], order[r]
+        g[r] = vec.sub(1, inv)
         if len(panel) > w:
             panel[w + r, r] = 1
             end = w + r + 1
-        live = slice(j, end)
-        panel[live, r] = vec.mul(vec.reduce(panel[live, r]), vec.inv(int(panel[j, r])))
-        f = panel[j].copy()
-        f[r] = 0
-        panel[live] = vec.sub_mul(panel[live], f, panel[live, r, None])
+        live = slice(j + 1, end)
+        panel[live] = vec.sub_mul(panel[live], g, vec.reduce(panel[live, r, None]))
+        panel[j] = 0
+        panel[j, r] = 1
         pivots.append((r0 + r, c0 + j))
-    return vec.reduce(panel)
+    return vec.reduce(panel), order
 
 
 def nullspace_vector(rows, ncols: int, spec: FieldSpec):

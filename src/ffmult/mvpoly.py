@@ -321,7 +321,7 @@ def homogeneous_part(P: MultiPoly) -> MultiPoly:
 class Curve:
     """A tuple of univariate component polynomials, mapping F_q -> F_q^n."""
 
-    __slots__ = ("spec", "n", "components")
+    __slots__ = ("spec", "n", "components", "degree")
 
     def __init__(self, spec: FieldSpec, components):
         comps = tuple(components)
@@ -333,6 +333,8 @@ class Curve:
         self.spec = spec
         self.n = len(comps)
         self.components = comps
+        # max component degree; a constant (or zero) curve has degree 0
+        self.degree = max((c.degree for c in comps if not c.is_zero), default=0)
 
     @classmethod
     def from_coeff_lists(cls, spec: FieldSpec, coeff_lists) -> "Curve":
@@ -349,12 +351,6 @@ class Curve:
         a = coerce_point(spec, n, a)
         b = coerce_point(spec, n, b)
         return cls.from_coeff_lists(spec, [(aj, bj) for aj, bj in zip(a, b)])
-
-    @property
-    def degree(self):
-        """Max component degree; a constant (or zero) curve has degree 0."""
-        degs = [c.degree for c in self.components if not c.is_zero]
-        return max(degs, default=0)
 
     def values(self, ts) -> np.ndarray:
         """The points C(t) at every code t of the 1-D ts, as a (len(ts), n)

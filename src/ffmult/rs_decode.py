@@ -283,8 +283,11 @@ def _shift_levels(levels, y0: int, binom, vec) -> np.ndarray:
 
 
 def _field_roots(coeffs, spec: FieldSpec) -> list[int]:
-    """Every y in F_q with sum coeffs[j] y^j = 0, in code order: Horner's rule
-    over a block of F_q at a time."""
+    """Every y in F_q with sum coeffs[j] y^j = 0, in code order, where the
+    last coefficient is nonzero: -c0/c1 for a line c0 + c1*Y, else Horner's
+    rule over a block of F_q at a time."""
+    if len(coeffs) == 2:
+        return [spec.mul(spec.neg(coeffs[0]), spec.inv(coeffs[1]))]
     roots: list[int] = []
     for lo in range(0, spec.q, ROOT_SCAN_BLOCK):
         ys = np.arange(lo, min(lo + ROOT_SCAN_BLOCK, spec.q), dtype=np.int32)

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,33 @@ def test_prime_dot_refuses_an_inexact_float_sum():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "refused\n"
+
+
+# (p, k, float type): the largest k whose sum k*(p-1)^2 + p stays below 2^24
+# takes float32, and one more product float64; at k = 32 that boundary lies
+# between p = 719 and p = 727.  1048573 at the largest k below 2^53.
+FLOAT_BOUNDARY = [(719, 32, np.float32), (719, 33, np.float64), (727, 31, np.float32),
+                  (727, 32, np.float64), (1048573, 2 ** 53 // (1048573 - 1) ** 2, np.float64)]
+
+
+@pytest.mark.parametrize("p,k,real", FLOAT_BOUNDARY)
+def test_prime_dot_is_exact_at_the_float_boundaries(p, k, real, monkeypatch):
+    spec = field_make(p)
+    top = k * (p - 1) ** 2 + p
+    assert top < (2 ** 24 if real is np.float32 else 2 ** 53)
+    assert real is np.float64 or (k + 1) * (p - 1) ** 2 + p >= 2 ** 24
+    # every operand, and c, at p - 1: each cell is the largest sum the bound allows
+    a = np.full((2, k), p - 1)
+    b = np.full((k, 3), p - 1)
+    c = np.full((2, 3), p - 1)
+    types = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda spec_, x, y, **kw: types.append(x.dtype) or
+                        einsum(spec_, x, y, **kw))
+    got = spec.vec.dot(a, b, c)
+    assert types == [np.dtype(real)]
+    want = functools.reduce(spec.add, [spec.mul(p - 1, p - 1)] * k, p - 1)
+    assert got.tolist() == [[want] * 3] * 2
 
 
 def test_prime_intermediates_stay_below_2_62(monkeypatch):
@@ -465,6 +493,54 @@ def test_kernel_products_stay_below_the_pivots(monkeypatch):
     assert shapes == []
 
 
+# (n, k, t, eps) of rs-decode instances whose Guruswami-Sudan systems, 42 x 63
+# at m = 3 and 60 x 70 at m = 4, span two panels; the first panel's swaps
+# move 14 to 29 of its rows on every family
+GS_SHAPES = [(7, 1, 4, "1/4"), (6, 2, 4, "1/16")]
+
+
+def _gs_system(spec, seed, n, k, t, eps):
+    """The constraint rows and column count that ``gs_interpolate`` hands to
+    ``nullspace_vector`` for a seeded received word of n points."""
+    rng = rng_stream(seed, spec.q)
+    alphas = tuple(int(a) for a in rng.choice(spec.q, size=n, replace=False))
+    betas = tuple(int(b) for b in rng.integers(spec.q, size=n))
+    inst = rs.RSInstance(spec, alphas, betas, k=k, t=t)
+    params = rs.choose_params(inst, Fraction(eps))
+    basis = WeightedDegreeBasis(d=params.d, k=k, ydeg_cap=params.ydeg_cap)
+    problem = InterpolationProblem(spec, 2, tuple(zip(alphas, betas)), params.m, basis)
+    return vanishing_constraints(problem).tolist(), basis.count()
+
+
+@pytest.mark.parametrize("p,e", FAMILIES)
+def test_elimination_of_gs_systems_matches_scalar_reference(p, e, monkeypatch):
+    # rows swap in many columns of the first panel, so the columns right of
+    # it are only right when they take the panel's row permutation
+    spec = field_make(p, e)
+    moved = []
+    reduce_panel = interpolate._reduce_panel
+
+    def counting(*args):
+        panel, order = reduce_panel(*args)
+        moved.append(int(np.count_nonzero(order != np.arange(len(order)))))
+        return panel, order
+
+    monkeypatch.setattr(interpolate, "_reduce_panel", counting)
+    for seed, (n, k, t, eps) in enumerate(GS_SHAPES):
+        rows, ncols = _gs_system(spec, 413 + seed, n, k, t, eps)
+        # as built; with column 34 a copy of column 3, so that the first free
+        # column is 34, inside the second panel; and cut to its first 40 rows
+        twin = [row[:34] + [row[3]] + row[35:] for row in rows]
+        moved.clear()
+        for case in (rows, twin, rows[:40]):
+            ref = _ref_nullspace(case, ncols, spec)
+            assert nullspace_vector(case, ncols, spec) == ref
+            assert matrix_rank(case, ncols, spec) == _ref_rank(case, ncols, spec)
+            if case is twin:
+                assert max(c for c, x in enumerate(ref) if x) == 34
+        assert len(rows) > PANEL and moved[0] >= PANEL // 4
+
+
 # ---------------------------------------------------------------------------
 # constraint rows and the Y-root scan against scalar references
 # ---------------------------------------------------------------------------
@@ -525,6 +601,22 @@ def test_root_scan_matches_scalar_evaluation(p, e):
         assert roots == sorted(roots)
         for y in ys:
             assert (y in roots) == (scalar_ref.uni_eval(coeffs, y, spec) == 0)
+
+
+@pytest.mark.parametrize("p,e", FAMILIES + [(2, 16), (1048573, 1)])
+def test_linear_root_matches_the_scan(p, e):
+    # c0 + c1*Y gives -c0/c1 without the scan; Horner's rule over all of F_q
+    # is the oracle, and a nonzero constant has no root
+    spec = field_make(p, e)
+    rng = rng_stream(414, spec.q)
+    ys = np.arange(spec.q)
+    lines = [(0, 1), (spec.q - 1, 1), (1, spec.q - 1), (0, spec.q - 1)]
+    lines += [(int(rng.integers(spec.q)), int(rng.integers(1, spec.q))) for _ in range(6)]
+    for c0, c1 in lines:
+        scan = np.flatnonzero(spec.vec.poly_eval([c0, c1], ys) == 0).tolist()
+        assert len(scan) == 1
+        assert rs._field_roots([c0, c1], spec) == scan
+        assert rs._field_roots([c1], spec) == []
 
 
 @pytest.mark.parametrize("p,e", FAMILIES + [(2, 1)])
