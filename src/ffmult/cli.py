@@ -140,7 +140,7 @@ def cmd_mult(args) -> dict:
 def cmd_sz_mass(args) -> dict:
     spec = parse_field_spec(args.field)
     poly = MultiPoly.from_text(spec, args.n, args.poly)
-    subset = args.subset or tuple(range(spec.q))
+    subset = tuple(range(spec.q)) if args.subset is None else args.subset
     mass = multiplicity_mass(poly, subset)
     bound = int(poly.degree) * len(set(subset)) ** (args.n - 1)
     return {"mass": mass, "bound": bound, "ok": mass <= bound}

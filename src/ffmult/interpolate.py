@@ -8,8 +8,9 @@ by exact Gaussian elimination with deterministic pivoting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
 from .ff import FieldSpec
 from .mvpoly import (
     MultiPoly,
+    _canonical,
     coerce_point,
     exponents_below_weight,
     hasse_coefficients,
@@ -280,9 +282,17 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
 
     Requires strictly more basis monomials than linear constraints; with that
     hypothesis the kernel is nontrivial and the construction cannot fail.
+    ``nullspace_vector`` reaches only the first constraint_count() + 1
+    columns, so a total-degree basis is cut to the smallest one holding them,
+    a graded-lex prefix: the cost follows the constraints, not the degree.
     """
-    monomials = problem.basis.monomials()
     n_constraints = problem.constraint_count()
+    if isinstance(problem.basis, TotalDegreeBasis):
+        mons = exponents_below_weight(problem.basis.d + 1, problem.n)
+        head = list(islice(mons, n_constraints + 1))
+        if len(head) > n_constraints:
+            problem = replace(problem, basis=TotalDegreeBasis(problem.n, sum(head[-1])))
+    monomials = problem.basis.monomials()
     if n_constraints >= len(monomials):
         raise UnsatisfiedCountHypothesis(
             f"{n_constraints} constraints vs {len(monomials)} monomials: "
@@ -294,11 +304,7 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
         raise InternalNoSolution(
             "no kernel vector although the count hypothesis held"
         )
-    poly = MultiPoly(
-        problem.spec,
-        problem.n,
-        {mono: c for mono, c in zip(monomials, vec) if c},
-    )
+    poly = _canonical(problem.spec, problem.n, np.array(monomials, dtype=np.int64), vec)
     if verify:
         from .mvpoly import multiplicities
 

@@ -24,7 +24,6 @@ from .errors import (
     ParameterViolation,
     SearchSpaceTooLarge,
     SpecMismatch,
-    UnsatisfiedCountHypothesis,
     UnsupportedSize,
 )
 from .ff import FieldSpec, code_points, parse_prime_power, point_codes
@@ -255,11 +254,6 @@ def homogeneous_vanishing_check(
     problem = InterpolationProblem(
         spec, n, tuple(sorted(instance.K)), m, TotalDegreeBasis(n, d)
     )
-    n_constraints, n_monomials = problem.constraint_count(), problem.basis.count()
-    if n_constraints >= n_monomials:
-        raise UnsatisfiedCountHypothesis(
-            f"{n_constraints} constraints vs {n_monomials} monomials for |K|={len(instance.K)}"
-        )
     poly = vanishing_interpolation(problem)
     hp = homogeneous_part(poly)
     points = all_points(spec, n)

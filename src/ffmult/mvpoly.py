@@ -4,15 +4,20 @@ Carries the multiplicity machinery: Hasse derivatives, multiplicity of a
 zero at a point, highest-degree homogeneous parts, composition with curves,
 line restrictions, and the total multiplicity mass over a grid S^n.
 
-Terms live in a dict mapping exponent tuples to nonzero element codes.  The
-degree of the zero polynomial is the sentinel ``NEG_INF`` (never -1), and
-the multiplicity of the zero polynomial at any point is ``INF_MULT``.
+A polynomial holds its terms as two arrays: ``exps``, the distinct exponent
+vectors as (T, n) int64 rows in graded-lex order, and ``coeffs``, their
+nonzero coefficient codes as (T,) int64.  Every constructor and ring
+operation ends in one canonicalizer, and every array path reads the two
+arrays as they are.  The degree of the zero polynomial is the sentinel
+``NEG_INF`` (never -1), and the multiplicity of the zero polynomial at any
+point is ``INF_MULT``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import inf, isqrt
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,11 +34,7 @@ from .ff import FieldElement, FieldSpec, code_points
 
 NEG_INF = float("-inf")   # degree of the zero polynomial
 INF_MULT = inf            # multiplicity of the zero polynomial
-
-
-def weight(exps) -> int:
-    """Total degree wt(i) of an exponent vector."""
-    return sum(exps)
+MAX_DEGREE = 2 ** 63 - 2  # largest total degree: deg + 1 still fits int64
 
 
 def weak_compositions(total: int, parts: int):
@@ -63,74 +64,112 @@ def coerce_point(spec: FieldSpec, n: int, point) -> tuple[int, ...]:
     return pt
 
 
-class MultiPoly:
-    """Sparse polynomial in n variables over a fixed field.
+def _from_rows(spec: FieldSpec, n: int, rows: list, coeffs) -> "MultiPoly":
+    """The polynomial with the given coefficients at exponent tuples from
+    outside, which may repeat: DimensionMismatch for a tuple not of length n
+    or with a negative entry, UnsupportedSize for one of total degree above
+    MAX_DEGREE, so that no entry or row sum of the array passes int64."""
+    for r in rows:
+        if len(r) != n or min(r, default=0) < 0:
+            raise DimensionMismatch(f"bad exponent vector {r} for n={n}")
+        if sum(r) > MAX_DEGREE:
+            raise UnsupportedSize(f"exponent vector {r} has total degree above {MAX_DEGREE}")
+    return _canonical(spec, n, _code_rows(rows, n), [spec.coerce(c) for c in coeffs])
 
-    ``terms`` maps exponent tuples of length n to nonzero element codes.
-    Instances are treated as immutable; all operations return new objects.
+
+def _canonical(spec: FieldSpec, n: int, exps: np.ndarray, coeffs) -> "MultiPoly":
+    """The sum of the terms coeffs[t] X^exps[t], from (T, n) int64 exponent
+    rows, which may repeat, and (T,) codes, which may be zero: sorts the rows
+    graded-lex, sums each run of equal rows with ``VecOps.sum`` over a
+    zero-padded runs x longest-run array, and drops the zero coefficients."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if len(exps) > 1:
+        order = np.lexsort((*exps.T[::-1], exps.sum(axis=1)))  # the last key is the primary one
+        exps, coeffs = exps[order], coeffs[order]
+        repeat = (exps[1:] == exps[:-1]).all(axis=1)  # row t + 1 equals row t
+        if np.count_nonzero(repeat):
+            new = np.concatenate([[True], ~repeat])  # where a run of equal rows starts
+            starts = np.flatnonzero(new)
+            run = np.cumsum(new) - 1
+            pos = np.arange(len(exps)) - starts[run]
+            runs = np.zeros((len(starts), int(pos.max()) + 1), dtype=np.int64)
+            runs[run, pos] = coeffs
+            exps, coeffs = exps[starts], spec.vec.sum(runs, axis=1)
+    if np.count_nonzero(coeffs) < len(coeffs):
+        keep = coeffs != 0
+        exps, coeffs = exps[keep], coeffs[keep]
+    return MultiPoly._make(spec, n, exps, coeffs)
+
+
+def _sum(spec: FieldSpec, n: int, polys) -> "MultiPoly":
+    """The sum of polynomials in n variables, canonicalized once."""
+    polys = [MultiPoly.zero(spec, n), *polys]  # so that no list is empty
+    return _canonical(spec, n, np.concatenate([P.exps for P in polys]),
+                      np.concatenate([P.coeffs for P in polys]))
+
+
+class MultiPoly:
+    """Sparse polynomial in n variables over a fixed field, built from a
+    dict mapping exponent tuples of length n to element codes (or
+    FieldElements).  Instances are immutable, their arrays read-only; all
+    operations return new objects.
     """
 
-    __slots__ = ("spec", "n", "terms")
+    __slots__ = ("spec", "n", "exps", "coeffs")
 
     def __init__(self, spec: FieldSpec, n: int, terms=None):
-        self.spec = spec
-        self.n = n
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise DimensionMismatch(f"bad exponent vector {exps} for n={n}")
-            code = spec.coerce(coeff)
-            if code:
-                clean[exps] = code
-        self.terms = clean
+        terms = terms or {}
+        P = _from_rows(spec, n, [tuple(map(int, e)) for e in terms], terms.values())
+        self.spec, self.n, self.exps, self.coeffs = spec, n, P.exps, P.coeffs
+
+    @classmethod
+    def _make(cls, spec: FieldSpec, n: int, exps: np.ndarray, coeffs) -> "MultiPoly":
+        """A polynomial from arrays already in canonical form."""
+        P = object.__new__(cls)
+        P.spec, P.n, P.exps, P.coeffs = spec, n, exps, np.asarray(coeffs, dtype=np.int64)
+        P.exps.flags.writeable = P.coeffs.flags.writeable = False
+        return P
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, spec: FieldSpec, n: int) -> "MultiPoly":
-        return cls(spec, n, {})
+        return cls._make(spec, n, _code_rows([], n), ())
 
     @classmethod
     def constant(cls, spec: FieldSpec, n: int, value) -> "MultiPoly":
-        return cls(spec, n, {(0,) * n: spec.coerce(value)})
-
-    @classmethod
-    def monomial(cls, spec: FieldSpec, n: int, exps, coeff=1) -> "MultiPoly":
-        return cls(spec, n, {tuple(exps): coeff})
+        code = spec.coerce(value)
+        return cls._make(spec, n, np.zeros((1 if code else 0, n), dtype=np.int64),
+                         [code] if code else ())
 
     @classmethod
     def variable(cls, spec: FieldSpec, n: int, index: int) -> "MultiPoly":
-        exps = [0] * n
-        exps[index] = 1
-        return cls(spec, n, {tuple(exps): 1})
+        return cls(spec, n, {tuple(int(j == index) for j in range(n)): 1})
 
     # -- basic structure ---------------------------------------------------------
 
     @property
+    def terms(self):
+        """The terms as a read-only mapping from exponent tuples to codes,
+        in graded-lex order."""
+        return MappingProxyType(dict(zip(map(tuple, self.exps.tolist()), self.coeffs.tolist())))
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     @property
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(weight(e) for e in self.terms)
-
-    def coeff(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
+        return sum(self.exps[-1].tolist()) if len(self.exps) else NEG_INF
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.spec is other.spec
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return (isinstance(other, MultiPoly) and self.spec is other.spec and self.n == other.n
+                and np.array_equal(self.exps, other.exps)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((id(self.spec), self.n, frozenset(self.terms.items())))
+        return hash((id(self.spec), self.n, self.exps.tobytes(), self.coeffs.tobytes()))
 
     def _check_compatible(self, other: "MultiPoly") -> None:
         if self.spec is not other.spec:
@@ -142,46 +181,27 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        spec = self.spec
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = spec.add(out.get(exps, 0), c)
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
-        return MultiPoly(spec, self.n, out)
+        return _sum(self.spec, self.n, (self, other))
 
     def __neg__(self) -> "MultiPoly":
-        spec = self.spec
-        return MultiPoly(spec, self.n, {e: spec.neg(c) for e, c in self.terms.items()})
+        return MultiPoly._make(self.spec, self.n, self.exps, self.spec.vec.neg(self.coeffs))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        spec = self.spec
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                prod = spec.mul(c1, c2)
-                if not prod:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = spec.add(out.get(key, 0), prod)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return MultiPoly(spec, self.n, out)
+        if self.degree + other.degree > MAX_DEGREE:  # the degree of the product
+            raise UnsupportedSize(f"a product of degree above {MAX_DEGREE}")
+        exps = self.exps[:, None] + other.exps[None]
+        coeffs = self.spec.vec.mul(self.coeffs[:, None], other.coeffs[None])
+        return _canonical(self.spec, self.n, exps.reshape(-1, self.n), coeffs.ravel())
 
     def scale(self, value) -> "MultiPoly":
-        spec = self.spec
-        code = spec.coerce(value)
+        code = self.spec.coerce(value)
         if not code:
-            return MultiPoly.zero(spec, self.n)
-        return MultiPoly(spec, self.n, {e: spec.mul(c, code) for e, c in self.terms.items()})
+            return MultiPoly.zero(self.spec, self.n)
+        return MultiPoly._make(self.spec, self.n, self.exps, self.spec.vec.mul(self.coeffs, code))
 
     def power(self, k: int) -> "MultiPoly":
         result = MultiPoly.constant(self.spec, self.n, 1)
@@ -189,49 +209,42 @@ class MultiPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- evaluation ---------------------------------------------------------------
 
-    def term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The terms as a (T, n) int64 array of exponent vectors and a (T,)
-        int64 array of their coefficient codes, in term order."""
-        return (_code_rows(list(self.terms), self.n),
-                np.array(list(self.terms.values()), dtype=np.int64))
-
     def eval_codes(self, point: tuple[int, ...]) -> int:
         """P at a point of codes: the Hasse derivative of order 0, whose
         coefficients C(r, 0) are 1 and whose shifts are the exponents r."""
-        exps, coeffs = self.term_arrays()
         vec = self.spec.vec
-        powers = power_tables(vec, _code_rows([point], self.n), int(exps.max(initial=0)))
-        return int(vec.sum(hasse_values(vec, coeffs[None], exps.T[:, None], powers), axis=2)[0, 0])
+        powers = power_tables(vec, _code_rows([point], self.n), int(self.exps.max(initial=0)))
+        values = hasse_values(vec, self.coeffs[None], self.exps.T[:, None], powers)
+        return int(vec.sum(values, axis=2)[0, 0])
 
     # -- serialization --------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in graded-lex order (weight first, then exponent tuple)."""
-        return sorted(self.terms.items(), key=lambda kv: (weight(kv[0]), kv[0]))
-
     def to_text(self) -> str:
-        if not self.terms:
+        if self.is_zero:
             return "0"
         return ";".join(
-            f"{c}:{','.join(map(str, e))}" for e, c in self.sorted_terms()
+            f"{c}:{','.join(map(str, e))}"
+            for e, c in zip(self.exps.tolist(), self.coeffs.tolist())
         )
 
     @classmethod
     def from_text(cls, spec: FieldSpec, n: int, text: str) -> "MultiPoly":
-        terms: dict[tuple[int, ...], int] = {}
+        rows, codes = [], []
         for coeff, exps in parse_terms(text):
             if len(exps) != n:
                 term = f"{coeff}:{','.join(map(str, exps))}"
                 raise DimensionMismatch(f"term {term!r} has wrong arity for n={n}")
-            if coeff:
-                terms[exps] = spec.add(terms.get(exps, 0), spec.coerce(coeff))
-        return cls(spec, n, terms)
+            if spec.coerce(coeff):
+                rows.append(exps)
+                codes.append(coeff)
+        return _from_rows(spec, n, rows, codes)
 
     def __repr__(self):
         return f"MultiPoly({self.spec}, n={self.n}, {self.to_text()!r})"
@@ -286,15 +299,15 @@ def hasse_derivative(P: MultiPoly, i) -> MultiPoly:
     if min(i, default=0) < 0:
         raise InvalidParameters(f"derivative order must be non-negative, got {i}")
     spec = P.spec
-    if P.is_zero:
-        return P
-    exps, coeffs = P.term_arrays()
-    binom = lucas_binomial(spec.p, int(exps.max(initial=0)))
-    coef, shifts = hasse_coefficients(exps, _code_rows([i], P.n), binom, spec.p)
-    coef = spec.vec.mul(coef[0], coeffs)
-    return MultiPoly(spec, P.n, {
-        tuple(r.tolist()): int(c) for r, c in zip(shifts[:, 0].T, coef) if c
-    })
+    top = int(P.exps.max(initial=0))
+    if max(i, default=0) > top:  # C(r, i) = 0 for every term, as i_j > r_j
+        return MultiPoly.zero(spec, P.n)
+    coef, shifts = hasse_coefficients(P.exps, _code_rows([i], P.n),
+                                      lucas_binomial(spec.p, top), spec.p)
+    coef = np.asarray(spec.vec.mul(coef[0], P.coeffs), dtype=np.int64)
+    keep = coef != 0
+    # r -> r - i keeps graded-lex order on the terms with r >= i, the ones kept
+    return MultiPoly._make(spec, P.n, shifts[:, 0].T[keep], coef[keep])
 
 
 def multiplicity(P: MultiPoly, point):
@@ -314,8 +327,8 @@ def homogeneous_part(P: MultiPoly) -> MultiPoly:
     """Terms of weight exactly deg(P); requires P nonzero."""
     if P.is_zero:
         raise ZeroPolynomial("the zero polynomial has no homogeneous part")
-    d = P.degree
-    return MultiPoly(P.spec, P.n, {e: c for e, c in P.terms.items() if weight(e) == d})
+    top = P.exps.sum(axis=1) == P.degree
+    return MultiPoly._make(P.spec, P.n, P.exps[top], P.coeffs[top])
 
 
 class Curve:
@@ -338,11 +351,11 @@ class Curve:
 
     @classmethod
     def from_coeff_lists(cls, spec: FieldSpec, coeff_lists) -> "Curve":
-        comps = [
-            MultiPoly(spec, 1, {(k,): c for k, c in enumerate(coeffs)})
-            for coeffs in coeff_lists
-        ]
-        return cls(spec, comps)
+        """Components with the codes of each list as coefficients, low to
+        high: once its zeros are dropped, a dense list is in graded-lex order."""
+        codes = [[spec.coerce(c) for c in coeffs] for coeffs in coeff_lists]
+        return cls(spec, [MultiPoly._make(spec, 1, _code_rows([(k,) for k, c in enumerate(cs) if c], 1),
+                                          [c for c in cs if c]) for cs in codes])
 
     @classmethod
     def line(cls, spec: FieldSpec, a, b) -> "Curve":
@@ -357,8 +370,7 @@ class Curve:
         array of codes: one Horner pass over the component coefficient rows."""
         rows = np.zeros((self.n, self.degree + 1), dtype=np.int64)
         for row, comp in zip(rows, self.components):
-            exps, coeffs = comp.term_arrays()
-            row[exps[:, 0]] = coeffs
+            row[comp.exps[:, 0]] = comp.coeffs
         return self.spec.vec.poly_eval_rows(rows, ts).T
 
     def eval(self, t) -> tuple[int, ...]:
@@ -383,32 +395,23 @@ def compose_curve(P: MultiPoly, C: Curve) -> MultiPoly:
     if C.n != P.n:
         raise DimensionMismatch(f"curve has {C.n} components, polynomial has {P.n} variables")
     spec = P.spec
-    result = MultiPoly.zero(spec, 1)
-    pow_cache: dict[tuple[int, int], MultiPoly] = {}
-
-    def comp_power(j: int, k: int) -> MultiPoly:
-        if k == 0:
-            return MultiPoly.constant(spec, 1, 1)
-        got = pow_cache.get((j, k))
-        if got is None:
-            got = comp_power(j, k - 1) * C.components[j]
-            pow_cache[(j, k)] = got
-        return got
-
-    for exps, coeff in P.terms.items():
-        term = MultiPoly.constant(spec, 1, coeff)
-        for j, e in enumerate(exps):
+    one = MultiPoly.constant(spec, 1, 1)
+    powers = [[one] for _ in C.components]  # powers[j][k] = C_j ** k, as needed
+    terms = []
+    for exps, coeff in zip(P.exps.tolist(), P.coeffs.tolist()):
+        term = one
+        for comp, pw, e in zip(C.components, powers, exps):
+            while len(pw) <= e:
+                pw.append(pw[-1] * comp)
             if e:
-                term = term * comp_power(j, e)
-        result = result + term
-    return result
+                term = pw[e] if term is one else term * pw[e]
+        terms.append(term.scale(coeff))
+    return _sum(spec, 1, terms)
 
 
 def restrict_to_line(P: MultiPoly, a, b) -> MultiPoly:
     """P(a + T*b) as a univariate polynomial; b = 0 gives the constant P(a)."""
-    a = coerce_point(P.spec, P.n, a)
-    b = coerce_point(P.spec, P.n, b)
-    return compose_curve(P, Curve.line(P.spec, a, b))
+    return compose_curve(P, Curve.line(P.spec, coerce_point(P.spec, P.n, a), b))
 
 
 def grid_multiplicities(P: MultiPoly, S) -> np.ndarray:
@@ -442,8 +445,9 @@ TABLE_CELLS = 2 ** 22        # largest power table built
 
 
 def _code_rows(rows, n: int) -> np.ndarray:
-    """A sequence of n-tuples as an (N, n) int64 array, n = 0 included."""
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    """A sequence of n-tuples as an (N, n) int64 array, n = 0 included; no
+    rows for an n below 0, the zero polynomial's."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), max(n, 0))
 
 
 def lucas_binomial(p: int, top: int):
@@ -572,8 +576,7 @@ def _multiplicities(P: MultiPoly, pts: np.ndarray) -> np.ndarray:
     if P.is_zero:
         raise ZeroPolynomial("multiplicities of the zero polynomial are infinite")
     spec, n, vec = P.spec, P.n, P.spec.vec
-    exps, coeffs = P.term_arrays()
-    top = int(exps.max(initial=0))
+    top = int(P.exps.max(initial=0))
     binom = lucas_binomial(spec.p, top)
     shells = []  # per weight walked so far: coefficients and shifts of its live terms
     mult = np.zeros(len(pts), dtype=np.int64)
@@ -585,8 +588,8 @@ def _multiplicities(P: MultiPoly, pts: np.ndarray) -> np.ndarray:
             if not alive.size:
                 break
             if w == len(shells):
-                coef, shifts = hasse_coefficients(exps, shell_orders(w, n), binom, spec.p)
-                coef = vec.mul(coef, coeffs)
+                coef, shifts = hasse_coefficients(P.exps, shell_orders(w, n), binom, spec.p)
+                coef = vec.mul(coef, P.coeffs)
                 live = coef.any(axis=0)  # terms with some nonzero derivative of weight w
                 shells.append((coef[:, live], shifts[:, :, live]))
             coef, shifts = shells[w]

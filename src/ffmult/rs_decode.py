@@ -164,9 +164,8 @@ def gs_interpolate(inst: RSInstance, params: GSParams) -> MultiPoly:
 def _y_levels(Q: MultiPoly) -> np.ndarray:
     """Q as sum_j Q_j(X) Y^j: a dense (deg_Y Q + 1) x (deg_X Q + 1) array of
     codes whose row j holds the X-coefficients of Q_j, low to high."""
-    exps, coeffs = Q.term_arrays()
-    levels = np.zeros(tuple(exps.max(axis=0)[::-1] + 1), dtype=np.int64)
-    levels[exps[:, 1], exps[:, 0]] = coeffs
+    levels = np.zeros(tuple(Q.exps.max(axis=0)[::-1] + 1), dtype=np.int64)
+    levels[Q.exps[:, 1], Q.exps[:, 0]] = Q.coeffs
     return levels
 
 

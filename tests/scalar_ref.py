@@ -8,8 +8,12 @@ test Q(X, y0) = 0 and the shift Q(X, y0 + XY), the one-seed-at-a-time count
 of merger outputs, and the merger's Lagrange basis as one product of linear
 factors per node, on the scalar coefficient-list helpers ``uni_add`` and
 ``uni_mul``; the merger's block maps, sources and curve evaluated one point
-and one seed at a time; and Hasse derivatives and multiplicities read off a
-shift expansion, which never touches the binomial term rule.  Tests only."""
+and one seed at a time; Hasse derivatives and multiplicities read off a
+shift expansion, which never touches the binomial term rule; and the
+term-dict arithmetic of ``MultiPoly`` (sums, products, scaling, powers,
+Hasse derivatives, homogeneous parts, curve composition and text parsing)
+as it ran before the terms moved onto exponent and coefficient arrays.
+Tests only."""
 
 import itertools
 from functools import reduce
@@ -22,7 +26,7 @@ from ffmult import merger as mg
 from ffmult.ff import FieldSpec, parse_prime_power
 from ffmult.errors import HypothesisViolation, InvalidParameters, ParameterViolation
 from ffmult.kakeya import _check_space, all_points, kakeya_lower_bounds, statistical_kakeya_bound
-from ffmult.mvpoly import INF_MULT, MultiPoly, weak_compositions, weight
+from ffmult.mvpoly import INF_MULT, MultiPoly, parse_terms, weak_compositions
 
 
 def poly_mul(spec, a: int, b: int) -> int:
@@ -156,36 +160,110 @@ def multiplicity(P: MultiPoly, point):
     raise AssertionError("nonzero polynomial with multiplicity above its degree")
 
 
+# -- the term-dict arithmetic of MultiPoly: dicts from exponent tuples to
+# nonzero codes, one scalar ``spec.add`` or ``spec.mul`` per term pair
+
+
+def dict_add(spec, a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exps, c in b.items():
+        s = spec.add(out.get(exps, 0), c)
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+    return out
+
+
+def dict_neg(spec, a: dict) -> dict:
+    return {e: spec.neg(c) for e, c in a.items()}
+
+
+def dict_mul(spec, a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            s = spec.add(out.get(key, 0), spec.mul(c1, c2))
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def dict_scale(spec, a: dict, code: int) -> dict:
+    return {e: spec.mul(c, code) for e, c in a.items()} if code else {}
+
+
+def dict_power(spec, n: int, a: dict, k: int) -> dict:
+    """a ** k by k products, starting from 1."""
+    out = {(0,) * n: 1}
+    for _ in range(k):
+        out = dict_mul(spec, out, a)
+    return out
+
+
+def dict_hasse(spec, a: dict, i) -> dict:
+    """X^r -> C(r, i) X^(r - i), C(r, i) by math.comb mod p."""
+    out = {}
+    for r, c in a.items():
+        if all(rk >= ik for rk, ik in zip(r, i)):
+            b = 1
+            for rk, ik in zip(r, i):
+                b = b * comb(rk, ik) % spec.p
+            val = spec.mul(c, b)
+            if val:
+                out[tuple(rk - ik for rk, ik in zip(r, i))] = val
+    return out
+
+
+def dict_homogeneous_part(a: dict) -> dict:
+    d = max(map(sum, a))
+    return {e: c for e, c in a.items() if sum(e) == d}
+
+
+def dict_compose(spec, a: dict, comps) -> dict:
+    """a(C_1(T), ..., C_n(T)) for univariate term dicts C_j: each term a
+    product of component powers, each power one product more than the last."""
+    out = {}
+    for exps, coeff in a.items():
+        term = {(0,): coeff}
+        for comp, e in zip(comps, exps):
+            for _ in range(e):
+                term = dict_mul(spec, term, comp)
+        out = dict_add(spec, out, term)
+    return out
+
+
+def dict_from_text(spec, text: str) -> dict:
+    """The terms of 'coeff:e1,...,en;...', a repeated exponent vector summed."""
+    out = {}
+    for coeff, exps in parse_terms(text):
+        out = dict_add(spec, out, {exps: spec.coerce(coeff)} if coeff else {})
+    return out
+
+
 def hasse_via_shift_expansion(P: MultiPoly, order) -> MultiPoly:
-    """P^(order) read off from P(X + Z), expanded by repeated multiplication.
+    """P^(order) read off from P(X + Z), expanded by repeated multiplication
+    of term dicts.
 
     Works in 2n variables, never touching the binomial term rule, so it is
     an independent oracle for the production derivative.
     """
     spec, n = P.spec, P.n
-    shifted = MultiPoly.zero(spec, 2 * n)
-
-    def lifted_factor(j: int) -> MultiPoly:
-        # X_j + Z_j inside the 2n-variable ring
-        xe = [0] * (2 * n)
-        ze = [0] * (2 * n)
-        xe[j] = 1
-        ze[n + j] = 1
-        return MultiPoly(spec, 2 * n, {tuple(xe): 1, tuple(ze): 1})
-
+    shifted = {}
     for exps, coeff in P.terms.items():
-        term = MultiPoly.constant(spec, 2 * n, coeff)
+        term = {(0,) * (2 * n): coeff}
         for j, e in enumerate(exps):
-            factor = lifted_factor(j)
+            # X_j + Z_j inside the 2n-variable ring
+            factor = {tuple(int(k == j) for k in range(2 * n)): 1,
+                      tuple(int(k == n + j) for k in range(2 * n)): 1}
             for _ in range(e):
-                term = term * factor
-        shifted = shifted + term
+                term = dict_mul(spec, term, factor)
+        shifted = dict_add(spec, shifted, term)
     order = tuple(order)
-    out = {}
-    for exps, coeff in shifted.terms.items():
-        if exps[n:] == order:
-            out[exps[:n]] = coeff
-    return MultiPoly(spec, n, out)
+    return MultiPoly(spec, n, {e[:n]: c for e, c in shifted.items() if e[n:] == order})
 
 
 def multiplicity_via_shift(P: MultiPoly, point) -> int | float:
@@ -193,19 +271,18 @@ def multiplicity_via_shift(P: MultiPoly, point) -> int | float:
     if P.is_zero:
         return INF_MULT
     spec, n = P.spec, P.n
-    shifted = MultiPoly.zero(spec, n)
+    shifted = {}
     for exps, coeff in P.terms.items():
-        term = MultiPoly.constant(spec, n, coeff)
+        term = {(0,) * n: coeff}
         for j, e in enumerate(exps):
-            factor = MultiPoly(
-                spec, n, {tuple(0 if l != j else 1 for l in range(n)): 1}
-            ) + MultiPoly.constant(spec, n, point[j])
+            factor = dict_add(spec, {tuple(int(k == j) for k in range(n)): 1},
+                              {(0,) * n: point[j]} if point[j] else {})
             for _ in range(e):
-                term = term * factor
-        shifted = shifted + term
-    if shifted.is_zero:
+                term = dict_mul(spec, term, factor)
+        shifted = dict_add(spec, shifted, term)
+    if not shifted:
         return INF_MULT
-    return min(weight(e) for e in shifted.terms)
+    return min(sum(e) for e in shifted)
 
 
 def canonical_directions(spec, n):

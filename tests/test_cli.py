@@ -113,6 +113,27 @@ def test_interpolate_subcommand(capsys):
     assert data["poly"] != "0" and data["verified"]
 
 
+def test_interpolate_cost_follows_the_constraint_count(capsys):
+    # 3 points at m = 2 make 9 constraints: degree 3 is the smallest feasible,
+    # and only the first 10 columns are ever eliminated
+    argv = ("interpolate", "--field", "5", "--n", "2", "--points", "[[0, 0], [1, 2], [3, 4]]",
+            "--multiplicity", "2", "--degree")
+    code, out = run_cli(capsys, *argv, "3")
+    assert code == 0
+    start = time.perf_counter()
+    code, huge = run_cli(capsys, *argv, str(10 ** 20), "--verify")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert json.loads(huge)["poly"] == json.loads(out)["poly"]
+    assert json.loads(huge)["monomials"] == comb(10 ** 20 + 2, 2)
+
+
+def test_hasse_order_above_every_exponent_is_zero(capsys):
+    code, out = run_cli(capsys, *HUGE_ORDER)
+    assert code == 0
+    assert json.loads(out)["derivative"] == "0"
+
+
 def test_kakeya_verify_subcommand(capsys):
     pts = json.dumps([[a, b] for a in range(2) for b in range(2)])
     code, out = run_cli(capsys, "kakeya-verify", "--field", "2", "--n", "2", "--points", pts)
@@ -243,6 +264,19 @@ MERGER_REFUSALS = [
 ]
 
 
+# polynomials whose exponents or total degree pass int64, refused up front
+EXPONENT_REFUSALS = [
+    ("hasse", "--field", "3", "--n", "1", "--poly", "1:99999999999999999999", "--order", "1"),
+    ("mult", "--field", "3", "--n", "1", "--poly", "1:99999999999999999999", "--point", "1"),
+    ("sz-mass", "--field", "3", "--n", "1", "--poly", "1:99999999999999999999"),
+    ("hasse", "--field", "3", "--n", "2", "--poly", "1:9223372036854775807,1",
+     "--order", "0,0"),
+]
+# a derivative order past int64, and so above every exponent
+HUGE_ORDER = ("hasse", "--field", "3", "--n", "1", "--poly", "1:5",
+              "--order", "99999999999999999999")
+
+
 # kakeya-stat instances that a dict in argv stands for, written to a file
 EMPTY_STAT = {"S": [], "K": [], "curves": [], "lambda": 0, "eta": 1, "degree": 1}
 REPEATED_S = {"S": [[0], [0]], "K": [[0]], "curves": [{"point": [0], "components": [[0]]}],
@@ -269,7 +303,9 @@ REPEATED_S = {"S": [[0], [0]], "K": [[0]], "curves": [{"point": [0], "components
     (("kakeya-stat", "--field", "2", "--n", "-1", "--input", EMPTY_STAT), "InvalidParameters"),
     (("kakeya-stat", "--field", "3", "--n", "100000000", "--input", EMPTY_STAT),
      "UnsupportedSize"),
-])
+    # an explicit empty S is not the whole field
+    (("sz-mass", "--field", "3", "--n", "1", "--poly", "1:1", "--subset", ""), "EmptySet"),
+] + [(argv, "UnsupportedSize") for argv in EXPONENT_REFUSALS])
 def test_field_and_poly_out_of_domain_is_domain_error(tmp_path, capsys, argv, error):
     target = tmp_path / "input.json"
     for doc in [a for a in argv if isinstance(a, dict)]:
@@ -567,6 +603,11 @@ def cli_argv(draw):
 @given(cli_argv())
 @example(list(MERGER_REFUSALS[0]))
 @example(list(MERGER_REFUSALS[-1]))
+@example(list(EXPONENT_REFUSALS[0]))
+@example(list(EXPONENT_REFUSALS[1]))
+@example(list(EXPONENT_REFUSALS[2]))
+@example(list(EXPONENT_REFUSALS[3]))
+@example(list(HUGE_ORDER))
 def test_cli_exit_code_contract_holds_for_fuzzed_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

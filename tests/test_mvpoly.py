@@ -501,3 +501,86 @@ def test_binomials_of_large_exponents():
     X = MultiPoly(spec, 1, {(1,): 1})
     P = (X - MultiPoly.constant(spec, 1, 1)).power(50) * X.power(10 ** 5 - 50)
     assert multiplicity(P, (1,)) == 50
+
+
+# ---------------------------------------------------------------------------
+# the term arrays against the term-dict oracles
+# ---------------------------------------------------------------------------
+
+# one field per VecOps family: prime, GF(2^e) and odd p^e on tables, and the
+# table-free kernel above 2^16 in characteristic 2 and odd
+ARRAY_FIELDS = [(7, 1), (2, 4), (3, 3), (2, 17), (3, 11)]
+
+
+def _canonical_form(P, want: dict):
+    """P holds exactly the nonzero terms of ``want``, in graded-lex order."""
+    want = {e: c for e, c in want.items() if c}
+    assert P.exps.dtype == P.coeffs.dtype == np.int64
+    assert P.exps.shape == (len(want), P.n) and P.coeffs.shape == (len(want),)
+    assert list(P.terms.items()) == sorted(want.items(), key=lambda t: (sum(t[0]), t[0]))
+
+
+def _term_dict(spec, n, rng, terms: int, top: int) -> dict:
+    """Random terms with exponents up to ``top``, so that sums and products
+    meet equal exponent vectors; zero coefficients included."""
+    return {tuple(int(x) for x in rng.integers(top + 1, size=n)): int(rng.integers(spec.q))
+            for _ in range(terms)}
+
+
+@pytest.mark.parametrize("p,e", ARRAY_FIELDS)
+def test_array_arithmetic_matches_term_dict_oracle(p, e):
+    spec = field_make(p, e)
+    rng = rng_stream(1601, spec.q)
+    for trial in range(10):
+        n = trial % 3 + 1
+        a = _term_dict(spec, n, rng, 1 + trial % 6, 3)
+        b = _term_dict(spec, n, rng, 1 + trial % 5, 2)
+        for key in list(a)[: trial % 3]:  # terms of a + b that cancel
+            b[key] = spec.neg(a[key])
+        P, Q = MultiPoly(spec, n, a), MultiPoly(spec, n, b)
+        a, b = dict(P.terms), dict(Q.terms)
+        _canonical_form(P, a)
+        _canonical_form(P + Q, scalar_ref.dict_add(spec, a, b))
+        _canonical_form(P - Q, scalar_ref.dict_add(spec, a, scalar_ref.dict_neg(spec, b)))
+        _canonical_form(P - P, {})
+        _canonical_form(P * Q, scalar_ref.dict_mul(spec, a, b))
+        code = int(rng.integers(spec.q))
+        _canonical_form(P.scale(code), scalar_ref.dict_scale(spec, a, code))
+        k = trial % 4
+        _canonical_form(Q.power(k), scalar_ref.dict_power(spec, n, b, k))
+        i = tuple(int(x) for x in rng.integers(3, size=n))
+        _canonical_form(hasse_derivative(P, i), scalar_ref.dict_hasse(spec, a, i))
+        if not P.is_zero:
+            _canonical_form(homogeneous_part(P), scalar_ref.dict_homogeneous_part(a))
+        comps = [_term_dict(spec, 1, rng, 3, 2) for _ in range(n)]
+        C = Curve(spec, [MultiPoly(spec, 1, c) for c in comps])
+        comps = [dict(c.terms) for c in C.components]
+        _canonical_form(compose_curve(P, C), scalar_ref.dict_compose(spec, a, comps))
+        # text with repeated exponent vectors and zero coefficients
+        rows = [tuple(int(x) for x in rng.integers(3, size=n)) for _ in range(6)]
+        text = ";".join(f"{int(rng.integers(spec.q))}:{','.join(map(str, r))}"
+                        for r in rows + rows[:3])
+        _canonical_form(MultiPoly.from_text(spec, n, text), scalar_ref.dict_from_text(spec, text))
+
+
+def test_exponents_past_int64_are_refused():
+    # a total degree of 2^63 - 2 is the largest kept: deg + 1 still fits int64
+    top = 2 ** 63 - 2
+    P = MultiPoly.from_text(F5, 1, f"1:{top}")
+    # C(2^63 - 2, 1) = 1 mod 5, as 2^63 = 3 mod 5
+    assert P.degree == top and hasse_derivative(P, (1,)).to_text() == f"1:{top - 1}"
+    assert hasse_derivative(P, (10 ** 20,)).is_zero  # an order above every exponent
+    for n, text in [(1, "1:99999999999999999999"), (1, f"1:{top + 1}"), (2, f"1:{top + 1},0"),
+                    (2, f"1:{top},1"), (3, f"1:{top // 2},{top // 2},{top // 2}")]:
+        with pytest.raises(errors.UnsupportedSize):
+            MultiPoly.from_text(F3, n, text)
+        with pytest.raises(errors.UnsupportedSize):
+            MultiPoly(F3, n, dict(zip([tuple(map(int, text[2:].split(",")))], [1])))
+    X = MultiPoly.from_text(F3, 1, f"1:{2 ** 62}")
+    with pytest.raises(errors.UnsupportedSize):  # the product's degree is 2^63
+        X * X
+    with pytest.raises(errors.UnsupportedSize):
+        X.power(2)
+    assert X.power(1) == X  # no square is formed past the last bit
+    with pytest.raises(errors.DimensionMismatch):  # the sign is checked first
+        MultiPoly.from_text(F3, 1, "1:-99999999999999999999")

@@ -1,5 +1,6 @@
 """The perfbench tracer wraps library functions by the names in its
-``TRACED`` table; a name the library no longer defines makes ``--trace 1``
+``TRACED`` table, and counts the scalar ``FieldSpec`` methods named in its
+``COUNTED`` table; a name the library no longer defines makes ``--trace 1``
 fail at install.  The tracer is read as source, so no bytecode is written
 next to it."""
 
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import ffmult
 from ffmult import rs_decode as rs
-from ffmult.ff import field_make
+from ffmult.ff import FieldSpec, field_make
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -22,6 +23,12 @@ def _tracer():
 def test_traced_names_resolve_on_ffmult():
     for module, func, *_ in _tracer().TRACED:
         assert callable(getattr(getattr(ffmult, module), func, None)), f"{module}.{func}"
+
+
+def test_counted_names_are_fieldspec_methods():
+    # the call counter replaces each one in the class dict itself
+    for name in _tracer().COUNTED:
+        assert callable(vars(FieldSpec).get(name)), f"FieldSpec.{name}"
 
 
 def test_traced_decode_records_the_row_build():
