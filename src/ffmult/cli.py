@@ -142,7 +142,8 @@ def cmd_sz_mass(args) -> dict:
     poly = MultiPoly.from_text(spec, args.n, args.poly)
     subset = tuple(range(spec.q)) if args.subset is None else args.subset
     mass = multiplicity_mass(poly, subset)
-    bound = int(poly.degree) * len(set(subset)) ** (args.n - 1)
+    # for n = 0 a nonzero polynomial is a constant, of degree 0
+    bound = int(poly.degree) * len(set(subset)) ** max(args.n - 1, 0)
     return {"mass": mass, "bound": bound, "ok": mass <= bound}
 
 

@@ -5,7 +5,7 @@ Elements are canonically encoded as integers in [0, q): the code
 ``c_0 + c_1*X + ... + c_{e-1}*X^{e-1}`` modulo the canonical irreducible
 modulus shipped in ``moduli.txt``.  For e = 1 the code is just the residue
 mod p.  :class:`FieldElement` wraps a code together with its field; hot
-loops may use the integer-code operations on :class:`FieldSpec` directly.
+loops use ``FieldSpec.vec``, the same arithmetic on numpy arrays of codes.
 
 Enumeration order is code order, i.e. lexicographic on coefficient vectors
 with the constant term varying fastest, which is stable across runs because
@@ -173,8 +173,8 @@ class FieldSpec:
         self.modulus = modulus  # length e+1, low-to-high, monic; unused for e=1
         # for p = 2, the modulus as a code of e+1 bits
         self._modulus_bits = sum(c << i for i, c in enumerate(modulus))
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        self._exp: np.ndarray | None = None  # log/exp tables, up to _LOG_TABLE_CAP
+        self._log: np.ndarray | None = None
         self._vec: VecOps | None = None
 
     # -- element codecs -------------------------------------------------------
@@ -281,29 +281,35 @@ class FieldSpec:
         return self.coeffs_to_code(prod[:e])
 
     def _ensure_tables(self) -> None:
+        """The one copy of the log/exp tables, read-only and in the layout
+        the table kernels index: ``log`` is int32 with the sentinel
+        log[0] = 2(q-1), and ``exp`` holds the q-1 powers of the generator
+        twice, then zeros through index 4(q-1), in the smallest unsigned
+        dtype.  So exp[log a + log b] is a*b even when a or b is zero."""
         if self._exp is not None or self.q > _LOG_TABLE_CAP:
             return
-        q = self.q
-        factors = _prime_factors(q - 1)
-        g = None
-        for cand in range(1, q):
-            if all(self._pow_raw(cand, (q - 1) // r) != 1 for r in factors):
-                g = cand
-                break
+        q, n1 = self.q, self.q - 1
+        factors = _prime_factors(n1)
+        g = next((c for c in range(1, q)
+                  if all(self._pow_raw(c, n1 // r) != 1 for r in factors)), None)
         if g is None:
             raise InternalDefect(f"no multiplicative generator found in {self!r}")
         # exp[n:2n] = exp[:n] * g^n, so log2(q) doublings by the array kernel.
         # Narrow dtypes keep each array freed here near 128 KB or below: a
         # larger free raises glibc's mmap threshold and slowed later ops 4%.
-        kernel, code = _PolyVecOps(self), np.min_scalar_type(q - 1)
-        exp = np.ones(q - 1, dtype=code)
+        kernel, code = _PolyVecOps(self), np.min_scalar_type(n1)
+        exp = np.zeros(4 * n1 + 1, dtype=code)
+        exp[0] = 1
         n, g_n = 1, g
-        while n < q - 1:
-            exp[n : 2 * n] = kernel.mul(exp[: min(n, q - 1 - n)], g_n)
+        while n < n1:
+            take = min(n, n1 - n)
+            exp[n : n + take] = kernel.mul(exp[:take], g_n)
             n, g_n = 2 * n, int(kernel.mul(g_n, g_n))
-        log = np.zeros(q, dtype=code)
-        log[exp] = np.arange(q - 1, dtype=code)
-        self._exp, self._log = exp.tolist(), log.tolist()
+        exp[n1 : 2 * n1] = exp[:n1]
+        log = np.full(q, 2 * n1, dtype=np.int32)
+        log[exp[:n1]] = np.arange(n1, dtype=code)
+        exp.flags.writeable = log.flags.writeable = False
+        self._exp, self._log = exp, log
 
     def _pow_raw(self, a: int, n: int) -> int:
         result = 1
@@ -317,12 +323,10 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
         self._ensure_tables()
         if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._mul_raw(a, b)
+            return self._exp.item(self._log.item(a) + self._log.item(b))
+        return self._mul_raw(a, b) if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -331,7 +335,7 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         self._ensure_tables()
         if self._exp is not None:
-            return self._exp[(-self._log[a]) % (self.q - 1)]
+            return self._exp.item(self.q - 1 - self._log.item(a))
         return self._pow_raw(a, self.q - 2)
 
     def pow(self, a: int, n: int) -> int:
@@ -343,7 +347,8 @@ class FieldSpec:
             return 1 if n == 0 else 0
         self._ensure_tables()
         if self._exp is not None:
-            return self._exp[(self._log[a] * n) % (self.q - 1)]
+            # in Python ints: log a * n overflows int32
+            return self._exp.item(self._log.item(a) * n % (self.q - 1))
         return self._pow_raw(a, n)
 
     @property
@@ -380,7 +385,11 @@ def _prime_factors(n: int) -> list[int]:
 #
 # ``FieldSpec.vec`` applies F_q arithmetic elementwise to numpy arrays of codes,
 # with numpy broadcasting (a bare int is a 0-d operand).  Each field family has
-# its own implementation; the scalar FieldSpec methods are the reference.
+# its own implementation.  The scalar FieldSpec methods are the reference for
+# add, sub and neg on every field, and for mul on prime fields and on fields
+# above the table cap.  A table field's scalar methods and its kernel share the
+# one copy of the log/exp tables, which tests check against
+# ``scalar_ref.log_exp_tables``.
 
 
 class VecOps:
@@ -559,28 +568,22 @@ class _PrimeVecOps(VecOps):
 class _LogVecOps(VecOps):
     """GF(2^e) with q <= 2^16: XOR subtraction, log/exp multiplication.
 
-    ``log[0]`` is the sentinel 2(q-1) and ``exp`` is zero from that index on,
-    so ``exp[log[a] + log[b]]`` is the product even when a or b is zero.
-    ``exp`` holds codes in the smallest unsigned dtype that fits them.
+    ``log`` and ``exp`` are the field's own tables, not copies: with the
+    zero sentinel (see ``FieldSpec._ensure_tables``), ``exp[log[a] + log[b]]``
+    is the product even when a or b is zero.
     """
 
     def __init__(self, spec: FieldSpec):
         spec._ensure_tables()
-        self.spec, self.n1 = spec, spec.q - 1
-        self.log = np.array(spec._log, dtype=np.int32)
-        self.log[0] = 2 * self.n1
-        self.exp = np.zeros(4 * self.n1 + 1, dtype=np.min_scalar_type(self.n1))
-        self.exp[: self.n1] = spec._exp
-        self.exp[self.n1 : 2 * self.n1] = spec._exp
+        self.spec, self.n1, self.log, self.exp = spec, spec.q - 1, spec._log, spec._exp
 
     def add(self, a, b):
         return np.bitwise_xor(a, b)
 
+    sub = add
+
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
-
-    def sub(self, a, b):
-        return np.bitwise_xor(a, b)
 
     def neg(self, a):
         return np.asarray(a)
@@ -733,22 +736,17 @@ def parse_field_spec(text: str) -> FieldSpec:
     return field_make(*field_text_parts(text))
 
 
-def is_prime_power_base(q: int) -> tuple[int, int]:
-    """Decompose q as p^e with p prime; (q, 1) when q is no prime power, so
-    that field_make refuses it."""
+def parse_prime_power(q: int) -> FieldSpec:
+    """The field of order q = p^e; any other q is made as a characteristic,
+    which field_make refuses."""
     for p in range(2, q + 1):
         if q % p == 0:
             e, m = 0, q
             while m % p == 0:
                 m //= p
                 e += 1
-            return (p, e) if m == 1 else (q, 1)
-    return q, 1
-
-
-def parse_prime_power(q: int) -> FieldSpec:
-    """The field of order q."""
-    return field_make(*is_prime_power_base(q))
+            return field_make(p, e) if m == 1 else field_make(q)
+    return field_make(q)
 
 
 def field_enumerate(spec: FieldSpec) -> list[FieldElement]:

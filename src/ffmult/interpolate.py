@@ -20,9 +20,11 @@ from .errors import (
     InternalNoSolution,
     InvalidParameters,
     UnsatisfiedCountHypothesis,
+    UnsupportedSize,
 )
 from .ff import FieldSpec
 from .mvpoly import (
+    TABLE_CELLS,
     MultiPoly,
     _canonical,
     coerce_point,
@@ -88,7 +90,7 @@ class WeightedDegreeBasis:
         return mons
 
     def count(self) -> int:
-        return len(self.monomials())
+        return sum(max(self.d - self.k * j + 1, 0) for j in range(self.ydeg_cap + 1))
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,22 @@ class InterpolationProblem:
         return count_total_degree_monomials(self.n, self.m - 1) * len(self.points)
 
 
+def _check_table(rows: int, cols: int) -> None:
+    if rows * cols > TABLE_CELLS:
+        raise UnsupportedSize(
+            f"a constraint table of {rows} x {cols} entries exceeds {TABLE_CELLS}")
+
+
 def vanishing_constraints(problem: InterpolationProblem) -> np.ndarray:
     """One row per (point a, order i with wt(i) < m), expressing P^(i)(a) = 0,
     as an int64 array of codes.
 
     The column for monomial r carries C(r, i) * a^(r - i), zero when r < i
-    coordinatewise; columns follow the basis order.
+    coordinatewise; columns follow the basis order.  A table of more than
+    TABLE_CELLS entries raises UnsupportedSize before it is built.
     """
     spec, n = problem.spec, problem.n
+    _check_table(problem.constraint_count(), problem.basis.count())
     monomials = np.array(problem.basis.monomials(), dtype=np.int64).reshape(-1, n)
     orders = np.array(list(exponents_below_weight(problem.m, n)), dtype=np.int64)
     points = np.array(problem.points, dtype=np.int64).reshape(-1, n)
@@ -286,18 +296,18 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
     columns, so a total-degree basis is cut to the smallest one holding them,
     a graded-lex prefix: the cost follows the constraints, not the degree.
     """
-    n_constraints = problem.constraint_count()
+    n_constraints, n_monomials = problem.constraint_count(), problem.basis.count()
+    if n_constraints >= n_monomials:
+        raise UnsatisfiedCountHypothesis(
+            f"{n_constraints} constraints vs {n_monomials} monomials: "
+            "existence is not guaranteed"
+        )
+    _check_table(n_constraints, n_constraints + 1)  # the smallest table cut below
     if isinstance(problem.basis, TotalDegreeBasis):
         mons = exponents_below_weight(problem.basis.d + 1, problem.n)
         head = list(islice(mons, n_constraints + 1))
-        if len(head) > n_constraints:
-            problem = replace(problem, basis=TotalDegreeBasis(problem.n, sum(head[-1])))
+        problem = replace(problem, basis=TotalDegreeBasis(problem.n, sum(head[-1])))
     monomials = problem.basis.monomials()
-    if n_constraints >= len(monomials):
-        raise UnsatisfiedCountHypothesis(
-            f"{n_constraints} constraints vs {len(monomials)} monomials: "
-            "existence is not guaranteed"
-        )
     rows = vanishing_constraints(problem)
     vec = nullspace_vector(rows, len(monomials), problem.spec)
     if vec is None:

@@ -358,6 +358,8 @@ def full_space_reduction_instance(spec: FieldSpec, n: int) -> StatKakeyaInstance
     direction, which lies entirely inside K, so the statistical bound
     specializes to the Kakeya set bound.
     """
+    if n < 1:  # the direction e1 needs a coordinate
+        raise InvalidParameters(f"need n >= 1, got {n}")
     pts = all_points(spec, n)
     e1 = (1,) + (0,) * (n - 1)
     curves = {x: Curve.line(spec, x, e1) for x in pts}

@@ -204,6 +204,8 @@ class MultiPoly:
         return MultiPoly._make(self.spec, self.n, self.exps, self.spec.vec.mul(self.coeffs, code))
 
     def power(self, k: int) -> "MultiPoly":
+        if k < 0:
+            raise InvalidParameters(f"power must be non-negative, got {k}")
         result = MultiPoly.constant(self.spec, self.n, 1)
         base = self
         while k:
@@ -286,6 +288,11 @@ def vector_binomial(i, j, spec: FieldSpec) -> FieldElement:
         raise DimensionMismatch("exponent vectors of unequal length")
     if min(i + j, default=0) < 0:
         raise InvalidParameters(f"binomial arguments must be non-negative, got {i} and {j}")
+    # decided on the ints, before any entry has to fit int64
+    if any(jk > ik for ik, jk in zip(i, j)):
+        return FieldElement(spec, 0)
+    if max(i, default=0) > MAX_DEGREE:
+        raise UnsupportedSize(f"binomial argument {max(i)} above {MAX_DEGREE}")
     binom = lucas_binomial(spec.p, max(i, default=0))
     coef, _ = hasse_coefficients(_code_rows([i], len(i)), _code_rows([j], len(j)), binom, spec.p)
     return FieldElement(spec, int(coef[0, 0]))
@@ -421,7 +428,14 @@ def grid_multiplicities(P: MultiPoly, S) -> np.ndarray:
     codes = np.array(sorted({spec.coerce(s) for s in S}), dtype=np.int64)
     if not codes.size:
         raise EmptySet("S must be non-empty")
-    return _multiplicities(P, codes[code_points(np.arange(len(codes) ** n), len(codes), n)])
+    size = len(codes) ** n
+    if size > GRID_CAP:
+        raise UnsupportedSize(f"a grid of {len(codes)}^{n} points exceeds {GRID_CAP}")
+    # the coordinates of at most GRID_CAP cells at a time
+    step = max(1, GRID_CAP // max(n, 1))
+    return np.concatenate([
+        _multiplicities(P, codes[code_points(np.arange(lo, min(lo + step, size)), len(codes), n)])
+        for lo in range(0, size, step)])
 
 
 def multiplicity_mass(P: MultiPoly, S) -> int:
@@ -441,7 +455,8 @@ def multiplicity_mass(P: MultiPoly, S) -> int:
 
 SHELL_BLOCK_CELLS = 2 ** 14  # (point, order, term) cells per shell block
 POINT_BLOCK_CELLS = 2 ** 20  # power-table cells per block of points
-TABLE_CELLS = 2 ** 22        # largest power table built
+TABLE_CELLS = 2 ** 22        # largest power table or constraint table built
+GRID_CAP = 2 ** 22           # most points of a grid S^n, or coordinates listed at once
 
 
 def _code_rows(rows, n: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -47,6 +48,14 @@ def test_mult_at_a_large_exponent(capsys):
     code, out = run_cli(capsys, "mult", "--field", str(p), "--n", "1", "--poly", poly, "--point", "1")
     assert code == 0
     assert json.loads(out)["multiplicity"] == 50
+
+
+def test_sz_mass_in_zero_dimensions(capsys):
+    # every nonzero polynomial in no variables is a constant, of degree 0
+    code, out = run_cli(capsys, "sz-mass", "--field", "5", "--n", "0", "--poly", "1:")
+    assert code == 0
+    assert '"bound": 0,' in out
+    assert json.loads(out) == {"mass": 0, "bound": 0, "ok": True}
 
 
 def test_kakeya_search_example(capsys):
@@ -305,7 +314,10 @@ REPEATED_S = {"S": [[0], [0]], "K": [[0]], "curves": [{"point": [0], "components
      "UnsupportedSize"),
     # an explicit empty S is not the whole field
     (("sz-mass", "--field", "3", "--n", "1", "--poly", "1:1", "--subset", ""), "EmptySet"),
-] + [(argv, "UnsupportedSize") for argv in EXPONENT_REFUSALS])
+] + [(argv, "UnsupportedSize") for argv in EXPONENT_REFUSALS] + [
+    # the reduction instance's direction e1 needs a coordinate
+    (("kakeya-stat", "--field", "2", "--n", "0"), "InvalidParameters"),
+])
 def test_field_and_poly_out_of_domain_is_domain_error(tmp_path, capsys, argv, error):
     target = tmp_path / "input.json"
     for doc in [a for a in argv if isinstance(a, dict)]:
@@ -315,6 +327,40 @@ def test_field_and_poly_out_of_domain_is_domain_error(tmp_path, capsys, argv, er
     assert time.perf_counter() - start < 1
     assert code == 1
     assert json.loads(out)["error"] == error
+
+
+# inputs whose grid of points or constraint table would take gigabytes
+POINTS_300 = json.dumps([[x // 3, x % 3 * 5] for x in range(300)])
+SIZE_REFUSALS = [
+    ("sz-mass", "--field", "1048573", "--n", "2", "--poly", "1:1,1"),
+    ("sz-mass", "--field", "2^10", "--n", "3", "--poly", "1:1,1,1"),
+    ("interpolate", "--field", "101", "--n", "2", "--points", POINTS_300,
+     "--multiplicity", "10", "--degree", "200"),
+    ("interpolate", "--field", "101", "--n", "2", "--points", "[[0, 0]]",
+     "--multiplicity", "100000", "--degree", "10000000"),
+    ("rs-decode", "--field", "257", "--alphas", ",".join(map(str, range(257))),
+     "--betas", ",".join(["0"] * 257), "--k", "16", "--t", "68", "--eps", "1/50"),
+]
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("argv", SIZE_REFUSALS, ids=["sz-mass-p", "sz-mass-2^10", "interpolate",
+                                                     "interpolate-m", "rs-decode"])
+def test_size_refusals_come_before_any_large_array(argv):
+    # in a child process whose address space is capped at 1 GiB, so that an
+    # array the cap should have refused fails there and not here
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffmult.cli", *argv], capture_output=True, text=True,
+        preexec_fn=_limit_address_space, timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1, proc.stderr[-400:]
+    assert json.loads(proc.stdout)["error"] == "UnsupportedSize"
 
 
 @pytest.mark.parametrize("argv", MERGER_REFUSALS)

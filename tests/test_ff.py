@@ -8,6 +8,7 @@ import scalar_ref
 from ffmult import errors
 from ffmult.ff import (
     FieldElement,
+    FieldSpec,
     _modulus_table,
     code_points,
     field_enumerate,
@@ -137,12 +138,13 @@ def test_log_exp_tables_match_scalar_walk(p, e):
     # the doubling build on the array kernel against one product per power
     spec = field_make(p, e)
     spec._ensure_tables()
+    n1 = spec.q - 1
     exp, log = scalar_ref.log_exp_tables(spec)
-    assert spec._exp == exp
-    assert spec._log == log
+    assert spec._exp[:n1].tolist() == exp
+    assert spec._log[1:].tolist() == log[1:]
     if p != 2:
         # the Zech table, built digit-wise, against the scalar subtraction
-        n1, vec = spec.q - 1, spec.vec
+        vec = spec.vec
         assert vec.zech[n1 : 2 * n1].tolist() == [vec.log[spec.sub(1, x)] for x in exp]
     rng = rng_stream(40, spec.q)
     for a, b in rng.integers(spec.q, size=(300, 2)).tolist():
@@ -153,15 +155,102 @@ def test_log_exp_tables_match_scalar_walk(p, e):
 def test_log_exp_tables_of_the_largest_table_fields(p, e):
     spec = field_make(p, e)
     spec._ensure_tables()
-    q, exp, log = spec.q, spec._exp, spec._log
+    q = spec.q
+    exp, log = spec._exp[: q - 1].tolist(), spec._log.tolist()
     assert sorted(exp) == list(range(1, q))
     assert [log[x] for x in exp] == list(range(q - 1))
-    assert log[0] == 0
+    assert log[0] == 2 * (q - 1)
     g = exp[1]
     for i in rng_stream(41, q).integers(q - 1, size=2000).tolist():
         assert exp[(i + 1) % (q - 1)] == spec._mul_raw(exp[i], g)
     # g is the smallest generator: every smaller nonzero code has a smaller order
     assert all(gcd(log[c], q - 1) > 1 for c in range(1, g))
+
+
+TABLE_FIELDS = sorted(pe for pe in _modulus_table() if pe[0] ** pe[1] <= 2 ** 16)
+SMALL_TABLE_FIELDS = [pe for pe in TABLE_FIELDS if pe[0] ** pe[1] <= 64]
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 6), (2, 16), (3, 3), (3, 10), (31, 3)])
+def test_one_copy_of_the_tables_in_the_kernel_layout(p, e):
+    spec = field_make(p, e)
+    spec._ensure_tables()
+    n1, exp, log = spec.q - 1, spec._exp, spec._log
+    assert log.dtype == np.int32 and log.shape == (spec.q,) and log[0] == 2 * n1
+    assert exp.dtype == np.min_scalar_type(n1) and exp.shape == (4 * n1 + 1,)
+    assert exp[n1 : 2 * n1].tolist() == exp[:n1].tolist()
+    assert not exp[2 * n1 :].any()
+    assert not exp.flags.writeable and not log.flags.writeable
+    with pytest.raises(ValueError):
+        exp[0] = 0
+    assert spec.vec.log is log and spec.vec.exp is exp
+
+
+def test_fields_above_the_table_cap_have_no_tables():
+    spec = field_make(2, 17)
+    assert spec.mul(3, 5) == scalar_ref.poly_mul(spec, 3, 5)
+    assert spec._exp is None and spec._log is None
+
+
+class _NoKernel:
+    def __getattr__(self, name):
+        raise AssertionError(f"scalar arithmetic read spec.vec.{name}")
+
+
+@pytest.mark.parametrize("p,e", TABLE_FIELDS[::4])
+def test_scalar_ops_return_ints_and_leave_the_kernel_alone(p, e):
+    spec = field_make(p, e)
+    spec = FieldSpec(p, e, spec.modulus)  # a fresh spec, tables not yet built
+    spec._vec = _NoKernel()
+    a, b = 2, spec.q - 1
+    for value in (spec.mul(a, b), spec.mul(0, b), spec.inv(a), spec.pow(a, 10 ** 30),
+                  spec.pow(a, -3), spec.pow(0, 5)):
+        assert type(value) is int
+
+
+def _ref_pow(spec, a, n):
+    out = 1
+    for _ in range(n):
+        out = scalar_ref.poly_mul(spec, out, a)
+    return out
+
+
+@pytest.mark.parametrize("p,e", SMALL_TABLE_FIELDS)
+def test_products_with_zero_are_zero(p, e):
+    spec = field_make(p, e)
+    codes = np.arange(spec.q)
+    for a in codes.tolist():
+        assert spec.mul(a, 0) == spec.mul(0, a) == scalar_ref.poly_mul(spec, a, 0) == 0
+    assert spec.vec.mul(codes, 0).tolist() == [0] * spec.q
+    assert spec.vec.mul(0, codes).tolist() == [0] * spec.q
+    assert spec.vec.mul(codes, np.zeros_like(codes)).tolist() == [0] * spec.q
+
+
+@pytest.mark.parametrize("p,e", SMALL_TABLE_FIELDS)
+def test_inverse_of_every_nonzero_code(p, e):
+    spec = field_make(p, e)
+    for a in range(1, spec.q):
+        assert scalar_ref.poly_mul(spec, a, spec.inv(a)) == 1
+    with pytest.raises(errors.DivisionByZero):
+        spec.inv(0)
+
+
+@pytest.mark.parametrize("p,e", SMALL_TABLE_FIELDS)
+def test_powers_at_zero_negative_and_large_exponents(p, e):
+    spec = field_make(p, e)
+    q = spec.q
+    inverse = {a: b for a in range(1, q) for b in range(1, q)
+               if scalar_ref.poly_mul(spec, a, b) == 1}
+    for a in range(1, q):
+        assert spec.pow(a, 0) == 1
+        for n in (q - 1, q, 2 * q + 3):
+            assert spec.pow(a, n) == _ref_pow(spec, a, n)
+        for n in (1, 2, q + 1):
+            assert spec.pow(a, -n) == _ref_pow(spec, inverse[a], n)
+    assert spec.pow(0, 0) == 1
+    assert spec.pow(0, 1) == spec.pow(0, q) == 0
+    with pytest.raises(errors.DivisionByZero):
+        spec.pow(0, -1)
 
 
 def test_element_operators():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,10 @@ def test_weighted_count_matches_basis():
         mons = basis.monomials()
         assert len(set(mons)) == len(mons)
         assert all(i + k * j <= d and j <= cap for i, j in mons)
+    # the count is summed, not listed: a Y-degree cap past d/k adds nothing
+    for d, k, cap in itertools.product(range(12), range(1, 5), range(8)):
+        basis = WeightedDegreeBasis(d=d, k=k, ydeg_cap=cap)
+        assert basis.count() == len(basis.monomials())
 
 
 def test_fact_bound_spot_checks():

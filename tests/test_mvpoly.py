@@ -1,4 +1,5 @@
 import itertools
+import signal
 import time
 from math import comb, inf
 
@@ -112,6 +113,17 @@ def test_vector_binomial_examples():
     for i, j in (((-1, 2), (0, 0)), ((3,), (-1,))):  # no binomial: refused, not looped on
         with pytest.raises(errors.InvalidParameters):
             vector_binomial(i, j, F5)
+
+
+def test_vector_binomial_past_int64():
+    # decided on the ints: zero for j_k > i_k, a refusal for i_k above MAX_DEGREE
+    assert vector_binomial((1,), (10 ** 20,), F5) == F5.zero()
+    assert vector_binomial((3, 1), (1, 10 ** 20), F5) == F5.zero()
+    for i, j in (((10 ** 20,), (1,)), ((2 ** 63,), (0,)), ((2 ** 63 - 1, 0), (1, 0))):
+        with pytest.raises(errors.UnsupportedSize):
+            vector_binomial(i, j, F5)
+    # the largest argument kept: C(2^63 - 2, 1) = 1 mod 5
+    assert vector_binomial((2 ** 63 - 2,), (1,), F5) == F5.one()
 
 
 def test_hasse_examples():
@@ -463,6 +475,18 @@ def test_mass_over_a_whole_large_field():
         assert mults[a] == scalar_ref.multiplicity(P, (a,))
 
 
+def test_grid_in_blocks_and_its_cap(monkeypatch):
+    import ffmult.mvpoly as mv
+
+    rng = rng_stream(506, 0)
+    P = _centered_product(F5, (1, 4), rng, 2) * random_poly(F5, 2, rng, max_deg=2, nonzero=True)
+    want = [scalar_ref.multiplicity(P, pt) for pt in itertools.product(range(5), repeat=2)]
+    monkeypatch.setattr(mv, "GRID_CAP", 25)  # 25 points, in blocks of 12
+    assert grid_multiplicities(P, range(5)).tolist() == want
+    with pytest.raises(errors.UnsupportedSize):  # 36 points
+        grid_multiplicities(MultiPoly.constant(field_make(7), 2, 1), range(6))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_mass_matches_scalar_pointwise_sum(q):
     spec = parse_prime_power(q)
@@ -582,5 +606,20 @@ def test_exponents_past_int64_are_refused():
     with pytest.raises(errors.UnsupportedSize):
         X.power(2)
     assert X.power(1) == X  # no square is formed past the last bit
+
+
+def test_negative_power_is_refused():
+    def stop(signum, frame):
+        raise AssertionError("power(-1) did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        with pytest.raises(errors.InvalidParameters):
+            MultiPoly.constant(F5, 1, 2).power(-1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert MultiPoly.constant(F5, 1, 2).power(0) == MultiPoly.constant(F5, 1, 1)
     with pytest.raises(errors.DimensionMismatch):  # the sign is checked first
         MultiPoly.from_text(F3, 1, "1:-99999999999999999999")

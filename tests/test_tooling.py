@@ -1,17 +1,21 @@
 """The perfbench tracer wraps library functions by the names in its
 ``TRACED`` table, and counts the scalar ``FieldSpec`` methods named in its
 ``COUNTED`` table; a name the library no longer defines makes ``--trace 1``
-fail at install.  The tracer is read as source, so no bytecode is written
-next to it."""
+fail at install.  The tracer and the runner are read as source, so no
+bytecode is written next to them."""
 
+import ast
 import types
 from pathlib import Path
 
 import ffmult
 from ffmult import rs_decode as rs
-from ffmult.ff import FieldSpec, field_make
+from ffmult.ff import FieldSpec, field_make, parse_field_spec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+RUNNER = TRACER.with_name("run.py")
+# every extension field a perfbench workload makes
+WORKLOAD_TABLE_FIELDS = ["2^2", "2^3", "2^4", "2^6", "2^8", "2^16", "3^2", "3^3"]
 
 
 def _tracer():
@@ -45,3 +49,21 @@ def test_traced_decode_records_the_row_build():
     counts = rec.summary({"decode"})["counts"]
     assert counts["interpolate.vanishing_constraints.rows"] > 0
     assert counts["rs_decode.agreement.calls"] == 1
+
+
+def _setup_script() -> str:
+    for node in ast.parse(RUNNER.read_text(encoding="utf-8")).body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if names == ["SETUP_SCRIPT"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no SETUP_SCRIPT")
+
+
+def test_setup_builds_the_one_copy_of_each_fields_tables():
+    # setup_s times the table build through this call
+    assert "ffmult.parse_field_spec(text).mul(1, 1)" in _setup_script()
+    for text in WORKLOAD_TABLE_FIELDS:
+        spec = parse_field_spec(text)
+        assert spec.mul(1, 1) == 1
+        assert spec._exp is not None
+        assert spec.vec.log is spec._log and spec.vec.exp is spec._exp
