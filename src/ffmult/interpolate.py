@@ -9,6 +9,7 @@ by exact Gaussian elimination with deterministic pivoting.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from math import comb
@@ -50,8 +51,7 @@ def count_weighted_monomials(k: int, d: int, theta) -> int:
         raise InvalidParameters(
             f"need 0 < k < d and theta in [0,1], got k={k}, d={d}, theta={theta}"
         )
-    jmax = (theta * d) // k
-    return sum(d - k * j + 1 for j in range(int(jmax) + 1) if d - k * j >= 0)
+    return WeightedDegreeBasis(d, k, int((theta * d) // k)).count()
 
 
 @dataclass(frozen=True)
@@ -79,18 +79,20 @@ class WeightedDegreeBasis:
     k: int
     ydeg_cap: int
 
+    @cached_property
+    def _listing(self) -> tuple[tuple[int, int], ...]:
+        """The sorted monomials, listed once per basis."""
+        mons = [(i, j) for j in range(self.ydeg_cap + 1) for i in range(self.d - self.k * j + 1)]
+        return tuple(sorted(mons, key=lambda ij: (ij[0] + self.k * ij[1], ij[1], ij[0])))
+
     def monomials(self) -> list[tuple[int, int]]:
-        mons = [
-            (i, j)
-            for j in range(self.ydeg_cap + 1)
-            for i in range(self.d - self.k * j + 1)
-            if self.d - self.k * j >= 0
-        ]
-        mons.sort(key=lambda ij: (ij[0] + self.k * ij[1], ij[1], ij[0]))
-        return mons
+        return list(self._listing)
 
     def count(self) -> int:
-        return sum(max(self.d - self.k * j + 1, 0) for j in range(self.ydeg_cap + 1))
+        """The sum of d - k*j + 1 over j <= J = min(ydeg_cap, d // k), in
+        closed form (k >= 1)."""
+        J = min(self.ydeg_cap, self.d // self.k)
+        return 0 if J < 0 else (J + 1) * (self.d + 1) - self.k * J * (J + 1) // 2
 
 
 @dataclass(frozen=True)

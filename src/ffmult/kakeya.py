@@ -92,6 +92,15 @@ def _line_codes(spec: FieldSpec, dirs: np.ndarray, offsets: np.ndarray) -> np.nd
     return point_codes(vec.add(offsets[:, None], vec.mul(t, dirs[:, None])), spec.q)
 
 
+def _members(q: int, n: int, points: np.ndarray) -> np.ndarray:
+    """A boolean mask over the q^n point codes, true at the rows of the
+    (N, n) code array ``points``; F_q^n must fit POINT_CAP."""
+    _check_space(q, n)
+    mask = np.zeros(q ** n, dtype=bool)
+    mask[point_codes(points.reshape(len(points), n), q)] = True
+    return mask
+
+
 def _witness_codes(spec: FieldSpec, n: int, witnesses: dict) -> np.ndarray:
     """The point codes of the line {a + t*b} of each direction b -> offset a."""
     rows = [[coerce_point(spec, n, x) for x in pair] for pair in witnesses.items()]
@@ -116,8 +125,8 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
     on success, or the first canonical direction with no line inside K on
     failure.  The empty set is never a Kakeya set.
 
-    Works in rounds of at most LINE_BLOCK_CELLS points, tested against the
-    sorted codes of K.  Each round takes the next untested lines of the
+    Works in rounds of at most LINE_BLOCK_CELLS points, looked up in a mask
+    over the codes of F_q^n.  Each round takes the next untested lines of the
     lowest-numbered directions that have no witness yet, and the search
     stops once the first direction without a line in K is settled.
     """
@@ -128,7 +137,7 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
     if not len(dirs):  # n = 0: no direction to cover
         return KakeyaCheck(True, {}, None)
     q = spec.q
-    kcodes = np.sort(point_codes(np.array(list(kset), dtype=np.int64), q))
+    members = _members(q, n, np.array(list(kset), dtype=np.int64))
     per_dir = q ** (n - 1)
     witness = np.full(len(dirs), -1)  # line number of the first line in K
     tested = np.zeros(len(dirs), dtype=np.int64)  # lines tested so far
@@ -141,8 +150,7 @@ def is_kakeya(spec: FieldSpec, n: int, K) -> KakeyaCheck:
         d = np.repeat(batch, counts)
         line = tested[d] + np.arange(len(d)) - np.repeat(np.cumsum(counts) - counts, counts)
         codes = _line_codes(spec, dirs[d], _line_offsets(q, n, dirs[d], line))
-        pos = np.minimum(np.searchsorted(kcodes, codes), len(kcodes) - 1)
-        inside = (kcodes[pos] == codes).all(axis=1)
+        inside = members[codes].all(axis=1)
         hit, first = np.unique(d[inside], return_index=True)
         witness[hit] = line[inside][first]
         tested[batch] += counts
@@ -171,9 +179,8 @@ class KakeyaInstance:
         if self.witnesses is None:
             return False
         spec, n = self.spec, self.n
-        points = [coerce_point(spec, n, p) for p in self.K]
-        kcodes = point_codes(np.array(points, dtype=np.int64).reshape(len(points), n), spec.q)
-        return bool(np.isin(_witness_codes(spec, n, self.witnesses), kcodes).all())
+        points = np.array([coerce_point(spec, n, p) for p in self.K], dtype=np.int64)
+        return bool(_members(spec.q, n, points)[_witness_codes(spec, n, self.witnesses)].all())
 
 
 def union_of_witness_lines(spec: FieldSpec, n: int, offsets: dict) -> KakeyaInstance:
@@ -313,7 +320,7 @@ def statistical_kakeya_check(instance: StatKakeyaInstance) -> dict:
         )
     kset = instance.K
     kpoints = [p for p in kset if _in_space(q, n, p)]
-    kcodes = np.sort(point_codes(np.array(kpoints, dtype=np.int64).reshape(len(kpoints), n), q))
+    members = _members(q, n, np.array(kpoints, dtype=np.int64))
     required = eta * q
     witnesses = {}
     for x in instance.S:
@@ -329,8 +336,7 @@ def statistical_kakeya_check(instance: StatKakeyaInstance) -> dict:
         values = curve.values(np.arange(q))
         if not (curve.n == n and _in_space(q, n, x) and (values == x).all(axis=1).any()):
             raise HypothesisViolation(f"curve at {x} does not pass through it")
-        codes = point_codes(values, q)
-        hits = int((np.searchsorted(kcodes, codes, "right") - np.searchsorted(kcodes, codes)).sum())
+        hits = int(members[point_codes(values, q)].sum())
         if hits < required:
             raise HypothesisViolation(
                 f"curve at {x} meets K in {hits} parameter values < eta*q = {required}"

@@ -5,7 +5,8 @@ blocks at a seed point u: output = sum_i c_i(u) * x_i, where the c_i are
 the Lagrange basis polynomials on L distinct nodes.  Output distributions
 of adversarial somewhere-random sources are computed by full enumeration
 with exact rational probabilities; closeness to a min-entropy threshold is
-the excess-mass distance.
+the excess-mass distance, which the merger check reads off the output
+counts alone.
 """
 
 from __future__ import annotations
@@ -45,15 +46,12 @@ class Distribution:
 
     Only the support is stored; ``universe_size`` fixes the ambient outcome
     space (needed by min-entropy thresholds on sparse supports).
-    ``mass_counts`` maps each distinct mass to the number of outcomes that
-    carry it, so max-mass and excess-mass sums run over distinct masses only.
     """
 
-    __slots__ = ("probs", "universe_size", "mass_counts")
+    __slots__ = ("probs", "universe_size")
 
     def __init__(self, probs: dict, universe_size: int):
         clean = {}
-        mass_counts: dict[Fraction, int] = {}
         parts = []  # (numerator, denominator) of each nonzero mass
         for outcome, mass in probs.items():
             if not isinstance(mass, Fraction):
@@ -63,42 +61,16 @@ class Distribution:
                 raise InvalidParameters(f"negative probability for {outcome}")
             if num:
                 clean[outcome] = mass
-                mass_counts[mass] = mass_counts.get(mass, 0) + 1
                 parts.append((num, mass.denominator))
         # the exact sum, as an integer over the common denominator
         den = lcm(*(d for _, d in parts))
         total = sum(num * (den // d) for num, d in parts)
         if total != den:
             raise InvalidParameters(f"probabilities sum to {Fraction(total, den)}, not 1")
-        self._set(clean, universe_size, mass_counts)
-
-    def _set(self, probs: dict, universe_size: int, mass_counts: dict) -> None:
-        if len(probs) > universe_size:
+        if len(clean) > universe_size:
             raise InvalidParameters("support exceeds the declared universe")
-        self.probs = probs
+        self.probs = clean
         self.universe_size = universe_size
-        self.mass_counts = mass_counts
-
-    @classmethod
-    def from_counts(cls, outcomes, counts, universe_size: int) -> "Distribution":
-        """The distribution with mass c/total on each outcome, from parallel
-        sequences of distinct outcomes and their positive integer counts c.
-        Outcomes with equal counts share one Fraction, so only the distinct
-        counts are validated and divided."""
-        tally = Counter(counts)
-        for c in tally:
-            if not isinstance(c, Integral) or c <= 0:
-                raise InvalidParameters(f"count {c!r} is not a positive integer")
-        total = sum(int(c) * k for c, k in tally.items())
-        if not total:
-            raise InvalidParameters("no outcomes to count")
-        masses = {c: Fraction(int(c), total) for c in tally}
-        probs = dict(zip(outcomes, map(masses.__getitem__, counts)))
-        if len(probs) != len(counts):
-            raise InvalidParameters("outcomes repeat or do not match the counts")
-        self = cls.__new__(cls)
-        self._set(probs, universe_size, {masses[c]: k for c, k in tally.items()})
-        return self
 
     @classmethod
     def uniform(cls, outcomes) -> "Distribution":
@@ -114,7 +86,7 @@ class Distribution:
         return self.probs.get(outcome, Fraction(0))
 
     def max_prob(self) -> Fraction:
-        return max(self.mass_counts)
+        return max(self.probs.values())
 
     def __eq__(self, other):
         return (
@@ -200,9 +172,18 @@ def distance_to_min_entropy(p: Distribution, m=None, *, threshold: Fraction | No
         raise UniverseTooSmall(
             f"no distribution on {p.universe_size} outcomes has max probability <= {cap}"
         )
-    return sum(
-        ((mass - cap) * k for mass, k in p.mass_counts.items() if mass > cap), Fraction(0)
-    )
+    den = lcm(*(x.denominator for x in p.probs.values()))
+    tally = Counter(x.numerator * (den // x.denominator) for x in p.probs.values())
+    return _excess_mass(tally.items(), den, cap)
+
+
+def _excess_mass(tally, total: int, cap: Fraction) -> Fraction:
+    """The excess mass over cap = a/b of k outcomes of mass c/total, summed
+    over the pairs (c, k) of ``tally``: in integers over the denominator
+    b*total, with one Fraction at the end."""
+    a, b = cap.numerator, cap.denominator
+    over = a * total
+    return Fraction(sum((c * b - over) * k for c, k in tally if c * b > over), b * total)
 
 
 # -- the curve merger -------------------------------------------------------------
@@ -526,7 +507,9 @@ def exact_output_distribution(ms: MergerSpec, src: SourceSpec) -> Distribution:
     q, n = ms.spec.q, ms.n
     support = np.flatnonzero(counts)
     outcomes = map(tuple, code_points(support, q, n).tolist())
-    return Distribution.from_counts(outcomes, counts[support].tolist(), len(counts))
+    weights = counts[support].tolist()
+    mass = {c: Fraction(c, q ** (n + 1)) for c in set(weights)}  # one Fraction per count
+    return Distribution(dict(zip(outcomes, map(mass.__getitem__, weights))), len(counts))
 
 
 def _seed_length_floor(delta, eps, num_blocks: int) -> tuple[int, Fraction, Fraction]:
@@ -642,10 +625,12 @@ def verify_merger_theorem(delta, eps, num_blocks: int, n: int, sources=None) -> 
     ms = merger_make(spec, n, num_blocks)
     if sources is None:
         sources = default_adversarial_family(spec, n, num_blocks)
+    # the distance depends only on how many outputs share each count
+    cap, total = min_entropy_threshold(m_int), q ** (n + 1)
     entries = []
     for src in sources:
-        dist = exact_output_distribution(ms, src)
-        gap = distance_to_min_entropy(dist, m_int)
+        values, mults = np.unique(output_counts(ms, src), return_counts=True)
+        gap = _excess_mass(zip(values.tolist(), mults.tolist()), total, cap)
         entries.append(
             {
                 "source": src.describe(),

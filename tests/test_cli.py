@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -85,6 +86,24 @@ def test_rs_decode_worked_example(capsys):
     assert data["bound"] == "15/2"
     assert set(data["params"]) == {"m", "d", "theta_num", "theta_den", "ydeg_cap"}
     assert data["params"]["theta_num"] == 5 and data["params"]["theta_den"] == 7
+
+
+def test_rs_decode_refuses_an_infeasible_word_quickly(capsys):
+    # every m up to the search cap fails the interpolation count or t*m > d
+    def stop(signum, frame):
+        raise AssertionError("rs-decode did not refuse within 10 s")
+
+    values = ",".join(map(str, range(100)))
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        code, out = run_cli(capsys, "rs-decode", "--field", "257", "--alphas", values,
+                            "--betas", values, "--k", "10", "--t", "40", "--eps", "1/100000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert json.loads(out)["error"] == "NoFeasibleM"
 
 
 def test_rs_bound(capsys):

@@ -58,6 +58,21 @@ def test_weighted_count_matches_basis():
         assert basis.count() == len(basis.monomials())
 
 
+def test_weighted_count_closed_form_matches_the_sum():
+    # theta = 0 and 1, and Y-degree caps past d // k, against the literal sum
+    for d, k in itertools.product(range(2, 40), range(1, 40)):
+        if k >= d:
+            continue
+        for tenth in range(11):
+            theta = Fraction(tenth, 10)
+            jmax = int((theta * d) // k)
+            want = sum(d - k * j + 1 for j in range(jmax + 1) if d - k * j >= 0)
+            assert count_weighted_monomials(k, d, theta) == want, (k, d, theta)
+        for cap in range(d // k, d // k + 4):
+            want = sum(max(d - k * j + 1, 0) for j in range(cap + 1))
+            assert WeightedDegreeBasis(d=d, k=k, ydeg_cap=cap).count() == want
+
+
 def test_fact_bound_spot_checks():
     # exhaustive range is covered by the acceptance suite
     for k, d, tenth in [(2, 4, 10), (1, 2, 10), (3, 17, 4)]:

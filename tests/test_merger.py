@@ -455,7 +455,6 @@ def test_counted_distribution_matches_init(p, e, n):
         dist = mg.exact_output_distribution(ms, mg.SourceSpec(spec, n, 2, 0, {1: bm}))
         ref = mg.Distribution(dist.probs, dist.universe_size)
         assert dist == ref
-        assert dist.mass_counts == ref.mass_counts == Counter(ref.probs.values())
         assert dist.max_prob() == ref.max_prob() == max(ref.probs.values())
         for m in range(n * spec.q.bit_length() + 1):
             got = _excess_or_refusal(dist, m)
@@ -466,30 +465,6 @@ def test_counted_distribution_matches_init(p, e, n):
                 cap = Fraction(1, 2 ** m)
                 assert got == sum((x - cap for x in ref.probs.values() if x > cap), Fraction(0))
     assert refused
-
-
-def test_from_counts_shares_one_mass_per_count():
-    dist = mg.Distribution.from_counts(["a", "b", "c"], [2, 1, 1], 4)
-    assert dist == mg.Distribution({"a": Fraction(1, 2), "b": Fraction(1, 4),
-                                    "c": Fraction(1, 4)}, 4)
-    assert dist.mass_counts == {Fraction(1, 2): 1, Fraction(1, 4): 2}
-    assert dist.probs["b"] is dist.probs["c"]
-    assert dist.max_prob() == Fraction(1, 2)
-
-
-@pytest.mark.parametrize("outcomes,counts,universe", [
-    ("abc", [2, 0, 1], 3),
-    ("abc", [2, -1, 1], 3),
-    ("abc", [2, 1.0, 1], 3),
-    ("abc", [2, Fraction(1, 2), 1], 3),
-    ("abc", [1, 1, 1], 2),  # support larger than the universe
-    ("aab", [1, 1, 1], 3),  # a repeated outcome
-    ("ab", [1, 1, 1], 3),  # fewer outcomes than counts
-    ("", [], 1),
-])
-def test_from_counts_refuses_bad_counts(outcomes, counts, universe):
-    with pytest.raises(errors.InvalidParameters):
-        mg.Distribution.from_counts(list(outcomes), counts, universe)
 
 
 @pytest.mark.parametrize("bm,error", [
@@ -736,6 +711,53 @@ def test_flagship_parameters_n1():
 def test_single_block_theorem_distance_zero():
     report = mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 1, 1)
     assert all(e["distance"] == 0 for e in report["sources"])
+
+
+# (delta, eps, blocks, n): q = 4, 8, 16 and 64, with m = 1, 1, 2, 6 and 3
+COUNT_PATH_SETTINGS = [
+    (Fraction(3, 4), Fraction(3, 4), 1, 2),
+    (Fraction(5, 6), Fraction(3, 4), 2, 2),
+    (Fraction(3, 4), Fraction(1, 2), 2, 2),
+    (Fraction(1, 2), Fraction(1, 2), 2, 2),
+    (Fraction(1, 2), Fraction(3, 4), 3, 1),
+]
+
+
+def test_theorem_distances_match_the_distribution_path():
+    # the distance read off the output counts against the excess mass of the
+    # exact output distribution, for every map kind and uniform block 0 and L-1
+    nonzero = 0
+    for delta, eps, L, n in COUNT_PATH_SETTINGS:
+        d = mg.seed_length(delta, eps, L)
+        spec, m = field_make(2, d), int((1 - delta) * n * d)
+        maps = _every_map_kind(spec, n, rng_stream(4249, spec.q))
+        sources = []
+        for ui in sorted({0, L - 1}):
+            others = [j for j in range(L) if j != ui]
+            for k in range(len(maps) if others else 1):
+                block_maps = {j: maps[(k + t) % len(maps)] for t, j in enumerate(others)}
+                sources.append(mg.SourceSpec(spec, n, L, ui, block_maps))
+        report = mg.verify_merger_theorem(delta, eps, L, n, sources=sources)
+        assert report["q"] in (4, 8, 16, 64) and report["entropy_threshold_bits"] == m
+        ms = mg.merger_make(spec, n, L)
+        for entry, src in zip(report["sources"], sources, strict=True):
+            want = mg.distance_to_min_entropy(mg.exact_output_distribution(ms, src), m)
+            assert entry["distance"] == want, (report["q"], src.describe())
+            nonzero += want > 0
+    assert nonzero
+
+
+def test_theorem_check_builds_no_distribution(monkeypatch):
+    want = mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the merger check built a Distribution")
+
+    monkeypatch.setattr(mg, "Distribution", refuse)
+    with pytest.raises(AssertionError):
+        mg.exact_output_distribution(mg.merger_make(F4, 1, 1),
+                                     mg.SourceSpec(F4, 1, 1, 0, {}))
+    assert mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 2) == want
 
 
 def test_enumeration_cap():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -15,7 +16,7 @@ import ffmult
 from ffmult import errors
 from ffmult import rs_decode as rs
 from ffmult.ff import field_make, rng_stream
-from ffmult.interpolate import count_weighted_monomials
+from ffmult.interpolate import WeightedDegreeBasis, count_weighted_monomials
 from ffmult.mvpoly import MultiPoly, multiplicity
 from ffmult.selftest import random_poly
 
@@ -438,6 +439,23 @@ def test_list_decode_default_slack_end_to_end():
     # the default slack needs m = 12, d = 35: one full run through the
     # large interpolation system keeps that path honest
     assert rs.list_decode(WORKED) == [(0, 0), (0, 1)]
+
+
+def test_list_decode_lists_the_basis_once(monkeypatch):
+    listings = []
+    listing = WeightedDegreeBasis.__dict__["_listing"]
+
+    def counted(basis):
+        listings.append(basis)
+        return listing.func(basis)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(WeightedDegreeBasis, "_listing")
+    monkeypatch.setattr(WeightedDegreeBasis, "_listing", prop)
+    assert rs.list_decode(WORKED, Fraction(1, 16)) == [(0, 0), (0, 1)]
+    assert len(listings) == 1
+    basis = listings[0]
+    assert basis.monomials() == basis.monomials() and basis.monomials() is not basis.monomials()
 
 
 def test_list_decode_perfect_agreement_returns_codeword():
