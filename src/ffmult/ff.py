@@ -35,7 +35,7 @@ from .errors import (
 )
 
 SIZE_CAP = 2 ** 20          # largest supported q
-_LOG_TABLE_CAP = 2 ** 16    # build log/exp multiplication tables up to here
+_ODD_TABLE_CAP = 2 ** 16    # odd p^e gets log/exp tables up to here; GF(2^e) always
 DOT_BLOCK_CELLS = 2 ** 16   # (row, term, column) cells per block of a GF(2^e) dot
 
 
@@ -173,7 +173,7 @@ class FieldSpec:
         self.modulus = modulus  # length e+1, low-to-high, monic; unused for e=1
         # for p = 2, the modulus as a code of e+1 bits
         self._modulus_bits = sum(c << i for i, c in enumerate(modulus))
-        self._exp: np.ndarray | None = None  # log/exp tables, up to _LOG_TABLE_CAP
+        self._exp: np.ndarray | None = None  # log/exp tables, see _ensure_tables
         self._log: np.ndarray | None = None
         self._vec: VecOps | None = None
 
@@ -285,8 +285,9 @@ class FieldSpec:
         the table kernels index: ``log`` is int32 with the sentinel
         log[0] = 2(q-1), and ``exp`` holds the q-1 powers of the generator
         twice, then zeros through index 4(q-1), in the smallest unsigned
-        dtype.  So exp[log a + log b] is a*b even when a or b is zero."""
-        if self._exp is not None or self.q > _LOG_TABLE_CAP:
+        dtype.  So exp[log a + log b] is a*b even when a or b is zero.  Every
+        GF(2^e) has them; odd p^e above _ODD_TABLE_CAP has none."""
+        if self._exp is not None or (self.p != 2 and self.q > _ODD_TABLE_CAP):
             return
         q, n1 = self.q, self.q - 1
         factors = _prime_factors(n1)
@@ -386,10 +387,10 @@ def _prime_factors(n: int) -> list[int]:
 # ``FieldSpec.vec`` applies F_q arithmetic elementwise to numpy arrays of codes,
 # with numpy broadcasting (a bare int is a 0-d operand).  Each field family has
 # its own implementation.  The scalar FieldSpec methods are the reference for
-# add, sub and neg on every field, and for mul on prime fields and on fields
-# above the table cap.  A table field's scalar methods and its kernel share the
-# one copy of the log/exp tables, which tests check against
-# ``scalar_ref.log_exp_tables``.
+# add, sub and neg on every field, and for mul on prime fields and on odd p^e
+# above _ODD_TABLE_CAP.  A table field (every GF(2^e), and odd p^e up to the
+# cap) shares the one copy of the log/exp tables between its scalar methods
+# and its kernel, which tests check against ``scalar_ref.log_exp_tables``.
 
 
 class VecOps:
@@ -448,15 +449,14 @@ class VecOps:
 
 class _PolyVecOps(VecOps):
     """Extension fields in the polynomial basis, with no tables: the family
-    beyond the log-table cap, and the kernel that builds the tables below it.
+    of odd p^e above _ODD_TABLE_CAP, and the kernel that builds the tables.
 
-    GF(2^e) multiplies by shift and XOR, one step per bit of b: add a where
-    the bit is set, then multiply a by X, reducing by the modulus when bit e
-    is set.  Odd p^e works on base-p digit arrays: mul convolves the e digits
-    of a with those of b and reduces by the monic modulus from the top down;
-    add, sub and neg act digit by digit.  Codes and digits are int32: a
-    shifted code stays below 2^21, and a convolution and its reduction below
-    2e(p-1)^2 < 2^31, for every q <= SIZE_CAP.
+    Base-p digit arrays: mul convolves the e digits of a with those of b and
+    reduces by the monic modulus from the top down; add, sub and neg act
+    digit by digit.  For p = 2, mul alone takes shift and XOR, a step per bit
+    of b: add a where it is set, then multiply a by X, reduced when bit e is
+    set.  Codes and digits are int32: for q <= SIZE_CAP a shifted code stays
+    below 2^21, and a convolution and its reduction below 2e(p-1)^2 < 2^31.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -479,18 +479,12 @@ class _PolyVecOps(VecOps):
         return self._code(op(self._digits(a, ndim), self._digits(b, ndim)))
 
     def add(self, a, b):
-        if self.p == 2:
-            return np.bitwise_xor(a, b, dtype=np.int32)
         return self._digitwise(np.add, a, b)
 
     def sub(self, a, b):
-        if self.p == 2:
-            return self.add(a, b)
         return self._digitwise(np.subtract, a, b)
 
     def neg(self, a):
-        if self.p == 2:
-            return np.asarray(a, dtype=np.int32)
         return self._code(-self._digits(a, np.ndim(a)))
 
     def mul(self, a, b):
@@ -566,7 +560,7 @@ class _PrimeVecOps(VecOps):
 
 
 class _LogVecOps(VecOps):
-    """GF(2^e) with q <= 2^16: XOR subtraction, log/exp multiplication.
+    """GF(2^e): XOR subtraction, log/exp multiplication.
 
     ``log`` and ``exp`` are the field's own tables, not copies: with the
     zero sentinel (see ``FieldSpec._ensure_tables``), ``exp[log[a] + log[b]]``
@@ -665,9 +659,9 @@ class _ZechVecOps(_LogVecOps):
 def _make_vec_ops(spec: FieldSpec) -> VecOps:
     if spec.e == 1:
         return _PrimeVecOps(spec)
-    if spec.q > _LOG_TABLE_CAP:
-        return _PolyVecOps(spec)
-    return _LogVecOps(spec) if spec.p == 2 else _ZechVecOps(spec)
+    if spec.p == 2:
+        return _LogVecOps(spec)
+    return _ZechVecOps(spec) if spec.q <= _ODD_TABLE_CAP else _PolyVecOps(spec)
 
 
 # -- the point order of F_q^n ------------------------------------------------------

@@ -8,10 +8,11 @@ by exact Gaussian elimination with deterministic pivoting.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from itertools import islice
 from math import comb
 
 import numpy as np
@@ -33,6 +34,7 @@ from .mvpoly import (
     hasse_coefficients,
     hasse_values,
     lucas_binomial,
+    multiplicities,
     power_tables,
 )
 
@@ -295,8 +297,9 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
     Requires strictly more basis monomials than linear constraints; with that
     hypothesis the kernel is nontrivial and the construction cannot fail.
     ``nullspace_vector`` reaches only the first constraint_count() + 1
-    columns, so a total-degree basis is cut to the smallest one holding them,
-    a graded-lex prefix: the cost follows the constraints, not the degree.
+    columns, so the basis is cut to the smallest one of its kind with more
+    monomials than constraints: a lower degree lists a prefix of the same
+    order, so the vector is unchanged and the cost follows the constraints.
     """
     n_constraints, n_monomials = problem.constraint_count(), problem.basis.count()
     if n_constraints >= n_monomials:
@@ -305,10 +308,11 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
             "existence is not guaranteed"
         )
     _check_table(n_constraints, n_constraints + 1)  # the smallest table cut below
-    if isinstance(problem.basis, TotalDegreeBasis):
-        mons = exponents_below_weight(problem.basis.d + 1, problem.n)
-        head = list(islice(mons, n_constraints + 1))
-        problem = replace(problem, basis=TotalDegreeBasis(problem.n, sum(head[-1])))
+    # a basis of degree d holds at least d + 1 monomials, so d <= n_constraints
+    d = bisect_right(range(min(problem.basis.d, n_constraints) + 1), n_constraints,
+                     key=lambda d: replace(problem.basis, d=d).count())
+    problem = copy(problem)  # its points are checked: no second __post_init__
+    object.__setattr__(problem, "basis", replace(problem.basis, d=d))
     monomials = problem.basis.monomials()
     rows = vanishing_constraints(problem)
     vec = nullspace_vector(rows, len(monomials), problem.spec)
@@ -318,8 +322,6 @@ def vanishing_interpolation(problem: InterpolationProblem, verify: bool = False)
         )
     poly = _canonical(problem.spec, problem.n, np.array(monomials, dtype=np.int64), vec)
     if verify:
-        from .mvpoly import multiplicities
-
         if poly.is_zero:
             raise InternalNoSolution("kernel vector produced the zero polynomial")
         mults = multiplicities(poly, problem.points)

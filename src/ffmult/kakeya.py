@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .ff import FieldSpec, code_points, parse_prime_power, point_codes
-from .ff import field_make  # noqa: F401  re-exported
+from .ff import field_make  # noqa: F401  unused; perfbench/test_smoke.py names this binding
 from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_interpolation
 from .mvpoly import Curve, coerce_point, grid_multiplicities, homogeneous_part
 
@@ -296,8 +296,10 @@ class StatKakeyaInstance:
 
 
 def statistical_kakeya_bound(q: int, n: int, lam, eta, max_degree: int) -> Fraction:
-    """(lam*q / (Lambda*(lam*q - 1)/(eta*q) + 1))^n, as an exact rational."""
+    """(lam*q / (Lambda*(lam*q - 1)/(eta*q) + 1))^n, exact, for eta > 0."""
     lam, eta = Fraction(lam), Fraction(eta)
+    if eta <= 0:
+        raise InvalidParameters(f"need eta > 0, got {eta}")
     denom = Fraction(max_degree) * (lam * q - 1) / (eta * q) + 1
     return (lam * q / denom) ** n
 

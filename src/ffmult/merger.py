@@ -474,11 +474,14 @@ def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
     every code x in one ``vec.mul`` (an (L, seeds, q) array, so a block also
     has at most BLOCK_CELLS // q seeds), gathers each input block's codes
     from its row, sums the L terms and counts the outputs with one
-    ``bincount``.
+    ``bincount``.  More than ENUMERATION_CAP pairs are refused up front.
     """
     if src.spec is not ms.spec or src.n != ms.n or src.num_blocks != ms.num_blocks:
         raise DimensionMismatch("source and merger dimensions differ")
     spec, n, q = ms.spec, ms.n, ms.spec.q
+    # q >= 2, so q^(n+1) > cap once 2^(n+1) is
+    if n + 1 >= ENUMERATION_CAP.bit_length() or q ** (n + 1) > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"q^(n+1) = {q}^{n + 1} pairs exceed {ENUMERATION_CAP}")
     if n == 0:  # every pair sends the merger to the one empty output
         return np.array([q], dtype=np.int64)
     vec, size = spec.vec, q ** n

@@ -26,7 +26,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldSpec, code_points
+from .ff import FieldSpec, code_points, parse_field_spec
 from .interpolate import (
     InterpolationProblem,
     WeightedDegreeBasis,
@@ -334,8 +334,6 @@ def instance_to_json(inst: RSInstance) -> dict:
 def instance_from_json(data) -> RSInstance:
     """The instance that ``instance_to_json`` describes; JSON of any other
     shape raises InvalidParameters."""
-    from .ff import parse_field_spec
-
     try:
         field, alphas, betas = str(data["field"]), tuple(data["alphas"]), tuple(data["betas"])
         k, t = operator.index(data["k"]), operator.index(data["t"])

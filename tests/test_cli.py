@@ -309,6 +309,8 @@ HUGE_ORDER = ("hasse", "--field", "3", "--n", "1", "--poly", "1:5",
 EMPTY_STAT = {"S": [], "K": [], "curves": [], "lambda": 0, "eta": 1, "degree": 1}
 REPEATED_S = {"S": [[0], [0]], "K": [[0]], "curves": [{"point": [0], "components": [[0]]}],
               "lambda": 1, "eta": 1, "degree": 1}
+# eta = 0 passes every hypothesis check (0 * q > -1), and the bound divides by eta
+ETA_ZERO = {"S": [], "K": [], "curves": [], "lambda": 0, "eta": 0, "degree": -1}
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -336,6 +338,7 @@ REPEATED_S = {"S": [[0], [0]], "K": [[0]], "curves": [{"point": [0], "components
 ] + [(argv, "UnsupportedSize") for argv in EXPONENT_REFUSALS] + [
     # the reduction instance's direction e1 needs a coordinate
     (("kakeya-stat", "--field", "2", "--n", "0"), "InvalidParameters"),
+    (("kakeya-stat", "--field", "5", "--n", "1", "--input", ETA_ZERO), "InvalidParameters"),
 ])
 def test_field_and_poly_out_of_domain_is_domain_error(tmp_path, capsys, argv, error):
     target = tmp_path / "input.json"
@@ -493,8 +496,9 @@ def test_byte_identical_runs():
     assert code1 == code2 == 0 and out1 == out2
 
 
-# the README's CLI examples and the selftest --seed 7 report, pinned by the
-# sha256 of their stdout: a refactor that claims byte identity must keep these
+# the README's CLI examples, the selftest --seed 7 report, and GF(2^17) and
+# GF(2^20) runs, pinned by the sha256 of their stdout: a refactor that claims
+# byte identity must keep these
 PINNED_OUTPUTS = [
     (("sz-mass", "--field", "3", "--n", "2", "--poly", "1:1,1"),
      "149c66be240ac454ff06863897da5f98214ebe0ca131cd10e723e8ccb88b8c17"),
@@ -513,9 +517,23 @@ PINNED_OUTPUTS = [
      "af03ac121b3bec8c8e183f5269b727ea1330dc02be8e1536d4783d891529780a"),
     (("kakeya-stat", "--field", "13", "--n", "2"),
      "dbd572f8e5d9d42f0d9c95b5e07b7d15c9a3e3edc3d226f409c7d0cf1e470b91"),
+    (("rs-decode", "--field", "2^17", "--alphas", ",".join(map(str, range(40))),
+      "--betas", "2,77764,49017,102586,64778,119501,17015,93623,128510,55859,84612,25923,"
+      "67834,10032,112525,39002,119884,64395,92965,17649,76101,1684,103999,47608,8616,69238,"
+      "40651,110864,56504,127871,25565,84997,87652,31105,125214,50905,109384,33962,70679,15352",
+      "--k", "2", "--t", "26", "--eps", "1/8"),
+     "46d21e30eab3ec0167280ca35c39b64668385b74c81e6081e35ed6ca6ec244af"),
+    (("hasse", "--field", "2^20", "--n", "2", "--poly", "1048571:3,2;777:1,0;349525:0,5;1:4,4",
+      "--order", "2,0"),
+     "d4ced3d00b2c9f1b33c10a6dfea260b29fa98960cb66804530486fa8270d8a21"),
+    # (X + 5)(Y + 1048499): multiplicity 2 at (5, 1048499), with 356 = 5 * 1048499
+    (("mult", "--field", "2^20", "--n", "2", "--poly", "1:1,1;5:0,1;1048499:1,0;356:0,0",
+      "--point", "5,1048499"),
+     "ab6934c6c52c8f6e94f17186ee6c5d41dae272420d8405056c282106e21d8b71"),
 ]
 PINNED_IDS = [argv[0] for argv, _ in PINNED_OUTPUTS]
-PINNED_IDS[-2:] = ["kakeya-stat-2^4", "kakeya-stat-13"]
+PINNED_IDS[-5:] = ["kakeya-stat-2^4", "kakeya-stat-13", "rs-decode-2^17", "hasse-2^20",
+                   "mult-2^20"]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=PINNED_IDS)
@@ -720,6 +738,7 @@ def input_doc(draw, template):
 ))
 @example((["rs-decode"], None))
 @example((["kakeya-stat", "--field", "2", "--n", "1"], None))
+@example((["kakeya-stat", "--field", "5", "--n", "1"], ETA_ZERO))
 def test_cli_exit_code_contract_holds_for_fuzzed_input_files(tmp_path, case):
     argv, doc = case
     target = tmp_path / "input.json"

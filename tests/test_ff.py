@@ -9,7 +9,10 @@ from ffmult import errors
 from ffmult.ff import (
     FieldElement,
     FieldSpec,
+    _LogVecOps,
     _modulus_table,
+    _PolyVecOps,
+    _ZechVecOps,
     code_points,
     field_enumerate,
     field_make,
@@ -151,7 +154,7 @@ def test_log_exp_tables_match_scalar_walk(p, e):
         assert spec._mul_raw(a, b) == scalar_ref.poly_mul(spec, a, b)
 
 
-@pytest.mark.parametrize("p,e", [(2, 16), (3, 10)])
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 10), (2, 17), (2, 20)])
 def test_log_exp_tables_of_the_largest_table_fields(p, e):
     spec = field_make(p, e)
     spec._ensure_tables()
@@ -171,7 +174,8 @@ TABLE_FIELDS = sorted(pe for pe in _modulus_table() if pe[0] ** pe[1] <= 2 ** 16
 SMALL_TABLE_FIELDS = [pe for pe in TABLE_FIELDS if pe[0] ** pe[1] <= 64]
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (2, 6), (2, 16), (3, 3), (3, 10), (31, 3)])
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 6), (2, 16), (3, 3), (3, 10), (31, 3), (2, 17),
+                                 (2, 20)])
 def test_one_copy_of_the_tables_in_the_kernel_layout(p, e):
     spec = field_make(p, e)
     spec._ensure_tables()
@@ -187,9 +191,43 @@ def test_one_copy_of_the_tables_in_the_kernel_layout(p, e):
 
 
 def test_fields_above_the_table_cap_have_no_tables():
-    spec = field_make(2, 17)
+    # the cap holds for odd p^e only: 78125 = 5^7 is the smallest odd field above it
+    spec = field_make(5, 7)
     assert spec.mul(3, 5) == scalar_ref.poly_mul(spec, 3, 5)
     assert spec._exp is None and spec._log is None
+
+
+@pytest.mark.parametrize("p,e", sorted(_modulus_table()))
+def test_family_of_every_shipped_field(p, e):
+    # GF(2^e) runs on its own log/exp tables at every size; odd p^e on Zech
+    # tables up to 2^16 and on the polynomial-basis kernel above
+    spec = field_make(p, e)
+    if p == 2:
+        assert type(spec.vec) is _LogVecOps
+        assert spec.vec.log is spec._log and spec.vec.exp is spec._exp
+        assert spec._exp.nbytes + spec._log.nbytes <= 20 * 2 ** 20
+    elif spec.q <= 2 ** 16:
+        assert type(spec.vec) is _ZechVecOps
+    else:
+        assert type(spec.vec) is _PolyVecOps
+        assert spec._exp is None
+
+
+@pytest.mark.parametrize("e", [17, 20])
+def test_table_builder_matches_schoolbook_products(e):
+    # the bit-serial mul that builds the GF(2^e) tables, against one scalar
+    # schoolbook product per pair; add and neg take the digit path
+    spec = field_make(2, e)
+    kernel = _PolyVecOps(spec)
+    rng = rng_stream(42, spec.q)
+    a, b = rng.integers(spec.q, size=(2, 400))
+    a[:4], b[:4] = [0, 1, spec.q - 1, spec.q - 1], [spec.q - 1, 0, 1, spec.q - 1]
+    al, bl = a.tolist(), b.tolist()
+    assert kernel.mul(a, b).tolist() == [scalar_ref.poly_mul(spec, x, y) for x, y in zip(al, bl)]
+    assert kernel.mul(a, bl[5]).tolist() == [scalar_ref.poly_mul(spec, x, bl[5]) for x in al]
+    assert kernel.add(a, b).tolist() == (a ^ b).tolist()
+    assert kernel.sub(a, b).tolist() == (a ^ b).tolist()
+    assert kernel.neg(a).tolist() == al
 
 
 class _NoKernel:

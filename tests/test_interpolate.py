@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from ffmult.interpolate import (
     vanishing_constraints,
     vanishing_interpolation,
 )
-from ffmult.mvpoly import multiplicity
+from ffmult.mvpoly import MultiPoly, multiplicity
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -182,10 +183,10 @@ def test_interpolation_double_point():
 
 
 def test_interpolation_verify_raises_on_failed_postcondition(monkeypatch):
-    from ffmult import interpolate, mvpoly
+    from ffmult import interpolate
 
     prob = InterpolationProblem(F3, 2, ((0, 0),), 1, TotalDegreeBasis(2, 1))
-    monkeypatch.setattr(mvpoly, "multiplicities", lambda P, pts: np.zeros(len(pts), dtype=int))
+    monkeypatch.setattr(interpolate, "multiplicities", lambda P, pts: np.zeros(len(pts), dtype=int))
     with pytest.raises(errors.InternalNoSolution, match="multiplicity 0 < 1"):
         vanishing_interpolation(prob, verify=True)
     monkeypatch.setattr(interpolate, "nullspace_vector", lambda rows, n, spec: [0] * n)
@@ -212,6 +213,31 @@ def test_interpolation_weighted_basis():
     poly = vanishing_interpolation(prob, verify=True)
     assert not poly.is_zero
     assert poly.eval_codes((0, 0)) == 0
+
+
+@pytest.mark.parametrize("basis", [TotalDegreeBasis(2, 9), WeightedDegreeBasis(d=30, k=3, ydeg_cap=6),
+                                   WeightedDegreeBasis(d=30, k=3, ydeg_cap=2)])
+def test_interpolation_cuts_each_basis_to_the_smallest_of_its_kind(basis, monkeypatch):
+    # the elimination sees the columns of the smallest degree whose basis
+    # holds more monomials than constraints, and the polynomial is the one
+    # the whole basis gives
+    from ffmult import interpolate
+
+    spec = field_make(257)
+    rng = rng_stream(215, 0)
+    points = tuple(tuple(int(x) for x in rng.integers(spec.q, size=2)) for _ in range(5))
+    prob = InterpolationProblem(spec, 2, points, 2, basis)
+    rows = prob.constraint_count()
+    cut = next(d for d in range(basis.d + 1) if replace(basis, d=d).count() > rows)
+    assert 0 < cut < basis.d and replace(basis, d=cut - 1).count() <= rows
+    seen = []
+    nullspace = interpolate.nullspace_vector
+    monkeypatch.setattr(interpolate, "nullspace_vector",
+                        lambda A, ncols, sp: seen.append((len(A), ncols)) or nullspace(A, ncols, sp))
+    poly = vanishing_interpolation(prob)
+    assert seen == [(rows, replace(basis, d=cut).count())]
+    whole = nullspace(vanishing_constraints(prob), basis.count(), spec)
+    assert poly == MultiPoly(spec, 2, dict(zip(basis.monomials(), whole)))
 
 
 def test_interpolation_is_deterministic():

@@ -67,7 +67,7 @@ def test_lagrange_basis_matches_scalar_products(p, e):
         assert table[:, seeds].T.tolist() == [list(scalar_ref.mix_coeffs(ms, u)) for u in seeds]
 
 
-@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 6), (3, 3), (2, 17)])
+@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 6), (3, 3), (2, 17), (5, 7)])
 def test_lagrange_check_rejects_every_corrupted_coefficient(p, e):
     # a changed coefficient moves b_i off the node grid; the O(L^2) check must
     # see it, at nodes that include 0 (where b_i(0) ignores all but b_i[0])
@@ -788,6 +788,47 @@ def test_checked_seed_length_refuses_before_forming_powers():
     with pytest.raises(errors.EnumerationTooLarge, match=r"2\^600000006 exceeds"):
         mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 10 ** 8)
     assert time.perf_counter() - start < 1
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2 ** 30, 2 * 2 ** 30))
+
+
+def test_output_counts_refuse_oversized_spaces_before_any_array():
+    # in a child process whose address space is capped at 2 GiB: the 2^40
+    # pairs of GF(2^10) at n = 3 need an 8 GiB count array, and n = 10^8 a
+    # power of q with 3 * 10^8 digits; both are refused before either
+    script = textwrap.dedent("""
+        import time
+        from ffmult import errors, merger as mg
+        from ffmult.ff import field_make
+
+        spec = field_make(2, 10)
+        start = time.perf_counter()
+        for n in (3, 10 ** 8):
+            ms = mg.merger_make(spec, n, 2)
+            src = mg.SourceSpec(spec, n, 2, 0, {1: mg.IdentityMap()})
+            for enumerate_all in (mg.output_counts, mg.exact_output_distribution):
+                try:
+                    enumerate_all(ms, src)
+                    raise SystemExit(f"{enumerate_all.__name__} at n = {n} did not refuse")
+                except errors.EnumerationTooLarge:
+                    pass
+        assert time.perf_counter() - start < 1
+        print("ok")
+    """)
+    src = str(Path(ffmult.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, preexec_fn=_limit_address_space)
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr[-400:]
+    # the largest space of GF(5) the cap admits is still enumerated
+    assert 5 ** 10 <= mg.ENUMERATION_CAP < 5 ** 11
+    counts = mg.output_counts(mg.merger_make(F5, 9, 1), mg.SourceSpec(F5, 9, 1, 0, {}))
+    assert counts.shape == (5 ** 9,) and (counts == 5).all()
 
 
 def test_non_integer_threshold_rejected():

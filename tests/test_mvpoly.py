@@ -48,7 +48,7 @@ def test_poly_eval_examples():
     assert poly_eval(Q, (1, 1)) == F2.zero()
 
 
-EVAL_FIELDS = [(7, 1), (257, 1), (2, 6), (3, 3), (2, 17)]
+EVAL_FIELDS = [(7, 1), (257, 1), (2, 6), (3, 3), (2, 17), (5, 7)]
 
 
 @pytest.mark.parametrize("p,e", EVAL_FIELDS)
@@ -384,8 +384,8 @@ def test_multiplicities_match_scalar_shell_walk(p, e):
 
 
 def test_multiplicities_fallback_family():
-    # GF(2^17) has no log tables: every array op runs on the polynomial-basis kernel
-    spec = field_make(2, 17)
+    # GF(5^7) has no log tables: every array op runs on the polynomial-basis kernel
+    spec = field_make(5, 7)
     rng = rng_stream(502, 0)
     for n in (1, 2):
         points = [random_point(spec, n, rng) for _ in range(3)] + [(0,) * n]
@@ -531,8 +531,8 @@ def test_binomials_of_large_exponents():
 # the term arrays against the term-dict oracles
 # ---------------------------------------------------------------------------
 
-# one field per VecOps family: prime, GF(2^e) and odd p^e on tables, and the
-# table-free kernel above 2^16 in characteristic 2 and odd
+# one field per VecOps family: prime, GF(2^e) on tables (also above 2^16),
+# odd p^e on tables, and the table-free kernel of odd p^e above 2^16
 ARRAY_FIELDS = [(7, 1), (2, 4), (3, 3), (2, 17), (3, 11)]
 
 

@@ -57,7 +57,7 @@ def _operands(q: int, seed: int):
     return a, b
 
 
-@pytest.mark.parametrize("p,e", SMALL_EXTENSIONS + PRIMES)
+@pytest.mark.parametrize("p,e", SMALL_EXTENSIONS + PRIMES + [(2, 17), (2, 20)])
 def test_vec_ops_match_scalar(p, e):
     spec = field_make(p, e)
     vec = spec.vec
@@ -80,9 +80,9 @@ def test_vec_ops_match_scalar(p, e):
         assert spec.mul(x, vec.inv(x)) == 1
 
 
-@pytest.mark.parametrize("p,e", [(2, 17), (2, 20), (3, 11), (3, 12), (5, 8)])
+@pytest.mark.parametrize("p,e", [(3, 11), (3, 12), (5, 7), (5, 8), (7, 7)])
 def test_fallback_vec_ops_match_scalar(p, e):
-    # beyond the log-table cap the polynomial-basis kernel runs every op
+    # odd p^e beyond the odd-table cap: the polynomial-basis kernel runs every op
     spec = field_make(p, e)
     vec = spec.vec
     assert type(vec).__name__ == "_PolyVecOps"
@@ -132,7 +132,7 @@ def _check_poly_eval_shapes(spec, xs):
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (1048573, 1), (2, 4), (2, 16), (3, 2),
-                                 (5, 3), (2, 17), (3, 11)])
+                                 (5, 3), (2, 17), (3, 11), (5, 7)])
 def test_vec_sum_matches_scalar_fold(p, e):
     # one reduction per family: int64 sum mod p, XOR, and folds of add
     spec = field_make(p, e)
@@ -147,7 +147,7 @@ def test_vec_sum_matches_scalar_fold(p, e):
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (257, 1), (1048573, 1), (2, 6), (2, 16), (3, 3),
-                                 (3, 10), (2, 17)])
+                                 (3, 10), (2, 17), (5, 7)])
 def test_vec_dot_matches_scalar_fold(p, e):
     # c + a.b: float64 einsum mod p, XOR of log/exp products, sums of
     # spread digits (in two chunks on GF(3^10)), and a fold of add
@@ -321,7 +321,7 @@ def _random_system(spec, rng, nrows, ncols, rank=None, zero_cols=()):
     return rows
 
 
-FAMILIES = [(7, 1), (257, 1), (2, 6), (3, 3), (2, 17)]
+FAMILIES = [(7, 1), (257, 1), (2, 6), (3, 3), (2, 17), (5, 7)]
 
 
 @pytest.mark.parametrize("p,e", FAMILIES)
@@ -383,9 +383,10 @@ def test_blocked_elimination_matches_scalar_reference(p, e):
         assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
 
 
-# every family: prime, F_2, GF(2^e) log tables, odd p^e Zech tables, and the
-# table-free polynomial basis, which runs GF(2^17) by itself and is put in
-# place of the Zech tables for GF(3^3), where the scalar reference is fast
+# every family: prime, F_2, GF(2^e) log tables (also above 2^16), odd p^e
+# Zech tables, and the table-free polynomial basis of odd p^e above 2^16,
+# put in place of the Zech tables for GF(3^3), where the scalar reference
+# is fast
 KERNEL_FAMILIES = ["7", "257", "2", "2^6", "3^3", "2^17", "3^3 poly"]
 
 
@@ -567,7 +568,7 @@ def _ref_constraints(problem):
     return rows
 
 
-@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 3), (3, 2), (2, 17)])
+@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 3), (3, 2), (2, 17), (5, 7)])
 def test_constraint_rows_match_scalar_build(p, e):
     spec = field_make(p, e)
     rng = rng_stream(406, spec.q)
