@@ -59,6 +59,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid integer list: {text!r}") from None
 
 
+def _count_arg(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"a count must be >= 0, got {count}")
+    return count
+
+
 def _json_arg(text: str):
     try:
         return json.loads(text)
@@ -204,6 +214,8 @@ def _stat_instance(spec, n: int, data) -> kk.StatKakeyaInstance:
         S, K = [tuple(p) for p in data["S"]], [tuple(p) for p in data["K"]]
         curves = [(tuple(c["point"]), [list(comp) for comp in c["components"]])
                   for c in data["curves"]]
+        if any(isinstance(data[key], bool) for key in ("lambda", "eta", "degree")):
+            raise TypeError("JSON true and false are not numbers")
         lam, eta = Fraction(data["lambda"]), Fraction(data["eta"])
         degree = operator.index(data["degree"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -492,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common], help="run the full invariant suite")
     p.add_argument("--seed", type=int, required=True, help="64-bit seed (no default)")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_count_arg, default=1000)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -37,6 +37,7 @@ from .errors import (
 SIZE_CAP = 2 ** 20          # largest supported q
 _ODD_TABLE_CAP = 2 ** 16    # odd p^e gets log/exp tables up to here; GF(2^e) always
 DOT_BLOCK_CELLS = 2 ** 16   # (row, term, column) cells per block of a GF(2^e) dot
+REMAINDER_CELLS = 2 ** 9    # prime reduce: np.remainder below this many entries
 
 
 def is_prime(n: int) -> bool:
@@ -198,11 +199,14 @@ class FieldSpec:
 
     def coerce(self, value) -> int:
         """Accept a FieldElement of this field or an integer code in [0, q);
-        anything else, a float or a string included, raises InvalidParameters."""
+        anything else, a float, a string or a bool included, raises
+        InvalidParameters."""
         if isinstance(value, FieldElement):
             if value.spec is not self:
                 raise SpecMismatch("element belongs to a different field")
             return value.code
+        if isinstance(value, bool):  # JSON true and false are not codes
+            raise InvalidParameters(f"not an element code: {value!r}")
         try:
             code = operator.index(value)
         except TypeError:
@@ -402,13 +406,15 @@ class VecOps:
         return self.spec.inv(a)
 
     def sub_mul(self, a, f, b) -> np.ndarray:
-        """A representative of a - f*b; ``a``, an int64 array, may itself be
-        a representative and may be overwritten by the result; f and b are
-        codes."""
-        return self.sub(a, self.mul(f, b))
+        """a - f*b written into the integer array ``a``, which it returns;
+        ``a`` may hold representatives and the result may be one; f and b
+        are codes."""
+        a[...] = self.sub(a, self.mul(f, b))
+        return a
 
     def reduce(self, a) -> np.ndarray:
-        """Codes from representatives."""
+        """Codes from the representatives in the integer array ``a``,
+        written into it; returns ``a``."""
         return a
 
     def sum(self, a, axis: int) -> np.ndarray:
@@ -422,7 +428,8 @@ class VecOps:
 
     def dot(self, a, b, c) -> np.ndarray:
         """c + a·b for arrays of codes a (rows x k), b (k x cols) and c
-        (rows x cols), by a fold of ``add`` over the inner index."""
+        (rows x cols), by a fold of ``add`` over the inner index.  The
+        result may be ``c`` itself, overwritten."""
         acc = c
         for t in range(np.shape(a)[1]):
             acc = self.add(acc, self.mul(a[:, t, None], b[t]))
@@ -510,8 +517,9 @@ class _PolyVecOps(VecOps):
 
 class _PrimeVecOps(VecOps):
     """F_p as int64 arithmetic mod p.  Products of codes are at most
-    (p-1)^2 < 2^40.  sub_mul skips the reduction, so each call moves an entry
-    by at most (p-1)^2; elimination reduces after at most PANEL calls."""
+    (p-1)^2 < 2^40.  sub_mul skips the reduction and multiplies in the dtype
+    of its target, so each call moves an entry by at most (p-1)^2;
+    elimination picks that dtype and reduces after at most PANEL calls."""
 
     def __init__(self, spec: FieldSpec):
         self.spec, self.p = spec, spec.p
@@ -529,10 +537,17 @@ class _PrimeVecOps(VecOps):
         return np.negative(a, dtype=np.int64) % self.p
 
     def sub_mul(self, a, f, b):
-        return np.subtract(a, np.multiply(f, b, dtype=np.int64), out=a)
+        return np.subtract(a, np.multiply(f, b, dtype=a.dtype), out=a)
 
     def reduce(self, a):
-        return np.remainder(a, self.p)
+        if a.size < REMAINDER_CELLS:
+            return np.remainder(a, self.p, out=a)
+        # numpy divides by a constant with a multiply and a shift; on a
+        # panel of signed representatives np.remainder, which branches on
+        # the signs, takes about ten times as long
+        quot = a // self.p
+        quot *= self.p
+        return np.subtract(a, quot, out=a)
 
     def sum(self, a, axis):
         # codes are below p <= 2^20, so the int64 sum is exact below 2^43 terms
@@ -553,10 +568,7 @@ class _PrimeVecOps(VecOps):
                         optimize=False)
         out = acc.astype(whole)
         np.add(out, c, out=out, casting="unsafe")  # c holds codes, of any dtype
-        quot = out // self.p  # cheaper than np.remainder
-        quot *= self.p
-        out -= quot
-        return out
+        return self.reduce(out)
 
 
 class _LogVecOps(VecOps):
@@ -564,7 +576,9 @@ class _LogVecOps(VecOps):
 
     ``log`` and ``exp`` are the field's own tables, not copies: with the
     zero sentinel (see ``FieldSpec._ensure_tables``), ``exp[log[a] + log[b]]``
-    is the product even when a or b is zero.
+    is the product even when a or b is zero.  Lookups go through ``take``,
+    which reads an int32 or unsigned index array as it is; indexing first
+    converts it to intp, at about the cost of the lookup.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -577,7 +591,7 @@ class _LogVecOps(VecOps):
     sub = add
 
     def mul(self, a, b):
-        return self.exp[self.log[a] + self.log[b]]
+        return self.exp.take(self.log.take(a) + self.log.take(b))
 
     def neg(self, a):
         return np.asarray(a)
@@ -585,14 +599,18 @@ class _LogVecOps(VecOps):
     def sum(self, a, axis):
         return np.bitwise_xor.reduce(a, axis=axis)
 
+    def sub_mul(self, a, f, b):
+        a ^= self.mul(f, b)
+        return a
+
     def dot(self, a, b, c):
-        # c XOR the k products of each cell, over blocks of rows
-        la, lb = self.log[a], self.log[b]
-        out = np.array(c, dtype=np.int64)
+        # c XOR the k products of each cell, over blocks of rows, in place
+        la, lb = self.log.take(a), self.log.take(b)
+        out = np.asarray(c)
         step = max(1, DOT_BLOCK_CELLS // max(lb.size, 1))
         for lo in range(0, len(la), step):
             out[lo : lo + step] ^= np.bitwise_xor.reduce(
-                self.exp[la[lo : lo + step, :, None] + lb], axis=1)
+                self.exp.take(la[lo : lo + step, :, None] + lb), axis=1)
         return out
 
 
@@ -624,16 +642,16 @@ class _ZechVecOps(_LogVecOps):
         digits = kernel._digits(self.exp, 1).astype(np.int64)
         self.spread = np.sum(digits << self.bits * np.arange(spec.e)[:, None], axis=0)
 
-    sum = VecOps.sum
+    sum, sub_mul = VecOps.sum, VecOps.sub_mul
 
     def dot(self, a, b, c):
         # c and then up to terms - 1 products at a time, summed spread
-        la, lb = self.log[a], self.log[b]
+        la, lb = self.log.take(a), self.log.take(b)
         acc = c
         for lo in range(0, la.shape[1], self.terms - 1):
-            spread = self.spread[self.log[acc]]
+            spread = self.spread.take(self.log.take(acc))
             for t in range(lo, min(lo + self.terms - 1, la.shape[1])):
-                spread += self.spread[la[:, t, None] + lb[t]]
+                spread += self.spread.take(la[:, t, None] + lb[t])
             acc = self._unspread(spread)
         return acc
 
@@ -649,11 +667,11 @@ class _ZechVecOps(_LogVecOps):
         return self.sub(a, self.neg(b))
 
     def sub(self, a, b):
-        la = self.log[a]
-        return self.exp[la + self.zech[self.log[b] - la + 2 * self.n1]]
+        la = self.log.take(a)
+        return self.exp.take(la + self.zech.take(self.log.take(b) - la + 2 * self.n1))
 
     def neg(self, a):
-        return self.exp[self.log[a] + self.half]
+        return self.exp.take(self.log.take(a) + self.half)
 
 
 def _make_vec_ops(spec: FieldSpec) -> VecOps:

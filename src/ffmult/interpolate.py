@@ -131,7 +131,8 @@ def _check_table(rows: int, cols: int) -> None:
 
 def vanishing_constraints(problem: InterpolationProblem) -> np.ndarray:
     """One row per (point a, order i with wt(i) < m), expressing P^(i)(a) = 0,
-    as an int64 array of codes.
+    as an int32 array of codes: every code is below SIZE_CAP = 2^20, so
+    elimination takes the rows as they are, in their narrowest type.
 
     The column for monomial r carries C(r, i) * a^(r - i), zero when r < i
     coordinatewise; columns follow the basis order.  A table of more than
@@ -146,7 +147,7 @@ def vanishing_constraints(problem: InterpolationProblem) -> np.ndarray:
     coef, shifts = hasse_coefficients(monomials, orders, lucas_binomial(spec.p, top), spec.p)
     powers = power_tables(spec.vec, points, top)
     values = hasse_values(spec.vec, coef, shifts, powers)
-    return values.astype(np.int64).reshape(len(points) * len(orders), len(monomials))
+    return values.astype(np.int32).reshape(len(points) * len(orders), len(monomials))
 
 
 # Columns reduced one at a time before a single product carries their row
@@ -155,14 +156,28 @@ PANEL = 32
 
 
 def _codes(rows, ncols: int, width: int, vec) -> np.ndarray:
-    """The first ``width`` columns of the matrix ``rows``, as a fresh int64
+    """The first ``width`` columns of the matrix ``rows``, as a fresh int32
     array of codes."""
-    A = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
-    return vec.reduce(np.array(A[:, :width]))
+    A = np.asarray(rows).reshape(len(rows), ncols)
+    return vec.reduce(np.array(A[:, :width], dtype=np.int32))
+
+
+def _panel_dtype(p: int):
+    """The narrowest integer type that holds a panel entry of characteristic
+    p through PANEL unreduced ``sub_mul`` steps: each moves it from a code
+    by at most (p-1)^2, which int32 holds for p <= 8191.  int64 keeps a
+    factor of two in hand, and a bound past it raises InternalDefect."""
+    bound = PANEL * (p - 1) ** 2 + p
+    if bound < 2 ** 31:
+        return np.int32
+    if bound >= 2 ** 62:
+        raise InternalDefect(f"{PANEL} unreduced row updates may overflow int64")
+    return np.int64
 
 
 def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, int]]:
-    """Block echelon form of A, in place; returns [(pivot row, pivot column)].
+    """Block echelon form of the int32 codes A, in place; returns
+    [(pivot row, pivot column)].
 
     The pivot for column c is the first row at or below the current one that
     is nonzero there.  Blocked elimination below the pivots: the columns are
@@ -171,20 +186,19 @@ def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, 
     next to one transform column per pivot.  A row that becomes the panel's
     pivot t gets a 1 in transform column t, so the row operations leave in
     the transform columns E, the combination of the panel's pivot rows (as
-    they were when the panel began) that each row received.  The panel's row
-    swaps reach the columns right of it as one permutation of rows r0 and
-    below, and one product ``vec.dot`` then applies the panel to those
-    columns: them, with the pivot rows zeroed, plus E times the pivot rows'
-    old entries.  The rows of earlier panels are never touched again, so
-    each panel's pivot rows are zero left of the panel and hold an identity
-    on its pivot columns; what lies right of the panel is not reduced.  With
+    they were when the panel began) that each row received.  The panel is
+    int32, or int64 for a prime above 8191 (see ``_panel_dtype``).  Its row
+    swaps reach the columns right of it as one gather of rows r0 and below,
+    and that gathered array, with the pivot rows zeroed, is the ``c`` of one
+    product ``vec.dot``, which adds E times the pivot rows' old entries.
+    The rows of earlier panels are never touched again, so each panel's
+    pivot rows are zero left of the panel and hold an identity on its pivot
+    columns; what lies right of the panel is not reduced.  With
     ``first_free``, elimination stops at the first column that takes no
     pivot, so the pivots are exactly the columns before it, and the columns
     right of that panel are left as they are.
     """
-    if PANEL * (vec.spec.p - 1) ** 2 + vec.spec.p >= 2 ** 62:
-        # a panel entry takes at most PANEL unreduced sub_mul steps from a code
-        raise InternalDefect(f"{PANEL} unreduced row updates may overflow int64")
+    dtype = _panel_dtype(vec.spec.p)
     nrows, ncols = A.shape
     pivots: list[tuple[int, int]] = []
     for c0 in range(0, ncols, PANEL):
@@ -194,7 +208,7 @@ def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, 
         c1 = min(c0 + PANEL, ncols)
         w = c1 - c0
         # the last panel has no columns right of it, and so no transform columns
-        panel = np.zeros((w if c1 == ncols else 2 * w, nrows - r0), dtype=np.int64)
+        panel = np.zeros((w if c1 == ncols else 2 * w, nrows - r0), dtype=dtype)
         panel[:w] = A[r0:, c0:c1].T
         panel, order = _reduce_panel(panel, w, c0, pivots, vec, first_free)
         A[r0:, c0:c1] = panel[:w].T
@@ -203,25 +217,29 @@ def _eliminate(A: np.ndarray, vec, first_free: bool = False) -> list[tuple[int, 
             break
         if k and c1 < ncols:
             rest = A[r0:, c1:]
-            rest[:] = rest[order]
-            old = rest[:k].copy()
-            rest[:k] = 0
-            A[r0:, c1:] = vec.dot(panel[w : w + k].T, old, rest)
+            c = rest[order]
+            old = rest[order[:k]]
+            c[:k] = 0
+            rest[:] = vec.dot(panel[w : w + k].T, old, c)
     return pivots
 
 
 def _reduce_panel(panel: np.ndarray, w: int, c0: int, pivots: list, vec, first_free: bool):
-    """Gauss-Jordan steps on one panel, stored transposed: a row of
-    ``panel`` per column, the w columns of the panel first, then its
+    """Gauss-Jordan steps on one panel, in place, stored transposed: a row
+    of ``panel`` per column, the w columns of the panel first, then its
     transform columns, if any; a column of ``panel`` per matrix row, from
     the panel's first pivot row down.  Appends each pivot to ``pivots``;
     with ``first_free`` it stops at a column with no pivot.  A column takes
     one reduction of its row, whose first nonzero entry at or below the
-    current row is the pivot, and one rank-one update by that row times the
-    pivot's inverse, with 1 - inverse at the pivot so that the same update
-    scales the pivot row.  Row updates may leave representatives (see
-    ``VecOps.sub_mul``).  Returns the panel as codes and its row swaps as
-    one permutation: matrix row i of the result was row ``order[i]``."""
+    current row is the pivot, and one rank-one update, written into the
+    panel in place by ``vec.sub_mul``: every matrix row subtracts the pivot
+    row, scaled by the pivot's inverse, times its entry in the column.  That
+    leaves the pivot row zero, and the scaled pivot row is then written in
+    its place.  The reduced row enters the update as it is, never scaled,
+    so GF(2^e) reads its logs once.  Updates may leave representatives in
+    the panel's dtype (see ``VecOps.sub_mul``).  Returns the panel, as codes, and its
+    row swaps as one permutation: matrix row i of the result was row
+    ``order[i]``."""
     r0 = len(pivots)
     order = np.arange(panel.shape[1])
     end = w  # rows of ``panel`` from here on are zero
@@ -236,20 +254,16 @@ def _reduce_panel(panel: np.ndarray, w: int, c0: int, pivots: list, vec, first_f
                 break
             continue
         pr = r + int(nz[0])
-        inv = vec.inv(int(row[pr]))
-        g = vec.mul(row, inv)  # 1 at pr
         if pr != r:
-            g[pr] = g[r]
             panel[:, r], panel[:, pr] = panel[:, pr], panel[:, r].copy()
             order[r], order[pr] = order[pr], order[r]
-        g[r] = vec.sub(1, inv)
         if len(panel) > w:
             panel[w + r, r] = 1
             end = w + r + 1
-        live = slice(j + 1, end)
-        panel[live] = vec.sub_mul(panel[live], g, vec.reduce(panel[live, r, None]))
-        panel[j] = 0
-        panel[j, r] = 1
+        live = panel[j:end]
+        pivot_row = vec.mul(vec.reduce(live[:, r, None]), vec.inv(int(row[r])))
+        vec.sub_mul(live, row, pivot_row)
+        live[:, r, None] = pivot_row
         pivots.append((r0 + r, c0 + j))
     return vec.reduce(panel), order
 
@@ -257,7 +271,7 @@ def _reduce_panel(panel: np.ndarray, w: int, c0: int, pivots: list, vec, first_f
 def nullspace_vector(rows, ncols: int, spec: FieldSpec):
     """A nonzero kernel vector of the matrix, or None when the kernel is trivial.
 
-    ``rows`` holds codes, as a list of rows or an int64 array.  The vector
+    ``rows`` holds codes, as a list of rows or an integer array.  The vector
     is the unique one that is 1 at the first free column f (the first column
     that depends on the columns before it), 0 past f, and below f expresses
     column f in the independent columns 0..f-1.  Since f is at most the

@@ -301,7 +301,7 @@ def _check_codes(spec: FieldSpec, codes, n: int, what: str) -> None:
     if not isinstance(codes, (tuple, list)) or len(codes) != n:
         raise DimensionMismatch(f"{what} must hold {n} coordinates, got {codes!r}")
     for c in codes:
-        if not isinstance(c, Integral) or not 0 <= c < spec.q:
+        if isinstance(c, bool) or not isinstance(c, Integral) or not 0 <= c < spec.q:
             raise InvalidParameters(f"{what} holds {c!r}, not a code in [0, {spec.q})")
 
 
@@ -357,7 +357,8 @@ class CoordinatePermutationMap(BlockMap):
     def validate(self, spec, n):
         if len(self.perm) != n:
             raise DimensionMismatch(f"permutation of {len(self.perm)} coordinates, expected {n}")
-        if not all(isinstance(j, Integral) for j in self.perm) or sorted(self.perm) != list(range(n)):
+        if (not all(isinstance(j, Integral) and not isinstance(j, bool) for j in self.perm)
+                or sorted(self.perm) != list(range(n))):
             raise InvalidParameters(f"{list(self.perm)} is not a permutation of range({n})")
 
     def describe(self):

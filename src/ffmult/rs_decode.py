@@ -336,6 +336,8 @@ def instance_from_json(data) -> RSInstance:
     shape raises InvalidParameters."""
     try:
         field, alphas, betas = str(data["field"]), tuple(data["alphas"]), tuple(data["betas"])
+        if isinstance(data["k"], bool) or isinstance(data["t"], bool):
+            raise TypeError("JSON true and false are not integers")
         k, t = operator.index(data["k"]), operator.index(data["t"])
     except (KeyError, TypeError):
         raise InvalidParameters(

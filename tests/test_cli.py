@@ -247,6 +247,10 @@ def test_usage_error_exit_code():
      "--multiplicity", "1", "--degree", "1"),
     ("rs-decode", "--field", "5", "--alphas", "0,1,2,3,9", "--betas", "0,1,2,0,0",
      "--k", "1", "--t", "3"),
+    # JSON true and false are not element codes
+    ("interpolate", "--field", "3", "--n", "1", "--points", "[[true]]",
+     "--multiplicity", "1", "--degree", "1"),
+    ("kakeya-verify", "--field", "3", "--n", "2", "--points", "[[true, 0]]"),
 ])
 def test_out_of_range_input_is_domain_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
@@ -269,6 +273,7 @@ def test_out_of_range_input_is_domain_error(capsys, argv):
     ("hasse", "--field", "5", "--n", "2", "--poly", "1:1,x", "--order", "0,0"),
     ("sz-mass", "--field", "2^", "--n", "1", "--poly", "1:1"),
     ("rs-decode", "--input", "no-such-instance.json"),
+    ("selftest", "--seed", "7", "--trials", "-1"),
 ])
 def test_unparsable_input_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -311,6 +316,9 @@ REPEATED_S = {"S": [[0], [0]], "K": [[0]], "curves": [{"point": [0], "components
               "lambda": 1, "eta": 1, "degree": 1}
 # eta = 0 passes every hypothesis check (0 * q > -1), and the bound divides by eta
 ETA_ZERO = {"S": [], "K": [], "curves": [], "lambda": 0, "eta": 0, "degree": -1}
+# JSON true is not the integer 1
+DEGREE_TRUE = {"S": [], "K": [], "curves": [], "lambda": 0, "eta": 1, "degree": True}
+K_TRUE = {"field": "5", "alphas": [0, 1, 2, 3, 4], "betas": [0, 1, 2, 0, 0], "k": True, "t": 3}
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -339,6 +347,8 @@ ETA_ZERO = {"S": [], "K": [], "curves": [], "lambda": 0, "eta": 0, "degree": -1}
     # the reduction instance's direction e1 needs a coordinate
     (("kakeya-stat", "--field", "2", "--n", "0"), "InvalidParameters"),
     (("kakeya-stat", "--field", "5", "--n", "1", "--input", ETA_ZERO), "InvalidParameters"),
+    (("kakeya-stat", "--field", "2", "--n", "1", "--input", DEGREE_TRUE), "InvalidParameters"),
+    (("rs-decode", "--input", K_TRUE, "--eps", "1/16"), "InvalidParameters"),
 ])
 def test_field_and_poly_out_of_domain_is_domain_error(tmp_path, capsys, argv, error):
     target = tmp_path / "input.json"
@@ -473,6 +483,8 @@ def test_merger_run_malformed_source_is_usage_error(capsys):
     ('{"type":"constant","value":[1]}', "DimensionMismatch"),
     ('{"type":"affine","matrix":[1,2]}', "InvalidParameters"),
     ('{"type":"affine","matrix":[[1,2],[3]]}', "DimensionMismatch"),
+    ('{"type":"constant","value":[true,0]}', "InvalidParameters"),
+    ('{"type":"permutation","perm":[true,false]}', "InvalidParameters"),
 ])
 def test_merger_run_bad_source_is_domain_error(capsys, source, error):
     code, out = run_cli(capsys, *MERGER_RUN, "--source", source)

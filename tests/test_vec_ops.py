@@ -198,18 +198,19 @@ def test_prime_dot_is_exact_at_the_float_boundaries(p, k, real, monkeypatch):
     top = k * (p - 1) ** 2 + p
     assert top < (2 ** 24 if real is np.float32 else 2 ** 53)
     assert real is np.float64 or (k + 1) * (p - 1) ** 2 + p >= 2 ** 24
-    # every operand, and c, at p - 1: each cell is the largest sum the bound allows
+    # every operand, and c, at p - 1: each cell is the largest sum the bound
+    # allows; c as int64, and as the int32 that elimination hands to dot
     a = np.full((2, k), p - 1)
     b = np.full((k, 3), p - 1)
-    c = np.full((2, 3), p - 1)
     types = []
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda spec_, x, y, **kw: types.append(x.dtype) or
                         einsum(spec_, x, y, **kw))
-    got = spec.vec.dot(a, b, c)
-    assert types == [np.dtype(real)]
     want = functools.reduce(spec.add, [spec.mul(p - 1, p - 1)] * k, p - 1)
-    assert got.tolist() == [[want] * 3] * 2
+    for c_type in (np.int64, np.int32):
+        got = spec.vec.dot(a, b, np.full((2, 3), p - 1, dtype=c_type))
+        assert got.tolist() == [[want] * 3] * 2
+    assert types == [np.dtype(real)] * 2
 
 
 def test_prime_intermediates_stay_below_2_62(monkeypatch):
@@ -373,14 +374,33 @@ BLOCK_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("p,e", FAMILIES + [(1048573, 1)])
+# 8191 is the largest prime whose panel is int32, 8209 the smallest whose
+# panel is int64
+@pytest.mark.parametrize("p,e", FAMILIES + [(1048573, 1), (8191, 1), (8209, 1)])
 def test_blocked_elimination_matches_scalar_reference(p, e):
     spec = field_make(p, e)
     rng = rng_stream(408, spec.q)
-    for nrows, ncols, rank, zero_cols in BLOCK_SHAPES:
-        rows = _random_system(spec, rng, nrows, ncols, rank, zero_cols)
+    systems = [(_random_system(spec, rng, nrows, ncols, rank, zero_cols), ncols)
+               for nrows, ncols, rank, zero_cols in BLOCK_SHAPES]
+    if e == 1:
+        systems.append(([[p - 1] * 70 for _ in range(40)], 70))
+    for rows, ncols in systems:
         assert nullspace_vector(rows, ncols, spec) == _ref_nullspace(rows, ncols, spec)
         assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
+
+
+@pytest.mark.parametrize("p,dtype", [(8191, np.int32), (8209, np.int64), (1048573, np.int64)])
+def test_panel_dtype_holds_panel_unreduced_updates(p, dtype):
+    # the largest entry a panel can reach: a code, minus PANEL products of
+    # codes, each (p - 1)^2, with no reduction in between
+    assert interpolate._panel_dtype(p) is dtype
+    vec = field_make(p).vec
+    panel = np.full((2, 3), p - 1, dtype=dtype)
+    for _ in range(PANEL):
+        vec.sub_mul(panel, np.full(3, p - 1, dtype=dtype), np.full((2, 1), p - 1))
+    assert panel.min() == p - 1 - PANEL * (p - 1) ** 2
+    want = functools.reduce(field_make(p).sub, [field_make(p).mul(p - 1, p - 1)] * PANEL, p - 1)
+    assert vec.reduce(panel).tolist() == [[want] * 3] * 2
 
 
 # every family: prime, F_2, GF(2^e) log tables (also above 2^16), odd p^e
