@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +18,7 @@ from . import kakeya as kk
 from . import merger as mg
 from . import rs_decode as rs
 from .errors import FFMultError, InvalidParameters
-from .ff import field_make, field_text_parts, parse_field_spec
+from .ff import field_make, field_text_parts, parse_field_spec, strict_index
 from .interpolate import InterpolationProblem, TotalDegreeBasis, vanishing_interpolation
 from .mvpoly import (
     MultiPoly,
@@ -214,10 +213,10 @@ def _stat_instance(spec, n: int, data) -> kk.StatKakeyaInstance:
         S, K = [tuple(p) for p in data["S"]], [tuple(p) for p in data["K"]]
         curves = [(tuple(c["point"]), [list(comp) for comp in c["components"]])
                   for c in data["curves"]]
-        if any(isinstance(data[key], bool) for key in ("lambda", "eta", "degree")):
+        if isinstance(data["lambda"], bool) or isinstance(data["eta"], bool):
             raise TypeError("JSON true and false are not numbers")
         lam, eta = Fraction(data["lambda"]), Fraction(data["eta"])
-        degree = operator.index(data["degree"])
+        degree = strict_index(data["degree"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InvalidParameters(
             "a kakeya-stat instance is a JSON object with S, K, curves, lambda, eta and degree"

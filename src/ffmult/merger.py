@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import ceil, lcm, log2
-from numbers import Integral
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     UniverseMismatch,
     UniverseTooSmall,
 )
-from .ff import FieldSpec, code_points, field_make, point_codes
+from .ff import FieldSpec, code_points, field_make, point_codes, strict_index
 from .mvpoly import coerce_point
 
 ENUMERATION_CAP = 10 ** 7
@@ -301,8 +300,10 @@ def _check_codes(spec: FieldSpec, codes, n: int, what: str) -> None:
     if not isinstance(codes, (tuple, list)) or len(codes) != n:
         raise DimensionMismatch(f"{what} must hold {n} coordinates, got {codes!r}")
     for c in codes:
-        if isinstance(c, bool) or not isinstance(c, Integral) or not 0 <= c < spec.q:
-            raise InvalidParameters(f"{what} holds {c!r}, not a code in [0, {spec.q})")
+        try:
+            spec.check_code(c)
+        except InvalidParameters:
+            raise InvalidParameters(f"{what} holds {c!r}, not a code in [0, {spec.q})") from None
 
 
 class BlockMap:
@@ -357,8 +358,11 @@ class CoordinatePermutationMap(BlockMap):
     def validate(self, spec, n):
         if len(self.perm) != n:
             raise DimensionMismatch(f"permutation of {len(self.perm)} coordinates, expected {n}")
-        if (not all(isinstance(j, Integral) and not isinstance(j, bool) for j in self.perm)
-                or sorted(self.perm) != list(range(n))):
+        try:
+            indices = sorted(map(strict_index, self.perm))
+        except TypeError:
+            indices = None
+        if indices != list(range(n)):
             raise InvalidParameters(f"{list(self.perm)} is not a permutation of range({n})")
 
     def describe(self):

@@ -11,7 +11,6 @@ the list-size bound 2*gamma/(gamma^2 - R) is exposed as an exact rational.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -26,7 +25,7 @@ from .errors import (
     SearchSpaceTooLarge,
     ZeroPolynomial,
 )
-from .ff import FieldSpec, code_points, parse_field_spec
+from .ff import FieldSpec, code_points, parse_field_spec, strict_index
 from .interpolate import (
     InterpolationProblem,
     WeightedDegreeBasis,
@@ -336,9 +335,7 @@ def instance_from_json(data) -> RSInstance:
     shape raises InvalidParameters."""
     try:
         field, alphas, betas = str(data["field"]), tuple(data["alphas"]), tuple(data["betas"])
-        if isinstance(data["k"], bool) or isinstance(data["t"], bool):
-            raise TypeError("JSON true and false are not integers")
-        k, t = operator.index(data["k"]), operator.index(data["t"])
+        k, t = strict_index(data["k"]), strict_index(data["t"])
     except (KeyError, TypeError):
         raise InvalidParameters(
             "an instance is a JSON object with field, alphas, betas, k and t"

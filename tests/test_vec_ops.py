@@ -17,6 +17,7 @@ from ffmult import interpolate
 from ffmult import rs_decode as rs
 from ffmult.errors import InternalDefect
 from ffmult.ff import (
+    REMAINDER_CELLS,
     FieldSpec,
     _modulus_table,
     _PolyVecOps,
@@ -374,6 +375,16 @@ BLOCK_SHAPES = [
 ]
 
 
+def _deep_system(p, nrows, ncols):
+    """Entry (i, c) is min(i, c) - 1 mod p off the diagonal and min(i, c) + 1
+    on it.  Every pivot is 1 and every other entry of its column and row is
+    p - 1 when its turn comes, so each rank-one update subtracts (p - 1)^2
+    from every entry right of and below the pivot, in every panel: an entry
+    of the panel takes PANEL - 1 such updates before its column is reduced."""
+    i, c = np.indices((nrows, ncols))
+    return ((np.minimum(i, c) - 1 + 2 * (i == c)) % p).tolist()
+
+
 # 8191 is the largest prime whose panel is int32, 8209 the smallest whose
 # panel is int64
 @pytest.mark.parametrize("p,e", FAMILIES + [(1048573, 1), (8191, 1), (8209, 1)])
@@ -383,24 +394,45 @@ def test_blocked_elimination_matches_scalar_reference(p, e):
     systems = [(_random_system(spec, rng, nrows, ncols, rank, zero_cols), ncols)
                for nrows, ncols, rank, zero_cols in BLOCK_SHAPES]
     if e == 1:
-        systems.append(([[p - 1] * 70 for _ in range(40)], 70))
+        systems += [(_deep_system(p, 70, 75), 75), (_deep_system(p, 75, 70), 70)]
     for rows, ncols in systems:
         assert nullspace_vector(rows, ncols, spec) == _ref_nullspace(rows, ncols, spec)
         assert matrix_rank(rows, ncols, spec) == _ref_rank(rows, ncols, spec)
 
 
+@pytest.mark.parametrize("p", [8191, 8209])
+def test_elimination_drives_panel_entries_to_their_bound(p, monkeypatch):
+    # every representative the elimination reduces passes through vec.reduce;
+    # on the deep system the lowest is a code minus PANEL - 1 products
+    # (p - 1)^2, past -2^30.9 at p = 8191, where the panel is int32
+    vec = field_make(p).vec
+    lowest = []
+    reduce = vec.reduce
+    monkeypatch.setattr(vec, "reduce", lambda a: lowest.append(int(a.min(initial=0))) or reduce(a))
+    for nrows, ncols in [(70, 75), (75, 70)]:
+        rows = _deep_system(p, nrows, ncols)
+        lowest.clear()
+        assert matrix_rank(rows, ncols, field_make(p)) == 70
+        assert min(lowest) <= p - (PANEL - 1) * (p - 1) ** 2
+        lowest.clear()
+        assert (nullspace_vector(rows, ncols, field_make(p)) is None) == (ncols == 70)
+        assert min(lowest) <= p - (PANEL - 1) * (p - 1) ** 2
+
+
 @pytest.mark.parametrize("p,dtype", [(8191, np.int32), (8209, np.int64), (1048573, np.int64)])
-def test_panel_dtype_holds_panel_unreduced_updates(p, dtype):
+@pytest.mark.parametrize("cols", [3, 300])  # below and above REMAINDER_CELLS: both reduce paths
+def test_panel_dtype_holds_panel_unreduced_updates(p, dtype, cols):
     # the largest entry a panel can reach: a code, minus PANEL products of
     # codes, each (p - 1)^2, with no reduction in between
     assert interpolate._panel_dtype(p) is dtype
+    assert (2 * cols < REMAINDER_CELLS) == (cols == 3)
     vec = field_make(p).vec
-    panel = np.full((2, 3), p - 1, dtype=dtype)
+    panel = np.full((2, cols), p - 1, dtype=dtype)
     for _ in range(PANEL):
-        vec.sub_mul(panel, np.full(3, p - 1, dtype=dtype), np.full((2, 1), p - 1))
+        vec.sub_mul(panel, np.full(cols, p - 1, dtype=dtype), np.full((2, 1), p - 1))
     assert panel.min() == p - 1 - PANEL * (p - 1) ** 2
     want = functools.reduce(field_make(p).sub, [field_make(p).mul(p - 1, p - 1)] * PANEL, p - 1)
-    assert vec.reduce(panel).tolist() == [[want] * 3] * 2
+    assert vec.reduce(panel).tolist() == [[want] * cols] * 2
 
 
 # every family: prime, F_2, GF(2^e) log tables (also above 2^16), odd p^e
