@@ -5,7 +5,9 @@ Elements are canonically encoded as integers in [0, q): the code
 ``c_0 + c_1*X + ... + c_{e-1}*X^{e-1}`` modulo the canonical irreducible
 modulus shipped in ``moduli.txt``.  For e = 1 the code is just the residue
 mod p.  :class:`FieldElement` wraps a code together with its field; hot
-loops use ``FieldSpec.vec``, the same arithmetic on numpy arrays of codes.
+loops use ``FieldSpec.vec``, the same arithmetic on numpy arrays of codes, in
+three families: prime fields mod p, GF(2^e) by log/exp tables and XOR, and
+odd p^e by log/exp tables and Zech logarithms.
 
 Enumeration order is code order, i.e. lexicographic on coefficient vectors
 with the constant term varying fastest, which is stable across runs because
@@ -35,7 +37,7 @@ from .errors import (
 )
 
 SIZE_CAP = 2 ** 20          # largest supported q
-_ODD_TABLE_CAP = 2 ** 16    # odd p^e gets log/exp tables up to here; GF(2^e) always
+TABLE_BLOCK = 2 ** 16       # codes per block of a table build
 DOT_BLOCK_CELLS = 2 ** 16   # (row, term, column) cells per block of a GF(2^e) dot
 REMAINDER_CELLS = 2 ** 9    # prime reduce: np.remainder below this many entries,
                             # where it beats floor division (see _PrimeVecOps.reduce)
@@ -297,14 +299,50 @@ class FieldSpec:
                     prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
         return self.coeffs_to_code(prod[:e])
 
+    def _mul_by(self, a: np.ndarray, c: int) -> np.ndarray:
+        """The array of codes ``a`` times the one code ``c``, as int32 codes:
+        _mul_raw on arrays, which builds the tables.  For p = 2, shift and
+        XOR: a step per bit of c, which adds a where the bit is set and then
+        multiplies a by X, reduced when bit e is set.  For odd p, base-p
+        digits: the digits of a times each nonzero digit of c, reduced by the
+        monic modulus from the top down.  A shifted code stays below 2^21,
+        and a digit sum and its reduction below 2e(p-1)^2 < 2^31."""
+        p, e = self.p, self.e
+        a = np.array(a, dtype=np.int32)
+        if p == 2:
+            acc = np.zeros_like(a)
+            for bit in range(c.bit_length()):
+                if c >> bit & 1:
+                    acc ^= a
+                a <<= 1
+                a ^= (a >> e) * self._modulus_bits
+            return acc
+        c_digits = [(j, cj) for j, cj in enumerate(self.code_to_coeffs(c)) if cj]
+        prod = np.zeros((2 * e - 1,) + a.shape, dtype=np.int32)
+        for i in range(e):
+            digit = a % p
+            a //= p
+            for j, cj in c_digits:
+                prod[i + j] += cj * digit
+        for k in range(2 * e - 2, e - 1, -1):
+            top = prod[k] % p
+            for j, mj in enumerate(self.modulus[:e]):
+                if mj:
+                    prod[k - e + j] -= mj * top
+        out = np.zeros_like(a)
+        for i in reversed(range(e)):
+            out *= p
+            out += prod[i] % p
+        return out
+
     def _ensure_tables(self) -> None:
         """The one copy of the log/exp tables, read-only and in the layout
         the table kernels index: ``log`` is int32 with the sentinel
         log[0] = 2(q-1), and ``exp`` holds the q-1 powers of the generator
         twice, then zeros through index 4(q-1), in the smallest unsigned
         dtype.  So exp[log a + log b] is a*b even when a or b is zero.  Every
-        GF(2^e) has them; odd p^e above _ODD_TABLE_CAP has none."""
-        if self._exp is not None or (self.p != 2 and self.q > _ODD_TABLE_CAP):
+        extension field has them; a prime field needs none."""
+        if self._exp is not None:
             return
         q, n1 = self.q, self.q - 1
         factors = _prime_factors(n1)
@@ -312,17 +350,20 @@ class FieldSpec:
                   if all(self._pow_raw(c, n1 // r) != 1 for r in factors)), None)
         if g is None:
             raise InternalDefect(f"no multiplicative generator found in {self!r}")
-        # exp[n:2n] = exp[:n] * g^n, so log2(q) doublings by the array kernel.
-        # Narrow dtypes keep each array freed here near 128 KB or below: a
-        # larger free raises glibc's mmap threshold and slowed later ops 4%.
-        kernel, code = _PolyVecOps(self), np.min_scalar_type(n1)
+        # exp[n:2n] = exp[:n] * g^n, so log2(q) doublings, each in blocks of
+        # codes.  Narrow dtypes keep each array freed here near 128 KB or
+        # below on GF(2^16): a larger free raises glibc's mmap threshold and
+        # slowed later ops 4%.
+        code = np.min_scalar_type(n1)
         exp = np.zeros(4 * n1 + 1, dtype=code)
         exp[0] = 1
         n, g_n = 1, g
         while n < n1:
             take = min(n, n1 - n)
-            exp[n : n + take] = kernel.mul(exp[:take], g_n)
-            n, g_n = 2 * n, int(kernel.mul(g_n, g_n))
+            for lo in range(0, take, TABLE_BLOCK):
+                hi = min(lo + TABLE_BLOCK, take)
+                exp[n + lo : n + hi] = self._mul_by(exp[lo:hi], g_n)
+            n, g_n = 2 * n, self._mul_raw(g_n, g_n)
         exp[n1 : 2 * n1] = exp[:n1]
         log = np.full(q, 2 * n1, dtype=np.int32)
         log[exp[:n1]] = np.arange(n1, dtype=code)
@@ -342,9 +383,7 @@ class FieldSpec:
         if self.e == 1:
             return (a * b) % self.p
         self._ensure_tables()
-        if self._exp is not None:
-            return self._exp.item(self._log.item(a) + self._log.item(b))
-        return self._mul_raw(a, b) if a and b else 0
+        return self._exp.item(self._log.item(a) + self._log.item(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -352,9 +391,7 @@ class FieldSpec:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         self._ensure_tables()
-        if self._exp is not None:
-            return self._exp.item(self.q - 1 - self._log.item(a))
-        return self._pow_raw(a, self.q - 2)
+        return self._exp.item(self.q - 1 - self._log.item(a))
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -364,10 +401,8 @@ class FieldSpec:
         if a == 0:
             return 1 if n == 0 else 0
         self._ensure_tables()
-        if self._exp is not None:
-            # in Python ints: log a * n overflows int32
-            return self._exp.item(self._log.item(a) * n % (self.q - 1))
-        return self._pow_raw(a, n)
+        # in Python ints: log a * n overflows int32
+        return self._exp.item(self._log.item(a) * n % (self.q - 1))
 
     @property
     def vec(self) -> "VecOps":
@@ -402,18 +437,20 @@ def _prime_factors(n: int) -> list[int]:
 # -- array arithmetic -------------------------------------------------------------
 #
 # ``FieldSpec.vec`` applies F_q arithmetic elementwise to numpy arrays of codes,
-# with numpy broadcasting (a bare int is a 0-d operand).  Each field family has
-# its own implementation.  The scalar FieldSpec methods are the reference for
-# add, sub and neg on every field, and for mul on prime fields and on odd p^e
-# above _ODD_TABLE_CAP.  A table field (every GF(2^e), and odd p^e up to the
-# cap) shares the one copy of the log/exp tables between its scalar methods
-# and its kernel, which tests check against ``scalar_ref.log_exp_tables``.
+# with numpy broadcasting (a bare int is a 0-d operand).  There are three
+# families: prime fields, GF(2^e) and odd p^e.  The scalar FieldSpec methods
+# are the reference for add, sub and neg on every field, and for mul on prime
+# fields.  Every extension field shares the one copy of its log/exp tables
+# between its scalar methods and its kernel, which tests check against
+# ``scalar_ref.log_exp_tables``, and its mul against ``scalar_ref.poly_mul``.
 
 
 class VecOps:
     """Elementwise arithmetic on arrays of codes; each field family subclasses
-    it with its own add, mul, sub and neg.  The methods here are folds over
-    those, for the families that have nothing faster."""
+    it with its own add, mul, sub, neg and ``dot(a, b, c)``, which is c + a·b
+    for arrays of codes a (rows x k), b (k x cols) and c (rows x cols), and
+    may overwrite c and return it.  The methods here are folds over those,
+    for the families that have nothing faster."""
 
     def inv(self, a: int) -> int:
         return self.spec.inv(a)
@@ -439,15 +476,6 @@ class VecOps:
             acc = self.add(acc, part)
         return acc
 
-    def dot(self, a, b, c) -> np.ndarray:
-        """c + a·b for arrays of codes a (rows x k), b (k x cols) and c
-        (rows x cols), by a fold of ``add`` over the inner index.  The
-        result may be ``c`` itself, overwritten."""
-        acc = c
-        for t in range(np.shape(a)[1]):
-            acc = self.add(acc, self.mul(a[:, t, None], b[t]))
-        return acc
-
     def poly_eval(self, coeffs, xs) -> np.ndarray:
         """The polynomial with low-to-high coefficient codes ``coeffs`` (at
         least one) at every code of xs, by Horner's rule.  A coefficient may
@@ -465,67 +493,6 @@ class VecOps:
         (at least one column), at every code of the 1-D xs: entry [i, j] is
         row i at xs[j].  One Horner pass over the columns."""
         return self.poly_eval(list(np.asarray(rows, dtype=np.int64).T[:, :, None]), xs)
-
-
-class _PolyVecOps(VecOps):
-    """Extension fields in the polynomial basis, with no tables: the family
-    of odd p^e above _ODD_TABLE_CAP, and the kernel that builds the tables.
-
-    Base-p digit arrays: mul convolves the e digits of a with those of b and
-    reduces by the monic modulus from the top down; add, sub and neg act
-    digit by digit.  For p = 2, mul alone takes shift and XOR, a step per bit
-    of b: add a where it is set, then multiply a by X, reduced when bit e is
-    set.  Codes and digits are int32: for q <= SIZE_CAP a shifted code stays
-    below 2^21, and a convolution and its reduction below 2e(p-1)^2 < 2^31.
-    """
-
-    def __init__(self, spec: FieldSpec):
-        self.spec, self.p, self.e = spec, spec.p, spec.e
-        self.modulus = np.array(spec.modulus[: self.e], dtype=np.int32)
-        self.powers = self.p ** np.arange(self.e, dtype=np.int32)
-
-    def _digits(self, a, ndim: int) -> np.ndarray:
-        """The base-p digits of the codes a, low first, on a new leading
-        axis; a first gains leading unit axes up to ``ndim``."""
-        a = np.asarray(a, dtype=np.int32)
-        a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
-        return a // self.powers.reshape((-1,) + (1,) * ndim) % self.p
-
-    def _code(self, digits) -> np.ndarray:
-        return np.tensordot(self.powers, digits % self.p, axes=1)
-
-    def _digitwise(self, op, a, b) -> np.ndarray:
-        ndim = max(np.ndim(a), np.ndim(b))
-        return self._code(op(self._digits(a, ndim), self._digits(b, ndim)))
-
-    def add(self, a, b):
-        return self._digitwise(np.add, a, b)
-
-    def sub(self, a, b):
-        return self._digitwise(np.subtract, a, b)
-
-    def neg(self, a):
-        return self._code(-self._digits(a, np.ndim(a)))
-
-    def mul(self, a, b):
-        e = self.e
-        if self.p == 2:
-            a, b = np.array(a, dtype=np.int32), np.asarray(b, dtype=np.int32)
-            acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32)
-            for bit in range(e):
-                acc ^= a & -(b >> bit & 1)
-                a <<= 1
-                a ^= (a >> e) * self.spec._modulus_bits
-            return acc
-        ndim = max(np.ndim(a), np.ndim(b))
-        ad, bd = self._digits(a, ndim), self._digits(b, ndim)
-        prod = np.zeros((2 * e - 1,) + np.broadcast_shapes(ad.shape, bd.shape)[1:],
-                        dtype=np.int32)
-        for i in range(e):
-            prod[i : i + e] += ad[i] * bd
-        for k in range(2 * e - 2, e - 1, -1):
-            prod[k - e : k] -= np.multiply.outer(self.modulus, prod[k] % self.p)
-        return self._code(prod[:e])
 
 
 class _PrimeVecOps(VecOps):
@@ -631,32 +598,46 @@ class _LogVecOps(VecOps):
 
 
 class _ZechVecOps(_LogVecOps):
-    """Odd p^e with q <= 2^16: log/exp multiplication, and subtraction by Zech
-    logarithms (Huber, 1990): g^i - g^j = g^(i + Z(j - i)) with
-    Z(d) = log(1 - g^d), which is the zero sentinel at d = 0.
+    """Odd p^e: log/exp multiplication, and subtraction by Zech logarithms
+    (Huber, 1990): g^i - g^j = g^(i + Z(j - i)) with Z(d) = log(1 - g^d),
+    which is the zero sentinel at d = 0.
 
     ``zech`` is indexed by log b - log a + 2(q-1), so that with the zero
     sentinel every case is one lookup: at most 3(q-1) it holds the Zech
     logarithm; above it, where b = 0 and a is not, 0; below q-1, where a = 0
     and b is not, a shift that takes log a back to log(-b).
+
+    ``dot`` adds codes digit by digit: ``spread[x]`` holds base-p digit i of
+    the code exp[x] in bits [i*bits, (i+1)*bits) of an int64, so a sum of up
+    to ``terms`` spread codes carries no digit into the next.
+
+    Both tables are built from TABLE_BLOCK powers at a time, each written to
+    both periods, so the build holds little beyond what it keeps.
     """
 
     def __init__(self, spec: FieldSpec):
         super().__init__(spec)
-        n1 = self.n1
+        p, e, n1 = spec.p, spec.e, self.n1
         self.half = n1 // 2  # g^half = -1
-        kernel = _PolyVecOps(spec)
-        zech = self.log[kernel.sub(1, self.exp[:n1])]
-        i = np.arange(4 * n1 + 1)
-        self.zech = np.where(i < n1, (i + self.half) % n1 - 2 * n1,
-                             np.where(i > 3 * n1, 0, zech[i % n1]))
-        # dot adds codes digit by digit: ``spread[x]`` holds base-p digit i
-        # of the code exp[x] in bits [i*bits, (i+1)*bits) of an int64, so a
-        # sum of up to ``terms`` spread codes carries no digit into the next
-        self.bits = 63 // spec.e
-        self.terms = (2 ** self.bits - 1) // (spec.p - 1)
-        digits = kernel._digits(self.exp, 1).astype(np.int64)
-        self.spread = np.sum(digits << self.bits * np.arange(spec.e)[:, None], axis=0)
+        self.bits = 63 // e
+        self.terms = (2 ** self.bits - 1) // (p - 1)
+        self.zech = np.zeros(4 * n1 + 1, dtype=np.int32)
+        self.spread = np.zeros(4 * n1 + 1, dtype=np.int64)
+        self.zech[3 * n1] = 2 * n1  # Z(0), the zero sentinel
+        for lo in range(0, n1, TABLE_BLOCK):
+            hi = min(lo + TABLE_BLOCK, n1)
+            self.zech[lo:hi] = (np.arange(lo, hi, dtype=np.int32) + self.half) % n1 - 2 * n1
+            x = self.exp[lo:hi].astype(np.int32)
+            one_minus = np.zeros_like(x)  # the code of 1 - x, digit by digit
+            spread = np.zeros(hi - lo, dtype=np.int64)
+            for i in range(e):
+                digit = x % p
+                x //= p
+                one_minus += (int(i == 0) - digit) % p * p ** i
+                spread += digit.astype(np.int64) << self.bits * i
+            self.zech[n1 + lo : n1 + hi] = self.zech[2 * n1 + lo : 2 * n1 + hi] = (
+                self.log.take(one_minus))
+            self.spread[lo:hi] = self.spread[n1 + lo : n1 + hi] = spread
 
     sum, sub_mul = VecOps.sum, VecOps.sub_mul
 
@@ -693,9 +674,7 @@ class _ZechVecOps(_LogVecOps):
 def _make_vec_ops(spec: FieldSpec) -> VecOps:
     if spec.e == 1:
         return _PrimeVecOps(spec)
-    if spec.p == 2:
-        return _LogVecOps(spec)
-    return _ZechVecOps(spec) if spec.q <= _ODD_TABLE_CAP else _PolyVecOps(spec)
+    return _LogVecOps(spec) if spec.p == 2 else _ZechVecOps(spec)
 
 
 # -- the point order of F_q^n ------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -11,7 +12,6 @@ from ffmult.ff import (
     FieldSpec,
     _LogVecOps,
     _modulus_table,
-    _PolyVecOps,
     _ZechVecOps,
     code_points,
     field_enumerate,
@@ -190,44 +190,68 @@ def test_one_copy_of_the_tables_in_the_kernel_layout(p, e):
     assert spec.vec.log is log and spec.vec.exp is exp
 
 
-def test_fields_above_the_table_cap_have_no_tables():
-    # the cap holds for odd p^e only: 78125 = 5^7 is the smallest odd field above it
-    spec = field_make(5, 7)
-    assert spec.mul(3, 5) == scalar_ref.poly_mul(spec, 3, 5)
-    assert spec._exp is None and spec._log is None
+def fresh_spec(p, e):
+    """F_(p^e) with no tables yet; not the cached field, so its tables are
+    freed with it rather than kept for the rest of the run."""
+    return FieldSpec(p, e, field_make(p, e).modulus)
+
+
+def _kept_bytes(spec):
+    vec = spec.vec
+    kept = spec._exp.nbytes + spec._log.nbytes
+    return kept + vec.zech.nbytes + vec.spread.nbytes if spec.p != 2 else kept
 
 
 @pytest.mark.parametrize("p,e", sorted(_modulus_table()))
 def test_family_of_every_shipped_field(p, e):
-    # GF(2^e) runs on its own log/exp tables at every size; odd p^e on Zech
-    # tables up to 2^16 and on the polynomial-basis kernel above
+    # GF(2^e) runs on its own log/exp tables, and odd p^e on log/exp and Zech
+    # tables, at every size: at most 20 and 68 bytes an element
+    spec = fresh_spec(p, e)
+    assert type(spec.vec) is (_LogVecOps if p == 2 else _ZechVecOps)
+    assert spec.vec.log is spec._log and spec.vec.exp is spec._exp
+    assert _kept_bytes(spec) <= (20 if p == 2 else 68) * spec.q
+
+
+def test_table_build_peak_stays_near_what_it_keeps():
+    # the Zech and spread tables are built a block of powers at a time
+    spec = fresh_spec(3, 11)
+    tracemalloc.start()
+    try:
+        spec.vec
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * _kept_bytes(spec)
+
+
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 3), (5, 2), (2, 17), (3, 11)])
+def test_tables_built_in_small_blocks_are_the_same(p, e, monkeypatch):
+    import ffmult.ff as ff
+
+    want = field_make(p, e).vec  # built in blocks of the default size
+    monkeypatch.setattr(ff, "TABLE_BLOCK", 7 if want.spec.q < 2 ** 10 else 1000)
+    got = fresh_spec(p, e).vec
+    assert got.exp.tolist() == want.exp.tolist() and got.log.tolist() == want.log.tolist()
+    if p != 2:
+        assert got.zech.dtype == np.int32 and got.zech.tolist() == want.zech.tolist()
+        assert got.spread.tolist() == want.spread.tolist()
+
+
+@pytest.mark.parametrize("p,e", [(2, 17), (2, 20), (3, 12)], ids=["17", "20", "3-12"])
+def test_table_builder_matches_schoolbook_products(p, e):
+    # the product of an array by one code that builds the tables (shift and
+    # XOR on GF(2^e), base-p digits on odd p^e), against one scalar
+    # schoolbook product per code, from the unsigned exp dtype as well
     spec = field_make(p, e)
-    if p == 2:
-        assert type(spec.vec) is _LogVecOps
-        assert spec.vec.log is spec._log and spec.vec.exp is spec._exp
-        assert spec._exp.nbytes + spec._log.nbytes <= 20 * 2 ** 20
-    elif spec.q <= 2 ** 16:
-        assert type(spec.vec) is _ZechVecOps
-    else:
-        assert type(spec.vec) is _PolyVecOps
-        assert spec._exp is None
-
-
-@pytest.mark.parametrize("e", [17, 20])
-def test_table_builder_matches_schoolbook_products(e):
-    # the bit-serial mul that builds the GF(2^e) tables, against one scalar
-    # schoolbook product per pair; add and neg take the digit path
-    spec = field_make(2, e)
-    kernel = _PolyVecOps(spec)
     rng = rng_stream(42, spec.q)
-    a, b = rng.integers(spec.q, size=(2, 400))
-    a[:4], b[:4] = [0, 1, spec.q - 1, spec.q - 1], [spec.q - 1, 0, 1, spec.q - 1]
-    al, bl = a.tolist(), b.tolist()
-    assert kernel.mul(a, b).tolist() == [scalar_ref.poly_mul(spec, x, y) for x, y in zip(al, bl)]
-    assert kernel.mul(a, bl[5]).tolist() == [scalar_ref.poly_mul(spec, x, bl[5]) for x in al]
-    assert kernel.add(a, b).tolist() == (a ^ b).tolist()
-    assert kernel.sub(a, b).tolist() == (a ^ b).tolist()
-    assert kernel.neg(a).tolist() == al
+    a = rng.integers(spec.q, size=400)
+    a[:3] = [0, 1, spec.q - 1]
+    al = a.tolist()
+    for c in [0, 1, spec.q - 1] + rng.integers(spec.q, size=3).tolist():
+        want = [scalar_ref.poly_mul(spec, x, c) for x in al]
+        for codes in (a, a.astype(np.min_scalar_type(spec.q - 1))):
+            got = spec._mul_by(codes, c)
+            assert got.dtype == np.int32 and got.tolist() == want
 
 
 class _NoKernel:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ffmult
 from ffmult import errors
 from ffmult import merger as mg
-from ffmult.ff import FieldSpec, _PolyVecOps, field_make, rng_stream
+from ffmult.ff import field_make, rng_stream
 from ffmult.selftest import (
     clip_redistribute,
     excess_mass_grid_minimum,
@@ -50,7 +50,7 @@ def test_single_block_merger_is_identity():
         assert mg.f_dw(ms, [(3, 1)], u) == (3, 1)
 
 
-@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 6), (3, 3), (2, 17)])
+@pytest.mark.parametrize("p,e", [(5, 1), (257, 1), (2, 6), (3, 3), (2, 17), (5, 7)])
 def test_lagrange_basis_matches_scalar_products(p, e):
     # the node polynomial and its synthetic division against one scalar
     # product of linear factors per node; the 2-D Horner mix table against
@@ -388,14 +388,6 @@ BLOCKED_SHAPES = [
 ]
 
 
-def _poly_kernel_field(p, e):
-    """F_(p^e) with the table-free polynomial-basis kernel, which the
-    canonical field uses only above 2^16 elements."""
-    spec = FieldSpec(p, e, field_make(p, e).modulus)
-    spec._vec = _PolyVecOps(spec)
-    return spec
-
-
 def _check_blocked_counts(spec, n, seed):
     rng = rng_stream(seed, spec.q * 10 + n)
     maps = _every_map_kind(spec, n, rng)
@@ -416,13 +408,6 @@ def _check_blocked_counts(spec, n, seed):
 @pytest.mark.parametrize("p,e,n", BLOCKED_SHAPES)
 def test_blocked_counts_match_per_seed_oracle(p, e, n):
     _check_blocked_counts(field_make(p, e), n, 4245)
-
-
-@pytest.mark.parametrize("p,e,n", [(2, 6, 2), (3, 2, 2), (5, 2, 1)])
-def test_blocked_counts_on_the_polynomial_kernel(p, e, n):
-    spec = _poly_kernel_field(p, e)
-    assert isinstance(spec.vec, _PolyVecOps)
-    _check_blocked_counts(spec, n, 4246)
 
 
 def test_blocked_counts_guard_raises(monkeypatch):

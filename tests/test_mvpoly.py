@@ -383,8 +383,8 @@ def test_multiplicities_match_scalar_shell_walk(p, e):
             assert [multiplicity(P, a) for a in points[-2:]] == got[-2:]
 
 
-def test_multiplicities_fallback_family():
-    # GF(5^7) has no log tables: every array op runs on the polynomial-basis kernel
+def test_multiplicities_on_the_smallest_odd_field_above_2_16():
+    # GF(5^7) runs on Zech tables built in two blocks of powers
     spec = field_make(5, 7)
     rng = rng_stream(502, 0)
     for n in (1, 2):
@@ -531,8 +531,8 @@ def test_binomials_of_large_exponents():
 # the term arrays against the term-dict oracles
 # ---------------------------------------------------------------------------
 
-# one field per VecOps family: prime, GF(2^e) on tables (also above 2^16),
-# odd p^e on tables, and the table-free kernel of odd p^e above 2^16
+# one field per VecOps family: prime, GF(2^e) (also above 2^16), and odd
+# p^e (also above 2^16)
 ARRAY_FIELDS = [(7, 1), (2, 4), (3, 3), (2, 17), (3, 11)]
 
 

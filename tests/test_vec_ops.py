@@ -20,7 +20,6 @@ from ffmult.ff import (
     REMAINDER_CELLS,
     FieldSpec,
     _modulus_table,
-    _PolyVecOps,
     field_make,
     parse_field_spec,
     rng_stream,
@@ -81,30 +80,41 @@ def test_vec_ops_match_scalar(p, e):
         assert spec.mul(x, vec.inv(x)) == 1
 
 
-@pytest.mark.parametrize("p,e", [(3, 11), (3, 12), (5, 7), (5, 8), (7, 7)])
+ODD_ABOVE_2_16 = [pe for pe in sorted(_modulus_table()) if pe[0] != 2 and pe[0] ** pe[1] > 2 ** 16]
+
+
+@pytest.mark.parametrize("p,e", ODD_ABOVE_2_16)
 def test_fallback_vec_ops_match_scalar(p, e):
-    # odd p^e beyond the odd-table cap: the polynomial-basis kernel runs every op
-    spec = field_make(p, e)
+    # every odd p^e above 2^16, on Zech tables built in several blocks: mul
+    # against the schoolbook product, since the scalar spec.mul reads the same
+    # tables, and the Zech table against the digit-wise scalar subtraction.
+    # A fresh spec, so that its tables are freed after the test.
+    spec = FieldSpec(p, e, field_make(p, e).modulus)
     vec = spec.vec
-    assert type(vec).__name__ == "_PolyVecOps"
+    assert type(vec).__name__ == "_ZechVecOps"
     a, b = (x[:2000] for x in _operands(spec.q, 37))
     al, bl = a.tolist(), b.tolist()
     assert vec.add(a, b).tolist() == list(map(spec.add, al, bl))
-    assert vec.mul(a, b).tolist() == list(map(spec.mul, al, bl))
+    assert vec.mul(a, b).tolist() == [scalar_ref.poly_mul(spec, x, y) for x, y in zip(al, bl)]
     assert vec.sub(a, b).tolist() == list(map(spec.sub, al, bl))
     assert vec.neg(a).tolist() == list(map(spec.neg, al))
+    n1 = spec.q - 1
+    for d in [0, 1, n1 // 2, n1 - 1] + al[:200]:
+        d %= n1
+        x = int(vec.exp[d])
+        assert vec.zech[n1 + d] == vec.zech[2 * n1 + d] == vec.log[spec.sub(1, x)]
     # a 0-d operand broadcasts on either side, and two give a 0-d result
     for x in (0, 1, bl[0], spec.q - 1):
-        assert vec.mul(a, x).tolist() == [spec.mul(y, x) for y in al]
-        assert vec.mul(x, b).tolist() == [spec.mul(x, y) for y in bl]
+        assert vec.mul(a, x).tolist() == [scalar_ref.poly_mul(spec, y, x) for y in al]
+        assert vec.mul(x, b).tolist() == [scalar_ref.poly_mul(spec, x, y) for y in bl]
         assert vec.sub(x, b).tolist() == [spec.sub(x, y) for y in bl]
         assert vec.add(a, x).tolist() == [spec.add(y, x) for y in al]
-        assert vec.mul(x, al[1]).tolist() == spec.mul(x, al[1])
+        assert vec.mul(x, al[1]).tolist() == scalar_ref.poly_mul(spec, x, al[1])
         assert vec.sub(np.int64(x), al[1]).tolist() == spec.sub(x, al[1])
         assert vec.neg(x).tolist() == spec.neg(x)
     # and a column against a row broadcasts to their outer shape
     assert vec.mul(a[:40, None], b[None, :30]).tolist() == [
-        [spec.mul(x, y) for y in bl[:30]] for x in al[:40]
+        [scalar_ref.poly_mul(spec, x, y) for y in bl[:30]] for x in al[:40]
     ]
     assert vec.poly_eval(bl[:3], a[:100]).tolist() == [
         scalar_ref.uni_eval(bl[:3], x, spec) for x in al[:100]
@@ -150,8 +160,8 @@ def test_vec_sum_matches_scalar_fold(p, e):
 @pytest.mark.parametrize("p,e", [(2, 1), (257, 1), (1048573, 1), (2, 6), (2, 16), (3, 3),
                                  (3, 10), (2, 17), (5, 7)])
 def test_vec_dot_matches_scalar_fold(p, e):
-    # c + a.b: float64 einsum mod p, XOR of log/exp products, sums of
-    # spread digits (in two chunks on GF(3^10)), and a fold of add
+    # c + a.b: float64 einsum mod p, XOR of log/exp products, and sums of
+    # spread digits (in two chunks on GF(3^10))
     spec = field_make(p, e)
     rng = rng_stream(39, spec.q)
     for rows, k, cols in [(5, 1, 4), (7, PANEL, 6), (3, 40, 2), (0, 3, 2), (4, 0, 3)]:
@@ -435,21 +445,14 @@ def test_panel_dtype_holds_panel_unreduced_updates(p, dtype, cols):
     assert vec.reduce(panel).tolist() == [[want] * cols] * 2
 
 
-# every family: prime, F_2, GF(2^e) log tables (also above 2^16), odd p^e
-# Zech tables, and the table-free polynomial basis of odd p^e above 2^16,
-# put in place of the Zech tables for GF(3^3), where the scalar reference
-# is fast
-KERNEL_FAMILIES = ["7", "257", "2", "2^6", "3^3", "2^17", "3^3 poly"]
+# every family: prime, F_2, GF(2^e) log tables (also above 2^16) and odd
+# p^e Zech tables
+KERNEL_FAMILIES = ["7", "257", "2", "2^6", "3^3", "2^17"]
 
 
 @pytest.fixture(params=KERNEL_FAMILIES)
 def kernel_field(request):
-    field, _, kernel = request.param.partition(" ")
-    spec = parse_field_spec(field)
-    if kernel:
-        spec = FieldSpec(spec.p, spec.e, spec.modulus)
-        spec._vec = _PolyVecOps(spec)
-    return spec
+    return parse_field_spec(request.param)
 
 
 def _system_free_at(spec, rng, nrows, ncols, f):
