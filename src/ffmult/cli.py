@@ -254,43 +254,11 @@ def cmd_kakeya_stat(args) -> dict:
     }
 
 
-def _source_list(data: dict, key: str, default=None) -> list:
-    value = data.get(key, default)
-    if not isinstance(value, list):
-        raise InvalidParameters(f"source field {key!r} must be a JSON list")
-    return value
-
-
-def _load_source(spec, n: int, num_blocks: int, data) -> mg.SourceSpec:
-    if not isinstance(data, dict):
-        raise InvalidParameters("source must be a JSON object")
-    kind = data.get("type")
-    if kind == "identical":
-        factory = lambda: mg.IdentityMap()
-    elif kind == "constant":
-        value = tuple(_source_list(data, "value", [0] * n))
-        factory = lambda: mg.ConstantMap(value)
-    elif kind == "permutation":
-        perm = tuple(_source_list(data, "perm", [(j + 1) % n for j in range(n)]))
-        factory = lambda: mg.CoordinatePermutationMap(perm)
-    elif kind == "affine":
-        matrix = _source_list(data, "matrix")
-        for row in matrix:
-            if not isinstance(row, list):
-                raise InvalidParameters("affine matrix rows must be JSON lists")
-        offset = tuple(_source_list(data, "offset", [0] * n))
-        factory = lambda: mg.AffineMap(matrix, offset)
-    else:
-        raise InvalidParameters(f"unknown source type {kind!r}")
-    maps = {j: factory() for j in range(1, num_blocks)}
-    return mg.SourceSpec(spec, n, num_blocks, 0, maps, label=str(kind))
-
-
 def cmd_merger_run(args) -> dict:
     delta, eps = args.delta, args.eps
     d = mg.checked_seed_length(delta, eps, args.num_blocks, args.n)
     spec = field_make(2, d)
-    src = _load_source(spec, args.n, args.num_blocks, args.source)
+    src = mg.source_from_json(spec, args.n, args.num_blocks, args.source)
     report = mg.verify_merger_theorem(delta, eps, args.num_blocks, args.n, sources=[src])
     entry = report["sources"][0]
     return {
@@ -298,7 +266,7 @@ def cmd_merger_run(args) -> dict:
         "q": report["q"],
         "entropy_threshold_bits": report["entropy_threshold_bits"],
         "epsilon": _frac(eps),
-        "source": entry["source"]["label"],
+        "source": entry["label"],
         "distance": _frac(entry["distance"]),
         "ok": entry["ok"],
     }
@@ -312,14 +280,7 @@ def cmd_merger_verify(args) -> dict:
         "q": report["q"],
         "entropy_threshold_bits": report["entropy_threshold_bits"],
         "epsilon": _frac(eps),
-        "sources": [
-            {
-                "label": e["source"]["label"],
-                "distance": _frac(e["distance"]),
-                "ok": e["ok"],
-            }
-            for e in report["sources"]
-        ],
+        "sources": [{**e, "distance": _frac(e["distance"])} for e in report["sources"]],
         "all_ok": report["all_ok"],
     }
 

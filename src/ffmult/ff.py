@@ -247,13 +247,8 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p, out, mul = self.p, 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        return self.coeffs_to_code(x + y for x, y in zip(self.code_to_coeffs(a),
+                                                         self.code_to_coeffs(b)))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -263,12 +258,7 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a
-        p, out, mul = self.p, 0, 1
-        for _ in range(self.e):
-            out += (-a % p) % p * mul
-            a //= p
-            mul *= p
-        return out
+        return self.coeffs_to_code(-x for x in self.code_to_coeffs(a))
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial multiplication of codes, reduced by the modulus."""

@@ -309,8 +309,6 @@ def _check_codes(spec: FieldSpec, codes, n: int, what: str) -> None:
 class BlockMap:
     """A deterministic map F_q^n -> F_q^n used as a correlated block."""
 
-    kind = "abstract"
-
     def apply_all(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
         """The image of every row of an (N, n) code array; the result
         broadcasts to (N, n)."""
@@ -319,20 +317,13 @@ class BlockMap:
     def validate(self, spec: FieldSpec, n: int) -> None:
         """Raise unless the map sends F_q^n into F_q^n."""
 
-    def describe(self) -> dict:
-        return {"type": self.kind}
-
 
 class IdentityMap(BlockMap):
-    kind = "identical"
-
     def apply_all(self, spec, pts):
         return pts
 
 
 class ConstantMap(BlockMap):
-    kind = "constant"
-
     def __init__(self, value: tuple[int, ...]):
         self.value = tuple(value)
 
@@ -342,13 +333,8 @@ class ConstantMap(BlockMap):
     def validate(self, spec, n):
         _check_codes(spec, self.value, n, "constant value")
 
-    def describe(self):
-        return {"type": self.kind, "value": list(self.value)}
-
 
 class CoordinatePermutationMap(BlockMap):
-    kind = "permutation"
-
     def __init__(self, perm: tuple[int, ...]):
         self.perm = tuple(perm)
 
@@ -365,13 +351,8 @@ class CoordinatePermutationMap(BlockMap):
         if indices != list(range(n)):
             raise InvalidParameters(f"{list(self.perm)} is not a permutation of range({n})")
 
-    def describe(self):
-        return {"type": self.kind, "perm": list(self.perm)}
-
 
 class AffineMap(BlockMap):
-    kind = "affine"
-
     def __init__(self, matrix, offset):
         self.matrix = tuple(tuple(row) for row in matrix)
         self.offset = tuple(offset)
@@ -393,17 +374,8 @@ class AffineMap(BlockMap):
             _check_codes(spec, row, n, "affine matrix row")
         _check_codes(spec, self.offset, n, "affine offset")
 
-    def describe(self):
-        return {
-            "type": self.kind,
-            "matrix": [list(r) for r in self.matrix],
-            "offset": list(self.offset),
-        }
-
 
 class TableMap(BlockMap):
-    kind = "table"
-
     def __init__(self, table: dict):
         self.table = dict(table)
 
@@ -418,9 +390,6 @@ class TableMap(BlockMap):
         for point, image in self.table.items():
             _check_codes(spec, point, n, "table point")
             _check_codes(spec, image, n, "table image")
-
-    def describe(self):
-        return {"type": self.kind, "entries": len(self.table)}
 
 
 @dataclass(frozen=True)
@@ -459,14 +428,40 @@ class SourceSpec:
             for j in range(self.num_blocks)
         ]
 
-    def describe(self) -> dict:
-        return {
-            "label": self.label,
-            "uniform_index": self.uniform_index,
-            "maps": {
-                str(j): bm.describe() for j, bm in sorted(self.block_maps.items())
-            },
-        }
+
+def _json_list(data: dict, key: str, default=None) -> list:
+    value = data.get(key, default)
+    if not isinstance(value, list):
+        raise InvalidParameters(f"source field {key!r} must be a JSON list")
+    return value
+
+
+def source_from_json(spec: FieldSpec, n: int, num_blocks: int, data, label=None) -> SourceSpec:
+    """The source a JSON object describes: block 0 is uniform and every other
+    block is its image under the one map that ``type`` names: identical,
+    constant (``value``, default zero), permutation (``perm``, default the
+    rotation j -> j + 1 mod n) or affine (``matrix``; ``offset``, default
+    zero).  JSON of any other shape raises InvalidParameters, and values
+    outside F_q^n raise in the map's ``validate``.  The label defaults to
+    the type."""
+    if not isinstance(data, dict):
+        raise InvalidParameters("source must be a JSON object")
+    kind = data.get("type")
+    if kind == "identical":
+        bm = IdentityMap()
+    elif kind == "constant":
+        bm = ConstantMap(_json_list(data, "value", [0] * n))
+    elif kind == "permutation":
+        bm = CoordinatePermutationMap(_json_list(data, "perm", [(j + 1) % n for j in range(n)]))
+    elif kind == "affine":
+        matrix = _json_list(data, "matrix")
+        if not all(isinstance(row, list) for row in matrix):
+            raise InvalidParameters("affine matrix rows must be JSON lists")
+        bm = AffineMap(matrix, _json_list(data, "offset", [0] * n))
+    else:
+        raise InvalidParameters(f"unknown source type {kind!r}")
+    maps = dict.fromkeys(range(1, num_blocks), bm)
+    return SourceSpec(spec, n, num_blocks, 0, maps, label=kind if label is None else label)
 
 
 def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
@@ -587,29 +582,17 @@ def checked_seed_length(delta, eps, num_blocks: int, n: int) -> int:
 def default_adversarial_family(spec: FieldSpec, n: int, num_blocks: int) -> list[SourceSpec]:
     """The fixed adversarial stress family: identical blocks, constant
     blocks (zero and all-ones), a coordinate rotation, and an affine image."""
-    others = [j for j in range(num_blocks) if j != 0]
-
-    def mk(label: str, factory) -> SourceSpec:
-        return SourceSpec(
-            spec=spec,
-            n=n,
-            num_blocks=num_blocks,
-            uniform_index=0,
-            block_maps={j: factory() for j in others},
-            label=label,
-        )
-
-    rotation = tuple((j + 1) % n for j in range(n))
-    matrix = tuple(
-        tuple(1 if (c == r or c == r + 1) else 0 for c in range(n)) for r in range(n)
-    )
-    ones = (1,) * n
+    ones = [1] * n
+    band = [[int(c in (r, r + 1)) for c in range(n)] for r in range(n)]
     return [
-        mk("identical-blocks", IdentityMap),
-        mk("constant-zero", lambda: ConstantMap((0,) * n)),
-        mk("constant-ones", lambda: ConstantMap(ones)),
-        mk("coordinate-rotation", lambda: CoordinatePermutationMap(rotation)),
-        mk("affine-image", lambda: AffineMap(matrix, ones)),
+        source_from_json(spec, n, num_blocks, data, label=label)
+        for label, data in (
+            ("identical-blocks", {"type": "identical"}),
+            ("constant-zero", {"type": "constant"}),
+            ("constant-ones", {"type": "constant", "value": ones}),
+            ("coordinate-rotation", {"type": "permutation"}),
+            ("affine-image", {"type": "affine", "matrix": band, "offset": ones}),
+        )
     ]
 
 
@@ -639,13 +622,7 @@ def verify_merger_theorem(delta, eps, num_blocks: int, n: int, sources=None) -> 
     for src in sources:
         values, mults = np.unique(output_counts(ms, src), return_counts=True)
         gap = _excess_mass(zip(values.tolist(), mults.tolist()), total, cap)
-        entries.append(
-            {
-                "source": src.describe(),
-                "distance": gap,
-                "ok": gap <= eps,
-            }
-        )
+        entries.append({"label": src.label, "distance": gap, "ok": gap <= eps})
     return {
         "seed_length": d,
         "q": q,

@@ -359,7 +359,12 @@ def check_schwartz_zippel_mass(rng, trials: int) -> str:
     P = MultiPoly(f3, 2, {(1, 1): 1})
     mass = multiplicity_mass(P, range(3))
     _check(mass == 6 and mass == P.degree * 3, f"tight instance gives {mass}, want 6")
-    _check(high_degree > 0, "corpus never exercised deg > q")
+    # degree above q on every run, whatever the corpus drew: X1^3*X2 over
+    # F_2 has degree 4 > 2 and meets the bound 4*2 exactly
+    f2 = field_make(2)
+    P = MultiPoly(f2, 2, {(3, 1): 1})
+    mass = multiplicity_mass(P, range(2))
+    _check(mass == 8 and mass == P.degree * 2, f"deg > q instance gives {mass}, want 8")
     return f"{trials} instances, {high_degree} with deg > q; tight case mass = 6"
 
 

@@ -508,9 +508,9 @@ def test_byte_identical_runs():
     assert code1 == code2 == 0 and out1 == out2
 
 
-# the README's CLI examples, the selftest --seed 7 report, and GF(2^17) and
-# GF(2^20) runs, pinned by the sha256 of their stdout: a refactor that claims
-# byte identity must keep these
+# the README's CLI examples, the selftest --seed 7 report, a merger-run of
+# each source type, and GF(2^17) and GF(2^20) runs, pinned by the sha256 of
+# their stdout: a refactor that claims byte identity must keep these
 PINNED_OUTPUTS = [
     (("sz-mass", "--field", "3", "--n", "2", "--poly", "1:1,1"),
      "149c66be240ac454ff06863897da5f98214ebe0ca131cd10e723e8ccb88b8c17"),
@@ -525,6 +525,18 @@ PINNED_OUTPUTS = [
      "c2087486796719dc8178ca89c36af491f9cf218b1f2e1f0c018a2ebbff006cf5"),
     (("selftest", "--seed", "7"),
      "31cdb4d8f932be854b17e4d2a73805b0a8f000118f7330aaffb83da81ef20be4"),
+    ((*MERGER_RUN, "--source", '{"type": "identical"}'),
+     "ca7103546c8e46456d2c84584a442a92c4a47b0fc0a043d0e1d602cc7201c508"),
+    ((*MERGER_RUN, "--source", '{"type": "constant", "value": [3, 9]}'),
+     "1d66157b3b377a1e426da444c9669d53aeb22d32b7d7f99e0b1d07e13a000ce1"),
+    ((*MERGER_RUN, "--source", '{"type": "permutation", "perm": [1, 0]}'),
+     "7affab9450b4de90246f25f25b708fa8e869701c0f84082089a5981590a897f5"),
+    ((*MERGER_RUN, "--source",
+      '{"type": "affine", "matrix": [[1, 2], [3, 4]], "offset": [5, 6]}'),
+     "52a657712a177781db8455c4ee90112473bfef3e840bb125a84296e79c46e756"),
+    (("merger-run", "--delta", "1/2", "--eps", "1/2", "--lambda", "3", "--n", "1",
+      "--source", '{"type": "affine", "matrix": [[7]], "offset": [200]}'),
+     "b6dbe7ba911e3f93f63dc4e969ade7b4da0e89bbb9f7e13071e162b16b651dc3"),
     (("kakeya-stat", "--field", "2^4", "--n", "2"),
      "af03ac121b3bec8c8e183f5269b727ea1330dc02be8e1536d4783d891529780a"),
     (("kakeya-stat", "--field", "13", "--n", "2"),
@@ -544,8 +556,9 @@ PINNED_OUTPUTS = [
      "ab6934c6c52c8f6e94f17186ee6c5d41dae272420d8405056c282106e21d8b71"),
 ]
 PINNED_IDS = [argv[0] for argv, _ in PINNED_OUTPUTS]
-PINNED_IDS[-5:] = ["kakeya-stat-2^4", "kakeya-stat-13", "rs-decode-2^17", "hasse-2^20",
-                   "mult-2^20"]
+PINNED_IDS[-10:] = ["merger-run-identical", "merger-run-constant", "merger-run-permutation",
+                    "merger-run-affine", "merger-run-affine-L3", "kakeya-stat-2^4",
+                    "kakeya-stat-13", "rs-decode-2^17", "hasse-2^20", "mult-2^20"]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=PINNED_IDS)

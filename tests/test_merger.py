@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ffmult
 from ffmult import errors
 from ffmult import merger as mg
-from ffmult.ff import field_make, rng_stream
+from ffmult.ff import code_points, field_make, rng_stream
 from ffmult.selftest import (
     clip_redistribute,
     excess_mass_grid_minimum,
@@ -341,7 +341,7 @@ def test_array_maps_and_curve_match_scalar_oracles(p, e, n):
     arr = np.array(pts, dtype=np.int64).reshape(len(pts), n)
     for bm in _every_map_kind(spec, n, rng):
         images = np.broadcast_to(bm.apply_all(spec, arr), arr.shape).tolist()
-        assert list(map(tuple, images)) == [scalar_ref.apply(bm, spec, v) for v in pts], bm.kind
+        assert list(map(tuple, images)) == [scalar_ref.apply(bm, spec, v) for v in pts], type(bm).__name__
     for L in range(1, min(4, spec.q) + 1):
         gamma = tuple(int(g) for g in rng.choice(spec.q, size=L, replace=False))
         ms = mg.merger_make(spec, n, L, gamma)
@@ -476,6 +476,61 @@ def test_source_rejects_bad_block_maps(bm, error):
     # the array path would wrap an out-of-range code where the scalar one failed
     with pytest.raises(error):
         mg.SourceSpec(F5, 2, 2, 0, {1: bm})
+
+
+def _explicit_maps(n):
+    """(JSON, the block map it names): every kind, with default and explicit fields."""
+    ones = [1] * n
+    rotation = [(j + 1) % n for j in range(n)]
+    matrix = [[(r + 2 * c + 1) % 4 for c in range(n)] for r in range(n)]
+    return [
+        ({"type": "identical"}, mg.IdentityMap()),
+        ({"type": "constant"}, mg.ConstantMap([0] * n)),
+        ({"type": "constant", "value": ones}, mg.ConstantMap(ones)),
+        ({"type": "permutation"}, mg.CoordinatePermutationMap(rotation)),
+        ({"type": "permutation", "perm": rotation[::-1]},
+         mg.CoordinatePermutationMap(rotation[::-1])),
+        ({"type": "affine", "matrix": matrix}, mg.AffineMap(matrix, [0] * n)),
+        ({"type": "affine", "matrix": matrix, "offset": ones}, mg.AffineMap(matrix, ones)),
+    ]
+
+
+@pytest.mark.parametrize("spec", [F4, F5], ids=["4", "5"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_source_from_json_builds_the_explicit_maps(spec, n):
+    pts = code_points(np.arange(spec.q ** n), spec.q, n)
+    for data, want in _explicit_maps(n):
+        src = mg.source_from_json(spec, n, 3, data)
+        assert src.label == data["type"] and src.uniform_index == 0
+        assert sorted(src.block_maps) == [1, 2]
+        for bm in src.block_maps.values():
+            assert type(bm) is type(want), data
+            got = np.broadcast_to(bm.apply_all(spec, pts), pts.shape)
+            expected = np.broadcast_to(want.apply_all(spec, pts), pts.shape)
+            assert np.array_equal(got, expected), data
+    assert mg.source_from_json(spec, n, 2, {"type": "identical"}, label="x").label == "x"
+
+
+@pytest.mark.parametrize("spec", [F4, field_make(2, 3)], ids=["4", "8"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_default_family_matches_the_explicit_classes(spec, n):
+    ones = (1,) * n
+    rotation = tuple((j + 1) % n for j in range(n))
+    band = tuple(tuple(1 if c in (r, r + 1) else 0 for c in range(n)) for r in range(n))
+    explicit = [
+        ("identical-blocks", mg.IdentityMap()),
+        ("constant-zero", mg.ConstantMap((0,) * n)),
+        ("constant-ones", mg.ConstantMap(ones)),
+        ("coordinate-rotation", mg.CoordinatePermutationMap(rotation)),
+        ("affine-image", mg.AffineMap(band, ones)),
+    ]
+    for L in (1, 2, 3):
+        ms = mg.merger_make(spec, n, L)
+        family = mg.default_adversarial_family(spec, n, L)
+        assert [src.label for src in family] == [label for label, _ in explicit]
+        for src, (label, bm) in zip(family, explicit, strict=True):
+            want = mg.SourceSpec(spec, n, L, 0, {j: bm for j in range(1, L)}, label=label)
+            assert np.array_equal(mg.output_counts(ms, src), mg.output_counts(ms, want)), label
 
 
 def test_source_rejects_negative_dimension():
@@ -687,10 +742,16 @@ def test_flagship_parameters_n1():
     assert report["seed_length"] == 6 and report["q"] == 64
     assert report["entropy_threshold_bits"] == 3
     assert report["all_ok"]
-    labels = [e["source"]["label"] for e in report["sources"]]
+    labels = [e["label"] for e in report["sources"]]
     assert "identical-blocks" in labels and "affine-image" in labels
     for e in report["sources"]:
         assert e["distance"] <= Fraction(1, 2)
+
+
+def test_report_entries_name_their_source_by_label():
+    report = mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 1)
+    for e in report["sources"]:
+        assert set(e) == {"label", "distance", "ok"}
 
 
 def test_single_block_theorem_distance_zero():
@@ -721,13 +782,13 @@ def test_theorem_distances_match_the_distribution_path():
             others = [j for j in range(L) if j != ui]
             for k in range(len(maps) if others else 1):
                 block_maps = {j: maps[(k + t) % len(maps)] for t, j in enumerate(others)}
-                sources.append(mg.SourceSpec(spec, n, L, ui, block_maps))
+                sources.append(mg.SourceSpec(spec, n, L, ui, block_maps, label=f"{ui}:{k}"))
         report = mg.verify_merger_theorem(delta, eps, L, n, sources=sources)
         assert report["q"] in (4, 8, 16, 64) and report["entropy_threshold_bits"] == m
         ms = mg.merger_make(spec, n, L)
         for entry, src in zip(report["sources"], sources, strict=True):
             want = mg.distance_to_min_entropy(mg.exact_output_distribution(ms, src), m)
-            assert entry["distance"] == want, (report["q"], src.describe())
+            assert entry["distance"] == want, (report["q"], src.label)
             nonzero += want > 0
     assert nonzero
 

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 from ffmult import ff
-from ffmult.selftest import CHECKS, run_selftest
+from ffmult.selftest import CHECKS, rng_stream, run_selftest
 
 
 def test_report_structure_and_order():
@@ -23,6 +23,16 @@ def test_report_is_pure_function_of_seed_and_trials():
 def test_different_seeds_still_pass():
     for seed in (0, 1, 2 ** 63):
         assert run_selftest(seed=seed, trials=10)["all_ok"]
+
+
+def test_schwartz_zippel_mass_passes_when_the_corpus_draws_no_high_degree():
+    # small corpora often hold no polynomial of degree above q; the check
+    # covers that case with a fixed instance instead of failing
+    check = dict(CHECKS)["schwartz-zippel-mass"]
+    index = [key for key, _ in CHECKS].index("schwartz-zippel-mass")
+    for trials in (0, 1, 3):
+        for seed in range(50):
+            assert check(rng_stream(seed, index), trials).startswith(f"{trials} instances")
 
 
 def test_corrupted_modulus_table_is_reported_with_field_key(monkeypatch):
