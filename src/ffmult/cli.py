@@ -208,7 +208,8 @@ def cmd_kakeya_search(args) -> dict:
 def _stat_instance(spec, n: int, data) -> kk.StatKakeyaInstance:
     """A kakeya-stat --input instance: S, K, curves (each a point and its
     component coefficient lists), lambda, eta and degree.  JSON of any other
-    shape raises InvalidParameters, as does a point outside F_q^n."""
+    shape raises InvalidParameters, as do a point outside F_q^n and a point
+    listed with two curves."""
     try:
         S, K = [tuple(p) for p in data["S"]], [tuple(p) for p in data["K"]]
         curves = [(tuple(c["point"]), [list(comp) for comp in c["components"]])
@@ -221,17 +222,15 @@ def _stat_instance(spec, n: int, data) -> kk.StatKakeyaInstance:
         raise InvalidParameters(
             "a kakeya-stat instance is a JSON object with S, K, curves, lambda, eta and degree"
         ) from None
-    return kk.StatKakeyaInstance(
-        spec=spec,
-        n=n,
-        S=tuple(coerce_point(spec, n, p) for p in S),
-        K=frozenset(coerce_point(spec, n, p) for p in K),
-        curve_map={coerce_point(spec, n, pt): Curve.from_coeff_lists(spec, comps)
-                   for pt, comps in curves},
-        lam=lam,
-        eta=eta,
-        max_degree=degree,
-    )
+    S = tuple(coerce_point(spec, n, p) for p in S)
+    K = frozenset(coerce_point(spec, n, p) for p in K)
+    curve_map = {}
+    for pt, comps in curves:
+        point = coerce_point(spec, n, pt)
+        if point in curve_map:  # one of two curves would silently win
+            raise InvalidParameters(f"curves list the point {point} twice")
+        curve_map[point] = Curve.from_coeff_lists(spec, comps)
+    return kk.StatKakeyaInstance(spec, n, S, K, curve_map, lam, eta, degree)
 
 
 def cmd_kakeya_stat(args) -> dict:

@@ -295,6 +295,11 @@ def f_dw(ms: MergerSpec, blocks, u) -> tuple[int, ...]:
 # -- adversarial sources ----------------------------------------------------------
 
 
+def _check_dimension(n: int) -> None:
+    if n < 0:
+        raise InvalidParameters(f"block dimension {n} is negative")
+
+
 def _check_codes(spec: FieldSpec, codes, n: int, what: str) -> None:
     """Raise unless ``codes`` is a tuple or list of n codes of spec."""
     if not isinstance(codes, (tuple, list)) or len(codes) != n:
@@ -310,60 +315,31 @@ class BlockMap:
     """A deterministic map F_q^n -> F_q^n used as a correlated block."""
 
     def apply_all(self, spec: FieldSpec, pts: np.ndarray) -> np.ndarray:
-        """The image of every row of an (N, n) code array; the result
-        broadcasts to (N, n)."""
+        """The (N, n) image of every row of an (N, n) code array."""
         raise NotImplementedError
 
     def validate(self, spec: FieldSpec, n: int) -> None:
         """Raise unless the map sends F_q^n into F_q^n."""
-
-
-class IdentityMap(BlockMap):
-    def apply_all(self, spec, pts):
-        return pts
-
-
-class ConstantMap(BlockMap):
-    def __init__(self, value: tuple[int, ...]):
-        self.value = tuple(value)
-
-    def apply_all(self, spec, pts):
-        return np.array(self.value, dtype=np.int64)
-
-    def validate(self, spec, n):
-        _check_codes(spec, self.value, n, "constant value")
-
-
-class CoordinatePermutationMap(BlockMap):
-    def __init__(self, perm: tuple[int, ...]):
-        self.perm = tuple(perm)
-
-    def apply_all(self, spec, pts):
-        return pts[:, list(self.perm)]
-
-    def validate(self, spec, n):
-        if len(self.perm) != n:
-            raise DimensionMismatch(f"permutation of {len(self.perm)} coordinates, expected {n}")
-        try:
-            indices = sorted(map(strict_index, self.perm))
-        except TypeError:
-            indices = None
-        if indices != list(range(n)):
-            raise InvalidParameters(f"{list(self.perm)} is not a permutation of range({n})")
+        raise NotImplementedError
 
 
 class AffineMap(BlockMap):
+    """x -> Ax + b, the map of every built-in source type."""
+
     def __init__(self, matrix, offset):
         self.matrix = tuple(tuple(row) for row in matrix)
         self.offset = tuple(offset)
 
     def apply_all(self, spec, pts):
+        # zero coefficients add nothing and a one adds its column as it is,
+        # so identity, constant and permutation matrices cost no product
         vec = spec.vec
         out = np.empty(pts.shape, dtype=np.int64)
         for r, (row, off) in enumerate(zip(self.matrix, self.offset)):
             acc = off
             for a, col in zip(row, pts.T):
-                acc = vec.add(acc, vec.mul(a, col))
+                if a:
+                    acc = vec.add(acc, col if a == 1 else vec.mul(a, col))
             out[:, r] = acc
         return out
 
@@ -405,8 +381,7 @@ class SourceSpec:
     label: str = ""
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidParameters(f"block dimension {self.n} is negative")
+        _check_dimension(self.n)
         if not 0 <= self.uniform_index < self.num_blocks:
             raise InvalidParameters(f"uniform block index {self.uniform_index} out of range")
         missing = [
@@ -419,7 +394,8 @@ class SourceSpec:
         for j, bm in self.block_maps.items():
             if not isinstance(bm, BlockMap):
                 raise InvalidParameters(f"block {j} is not a BlockMap: {bm!r}")
-            bm.validate(self.spec, self.n)
+        for bm in {id(bm): bm for bm in self.block_maps.values()}.values():
+            bm.validate(self.spec, self.n)  # a map shared by blocks, once
 
     def realize_all(self, pts: np.ndarray) -> list[np.ndarray]:
         """Every block, for each row of an (N, n) array of uniform blocks."""
@@ -438,30 +414,48 @@ def _json_list(data: dict, key: str, default=None) -> list:
 
 def source_from_json(spec: FieldSpec, n: int, num_blocks: int, data, label=None) -> SourceSpec:
     """The source a JSON object describes: block 0 is uniform and every other
-    block is its image under the one map that ``type`` names: identical,
-    constant (``value``, default zero), permutation (``perm``, default the
-    rotation j -> j + 1 mod n) or affine (``matrix``; ``offset``, default
+    block is its image x -> Ax + b under the one ``AffineMap`` that ``type``
+    names: identical (I, 0), constant (0, ``value``, default zero),
+    permutation (row r has its 1 in column ``perm[r]``, default the rotation
+    j -> j + 1 mod n; b = 0) or affine (``matrix``, ``offset``, default
     zero).  JSON of any other shape raises InvalidParameters, and values
-    outside F_q^n raise in the map's ``validate``.  The label defaults to
-    the type."""
+    outside F_q^n raise here or in the map's ``validate``, which runs once
+    whatever ``num_blocks`` is.  The label defaults to the type."""
+    _check_dimension(n)
     if not isinstance(data, dict):
         raise InvalidParameters("source must be a JSON object")
     kind = data.get("type")
+    zero = [0] * n
+    eye = [[int(r == c) for c in range(n)] for r in range(n)]
     if kind == "identical":
-        bm = IdentityMap()
+        matrix, offset = eye, zero
     elif kind == "constant":
-        bm = ConstantMap(_json_list(data, "value", [0] * n))
+        matrix, offset = [zero] * n, tuple(_json_list(data, "value", zero))
+        _check_codes(spec, offset, n, "constant value")
     elif kind == "permutation":
-        bm = CoordinatePermutationMap(_json_list(data, "perm", [(j + 1) % n for j in range(n)]))
+        perm = _json_list(data, "perm", [(j + 1) % n for j in range(n)])
+        if len(perm) != n:
+            raise DimensionMismatch(f"permutation of {len(perm)} coordinates, expected {n}")
+        try:
+            indices = sorted(map(strict_index, perm))
+        except TypeError:
+            indices = None
+        if indices != list(range(n)):
+            raise InvalidParameters(f"{perm} is not a permutation of range({n})")
+        matrix, offset = [eye[j] for j in perm], zero
     elif kind == "affine":
         matrix = _json_list(data, "matrix")
         if not all(isinstance(row, list) for row in matrix):
             raise InvalidParameters("affine matrix rows must be JSON lists")
-        bm = AffineMap(matrix, _json_list(data, "offset", [0] * n))
+        offset = _json_list(data, "offset", zero)
     else:
         raise InvalidParameters(f"unknown source type {kind!r}")
+    bm = AffineMap(matrix, offset)
     maps = dict.fromkeys(range(1, num_blocks), bm)
-    return SourceSpec(spec, n, num_blocks, 0, maps, label=kind if label is None else label)
+    src = SourceSpec(spec, n, num_blocks, 0, maps, label=kind if label is None else label)
+    if not maps:  # SourceSpec checks the maps its blocks hold, and here none does
+        bm.validate(spec, n)
+    return src
 
 
 def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
@@ -492,8 +486,7 @@ def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
     counts = np.zeros(size, dtype=np.int64)
     for lo in range(0, size, span):
         pts = code_points(np.arange(lo, min(lo + span, size)), q, n)
-        # a constant image is one n-vector, and n = 0 leaves every row empty
-        blocks = [np.broadcast_to(blk, pts.shape) for blk in src.realize_all(pts)]
+        blocks = src.realize_all(pts)
         for s in range(0, q, step):
             rows = vec.mul(mix[:, s : s + step], codes)
             out = reduce(vec.add, [np.take(r, blk, axis=1) for r, blk in zip(rows, blocks)])
@@ -567,8 +560,7 @@ def checked_seed_length(delta, eps, num_blocks: int, n: int) -> int:
     Refuses with EnumerationTooLarge before any power is formed when the
     lower bound on d already passes the cap, so a huge n or a tiny delta
     costs nothing.  The message states the exponent of 2."""
-    if n < 0:
-        raise InvalidParameters(f"block dimension {n} is negative")
+    _check_dimension(n)
     top = ENUMERATION_CAP.bit_length()  # 2^k > cap exactly when k >= top
     d, delta, ratio = _seed_length_floor(delta, eps, num_blocks)
     if d * (n + 1) >= top:

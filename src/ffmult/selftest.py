@@ -166,32 +166,29 @@ def clip_redistribute(p: mg.Distribution, cap: Fraction) -> mg.Distribution:
 
 
 def check_field_axioms(rng, trials: int) -> str:
+    # every law on all q^3 triples at once: x, y, z broadcast to (q, q, q)
     fields = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 6)]
     for p, e in fields:
         spec = field_make(p, e)
-        q = spec.q
-        codes = range(q)
-        where = (p, e)
-        for a in codes:
-            _check(spec.add(a, 0) == a and spec.mul(a, 1) == a,
-                   "identities fail in (%d,%d)", *where)
-            _check(spec.add(a, spec.neg(a)) == 0, "additive inverse fails in (%d,%d)", *where)
-            if a:
-                _check(spec.mul(a, spec.inv(a)) == 1,
-                       "multiplicative inverse fails in (%d,%d)", *where)
-        for a in codes:
-            for b in codes:
-                _check(spec.add(a, b) == spec.add(b, a),
-                       "add commutativity fails in (%d,%d)", *where)
-                _check(spec.mul(a, b) == spec.mul(b, a),
-                       "mul commutativity fails in (%d,%d)", *where)
-                for c in codes:
-                    _check(spec.add(spec.add(a, b), c) == spec.add(a, spec.add(b, c)),
-                           "add associativity fails in (%d,%d)", *where)
-                    _check(spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c)),
-                           "mul associativity fails in (%d,%d)", *where)
-                    _check(spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c)),
-                           "distributivity fails in (%d,%d)", *where)
+        vec, where = spec.vec, (p, e)
+        codes = np.arange(spec.q)
+        nonzero = codes[1:]
+        inverses = np.array([spec.inv(a) for a in range(1, spec.q)])
+        _check((vec.add(codes, 0) == codes).all() and (vec.mul(codes, 1) == codes).all(),
+               "identities fail in (%d,%d)", *where)
+        _check(not vec.add(codes, vec.neg(codes)).any(), "additive inverse fails in (%d,%d)", *where)
+        _check((vec.mul(nonzero, inverses) == 1).all(),
+               "multiplicative inverse fails in (%d,%d)", *where)
+        x, y, z = np.ix_(codes, codes, codes)
+        xy = vec.mul(x, y)
+        _check((vec.add(x, y) == vec.add(y, x)).all(), "add commutativity fails in (%d,%d)", *where)
+        _check((xy == vec.mul(y, x)).all(), "mul commutativity fails in (%d,%d)", *where)
+        _check((vec.add(vec.add(x, y), z) == vec.add(x, vec.add(y, z))).all(),
+               "add associativity fails in (%d,%d)", *where)
+        _check((vec.mul(xy, z) == vec.mul(x, vec.mul(y, z))).all(),
+               "mul associativity fails in (%d,%d)", *where)
+        _check((vec.mul(x, vec.add(y, z)) == vec.add(xy, vec.mul(x, z))).all(),
+               "distributivity fails in (%d,%d)", *where)
     return f"exhaustive over {fields}"
 
 
@@ -565,11 +562,11 @@ def check_merger_distributions(rng, trials: int) -> str:
     _check(d1 == mg.Distribution.uniform([(c,) for c in range(4)]))
     # fully correlated blocks: the curve is constant, output uniform
     ms2 = mg.merger_make(f4, 1, 2)
-    ident = mg.SourceSpec(f4, 1, 2, 0, {1: mg.IdentityMap()}, label="identical")
+    ident = mg.SourceSpec(f4, 1, 2, 0, {1: mg.AffineMap([[1]], [0])}, label="identical")
     d2 = mg.exact_output_distribution(ms2, ident)
     _check(d2 == mg.Distribution.uniform([(c,) for c in range(4)]))
     # q=4, L=2, second block pinned to zero: 16-pair hand table
-    const0 = mg.SourceSpec(f4, 1, 2, 0, {1: mg.ConstantMap((0,))}, label="const0")
+    const0 = mg.SourceSpec(f4, 1, 2, 0, {1: mg.AffineMap([[0]], [0])}, label="const0")
     d3 = mg.exact_output_distribution(ms2, const0)
     expected = {(0,): Fraction(7, 16), (1,): Fraction(3, 16),
                 (2,): Fraction(3, 16), (3,): Fraction(3, 16)}

@@ -479,12 +479,6 @@ def lagrange_basis(spec, gamma) -> tuple[tuple[int, ...], ...]:
 
 def apply(bm, spec, point: tuple) -> tuple:
     """The image of one point under a block map, one ``spec.mul`` at a time."""
-    if isinstance(bm, mg.IdentityMap):
-        return point
-    if isinstance(bm, mg.ConstantMap):
-        return bm.value
-    if isinstance(bm, mg.CoordinatePermutationMap):
-        return tuple(point[j] for j in bm.perm)
     if isinstance(bm, mg.AffineMap):
         out = []
         for row, off in zip(bm.matrix, bm.offset):

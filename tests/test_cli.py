@@ -487,9 +487,52 @@ def test_merger_run_malformed_source_is_usage_error(capsys):
     ('{"type":"permutation","perm":[true,false]}', "InvalidParameters"),
 ])
 def test_merger_run_bad_source_is_domain_error(capsys, source, error):
+    # one block holds no map of the source, and its map is checked all the same
+    for lam in ("2", "1"):
+        argv = [*MERGER_RUN, "--source", source]
+        argv[argv.index("--lambda") + 1] = lam
+        code, out = run_cli(capsys, *argv)
+        assert code == 1, lam
+        assert json.loads(out)["error"] == error, lam
+
+
+# the exit code and stdout of a malformed source at q = 64, pinned by their
+# sha256: the messages name what is wrong with the JSON, in its own terms
+MALFORMED_SOURCES = [
+    ("constant-code", '{"type": "constant", "value": [64, 0]}',
+     "fde9d48e61aab3147a22da73495a27170fc12873d2b74b243ef9120cae1ed08d"),
+    ("constant-length", '{"type": "constant", "value": [1, 1, 1]}',
+     "12b9cae533d7b29f6fe6b528007ebabaf06c73b0f1f63c8ee231de0f30ff3aa5"),
+    ("constant-bool", '{"type": "constant", "value": [0, true]}',
+     "46ef86b57f238e3697751045ef13e729384c20e9a993089e77268eb4761922c0"),
+    ("permutation-repeat", '{"type": "permutation", "perm": [1, 1]}',
+     "fc13417436f7884ea439d9d539b8dd5a69a59dbfdcfa1882c392b96152bec86c"),
+    ("permutation-length", '{"type": "permutation", "perm": [0, 1, 2]}',
+     "b8a6b368e43d795f7c685e0a31af4ae881e48498b3a9b861493b8e61d91ddc98"),
+    ("permutation-bool", '{"type": "permutation", "perm": [true, false]}',
+     "4fca666fa16aad5b41659cb5c0669589c33dc76fc924f5fd7a3dcdd43e255c17"),
+    ("permutation-range", '{"type": "permutation", "perm": [0, 2]}',
+     "f196b0e213289ab6bfa84b3a1841f34e6b82e267a87fef3cd01c93de5751c67a"),
+    ("affine-code", '{"type": "affine", "matrix": [[1, 64], [0, 1]]}',
+     "aa810b614688e973f63f209ccb40a01a069353faf593f5b49eed608d79a33e64"),
+    ("affine-short-row", '{"type": "affine", "matrix": [[1, 0], [1]]}',
+     "ef158c0b48b67e879f8e2831ac537fac4d619c4a35aef87e8e19e4b7d12126a1"),
+    ("affine-no-matrix", '{"type": "affine", "offset": [0, 0]}',
+     "c054aac07b50550e28dc2bf5432e2c7bd8fe5aae2c246e3f5a6f1b20f89daec1"),
+    ("affine-short-offset", '{"type": "affine", "matrix": [[1, 0], [0, 1]], "offset": [1]}',
+     "339fe28ed015d214cdcd903468e790c2c332df71f58046c0db8da74820ab9c56"),
+    ("unknown-type", '{"type": "shift"}',
+     "a0f524d287cebf7c65de91961ddcbc3df40257689779b1c5412729ce85d0b6c2"),
+    ("json-list", "[0, 1]",
+     "e6b273b1947d865ec8e2c02cf180a8fba9b4cfb8008501f72a2da00e9e127bc9"),
+]
+
+
+@pytest.mark.parametrize("source,digest", [row[1:] for row in MALFORMED_SOURCES],
+                         ids=[row[0] for row in MALFORMED_SOURCES])
+def test_malformed_source_output_is_pinned(capsys, source, digest):
     code, out = run_cli(capsys, *MERGER_RUN, "--source", source)
-    assert code == 1
-    assert json.loads(out)["error"] == error
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, out
 
 
 def test_selftest_requires_seed():
@@ -641,6 +684,21 @@ def test_kakeya_stat_from_instance_file(tmp_path, capsys):
     code, out = run_cli(capsys, "kakeya-stat", "--field", "2", "--n", "1", "--input", str(target))
     assert code == 0
     assert out == run_cli(capsys, "kakeya-stat", "--field", "2", "--n", "1")[1]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["constant-first", "line-first"])
+def test_kakeya_stat_refuses_a_point_with_two_curves(tmp_path, capsys, order):
+    # over F_3 the constant 1 misses the point 0 and the line t passes through
+    # it: kept in a dict, whichever is listed last would decide the verdict
+    twice = [{"point": [0], "components": [[1]]}, {"point": [0], "components": [[0, 1]]}]
+    lines = [{"point": [x], "components": [[x, 1]]} for x in (1, 2)]
+    instance = {"S": [[0], [1], [2]], "K": [[0], [1], [2]], "curves": twice[::order] + lines,
+                "lambda": "1", "eta": "1", "degree": 1}
+    target = tmp_path / "stat.json"
+    target.write_text(json.dumps(instance))
+    code, out = run_cli(capsys, "kakeya-stat", "--field", "3", "--n", "1", "--input", str(target))
+    assert code == 1
+    assert json.loads(out)["error"] == "InvalidParameters"
 
 
 # ---------------------------------------------------------------------------

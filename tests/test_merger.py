@@ -213,7 +213,7 @@ def test_single_block_distribution_uniform():
 
 def test_identical_blocks_distribution_uniform():
     ms = mg.merger_make(F4, 1, 2)
-    src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.IdentityMap()})
+    src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.AffineMap([[1]], [0])})
     dist = mg.exact_output_distribution(ms, src)
     assert dist == mg.Distribution.uniform([(c,) for c in range(4)])
 
@@ -221,7 +221,7 @@ def test_identical_blocks_distribution_uniform():
 def test_constant_zero_block_hand_table():
     # 16 (x, u) pairs: u with c1(u) = 0 sends everything to zero
     ms = mg.merger_make(F4, 1, 2)
-    src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.ConstantMap((0,))})
+    src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.AffineMap([[0]], [0])})
     dist = mg.exact_output_distribution(ms, src)
     expected = {(0,): Fraction(7, 16), (1,): Fraction(3, 16),
                 (2,): Fraction(3, 16), (3,): Fraction(3, 16)}
@@ -230,7 +230,7 @@ def test_constant_zero_block_hand_table():
 
 def test_distribution_dimension_mismatch():
     ms = mg.merger_make(F4, 2, 2)
-    src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.IdentityMap()})
+    src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.AffineMap([[1]], [0])})
     with pytest.raises(errors.DimensionMismatch):
         mg.exact_output_distribution(ms, src)
 
@@ -238,7 +238,7 @@ def test_distribution_dimension_mismatch():
 def test_uniform_index_placement():
     # the uniform block may sit at any index; node interpolation still holds
     ms = mg.merger_make(F5, 1, 2)
-    src = mg.SourceSpec(F5, 1, 2, 1, {0: mg.ConstantMap((2,))})
+    src = mg.SourceSpec(F5, 1, 2, 1, {0: mg.AffineMap([[0]], [2])})
     dist = mg.exact_output_distribution(ms, src)
     assert sum(dist.probs.values()) == 1
     assert dist.universe_size == 5
@@ -285,14 +285,16 @@ def _f_dw_distribution(ms, src):
 
 
 def _every_map_kind(spec, n, rng):
-    """One block map of each kind, with random parameters."""
+    """The identity, a constant (the zero matrix), a coordinate permutation
+    and a random affine map, each an AffineMap, and a random TableMap."""
     def point():
         return tuple(int(c) for c in rng.integers(spec.q, size=n))
 
+    eye = np.eye(n, dtype=np.int64).tolist()
     return [
-        mg.IdentityMap(),
-        mg.ConstantMap(point()),
-        mg.CoordinatePermutationMap(tuple(int(j) for j in rng.permutation(n))),
+        mg.AffineMap(eye, (0,) * n),
+        mg.AffineMap([(0,) * n] * n, point()),
+        mg.AffineMap([eye[j] for j in rng.permutation(n)], (0,) * n),
         mg.AffineMap([point() for _ in range(n)], point()),
         mg.TableMap({v: point() for v in itertools.product(range(spec.q), repeat=n)}),
     ]
@@ -340,8 +342,9 @@ def test_array_maps_and_curve_match_scalar_oracles(p, e, n):
     pts = list(itertools.product(range(spec.q), repeat=n))
     arr = np.array(pts, dtype=np.int64).reshape(len(pts), n)
     for bm in _every_map_kind(spec, n, rng):
-        images = np.broadcast_to(bm.apply_all(spec, arr), arr.shape).tolist()
-        assert list(map(tuple, images)) == [scalar_ref.apply(bm, spec, v) for v in pts], type(bm).__name__
+        images = bm.apply_all(spec, arr)
+        assert images.shape == arr.shape, type(bm).__name__
+        assert list(map(tuple, images.tolist())) == [scalar_ref.apply(bm, spec, v) for v in pts], type(bm).__name__
     for L in range(1, min(4, spec.q) + 1):
         gamma = tuple(int(g) for g in rng.choice(spec.q, size=L, replace=False))
         ms = mg.merger_make(spec, n, L, gamma)
@@ -412,7 +415,7 @@ def test_blocked_counts_match_per_seed_oracle(p, e, n):
 
 def test_blocked_counts_guard_raises(monkeypatch):
     ms = mg.merger_make(F5, 1, 2)
-    src = mg.SourceSpec(F5, 1, 2, 0, {1: mg.IdentityMap()})
+    src = mg.SourceSpec(F5, 1, 2, 0, {1: mg.AffineMap([[1]], [0])})
     table = mg.MergerSpec.mix_table
     monkeypatch.setattr(mg.MergerSpec, "mix_table", lambda self: table(self)[:, :-1])
     with pytest.raises(errors.InternalDefect, match="20 outputs counted for q\\^\\(n\\+1\\) = 25"):
@@ -453,13 +456,13 @@ def test_counted_distribution_matches_init(p, e, n):
 
 
 @pytest.mark.parametrize("bm,error", [
-    (mg.ConstantMap((7, 0)), errors.InvalidParameters),
-    (mg.ConstantMap((-1, 0)), errors.InvalidParameters),
-    (mg.ConstantMap((1.0, 0)), errors.InvalidParameters),
-    (mg.ConstantMap((1,)), errors.DimensionMismatch),
-    (mg.CoordinatePermutationMap((1, 1)), errors.InvalidParameters),
-    (mg.CoordinatePermutationMap((0, 2)), errors.InvalidParameters),
-    (mg.CoordinatePermutationMap((0, 1, 2)), errors.DimensionMismatch),
+    ({"type": "constant", "value": [7, 0]}, errors.InvalidParameters),
+    ({"type": "constant", "value": [-1, 0]}, errors.InvalidParameters),
+    ({"type": "constant", "value": [1.0, 0]}, errors.InvalidParameters),
+    ({"type": "constant", "value": [1]}, errors.DimensionMismatch),
+    ({"type": "permutation", "perm": [1, 1]}, errors.InvalidParameters),
+    ({"type": "permutation", "perm": [0, 2]}, errors.InvalidParameters),
+    ({"type": "permutation", "perm": [0, 1, 2]}, errors.DimensionMismatch),
     (mg.AffineMap(((1, 0), (0, 5)), (0, 0)), errors.InvalidParameters),
     (mg.AffineMap(((1, 0), (0, 1)), (0, 9)), errors.InvalidParameters),
     (mg.AffineMap(((1, 0),), (0, 0)), errors.DimensionMismatch),
@@ -473,25 +476,51 @@ def test_counted_distribution_matches_init(p, e, n):
     ("not a map", errors.InvalidParameters),
 ])
 def test_source_rejects_bad_block_maps(bm, error):
-    # the array path would wrap an out-of-range code where the scalar one failed
-    with pytest.raises(error):
-        mg.SourceSpec(F5, 2, 2, 0, {1: bm})
+    # the array path would wrap an out-of-range code where the scalar one
+    # failed; a JSON source is refused whatever the number of blocks
+    if isinstance(bm, dict):
+        for num_blocks in (1, 2, 3):
+            with pytest.raises(error):
+                mg.source_from_json(F5, 2, num_blocks, bm)
+    else:
+        with pytest.raises(error):
+            mg.SourceSpec(F5, 2, 2, 0, {1: bm})
 
 
-def _explicit_maps(n):
-    """(JSON, the block map it names): every kind, with default and explicit fields."""
+@pytest.mark.parametrize("num_blocks", [1, 2, 4])
+def test_source_from_json_validates_its_one_map_once(monkeypatch, num_blocks):
+    seen = []
+    validate = mg.AffineMap.validate
+    monkeypatch.setattr(mg.AffineMap, "validate",
+                        lambda bm, spec, n: seen.append(bm) or validate(bm, spec, n))
+    src = mg.source_from_json(F4, 2, num_blocks, {"type": "affine", "matrix": [[1, 2], [3, 0]]})
+    assert len(seen) == 1 and all(bm is seen[0] for bm in src.block_maps.values())
+    for bad in ({"type": "constant", "value": [9, 9]},
+                {"type": "permutation", "perm": [9, 9]},
+                {"type": "affine", "matrix": [[9, 9], [9, 9]]}):
+        with pytest.raises(errors.InvalidParameters):
+            mg.source_from_json(F4, 2, num_blocks, bad)
+
+
+def _explicit_images(spec, n, pts):
+    """(JSON, the image of every row of pts): every type, with default and
+    explicit fields; the affine image one scalar product at a time."""
     ones = [1] * n
     rotation = [(j + 1) % n for j in range(n)]
     matrix = [[(r + 2 * c + 1) % 4 for c in range(n)] for r in range(n)]
+
+    def affine(offset):
+        return np.array([[functools.reduce(spec.add, map(spec.mul, row, v), off)
+                          for row, off in zip(matrix, offset)] for v in pts.tolist()])
+
     return [
-        ({"type": "identical"}, mg.IdentityMap()),
-        ({"type": "constant"}, mg.ConstantMap([0] * n)),
-        ({"type": "constant", "value": ones}, mg.ConstantMap(ones)),
-        ({"type": "permutation"}, mg.CoordinatePermutationMap(rotation)),
-        ({"type": "permutation", "perm": rotation[::-1]},
-         mg.CoordinatePermutationMap(rotation[::-1])),
-        ({"type": "affine", "matrix": matrix}, mg.AffineMap(matrix, [0] * n)),
-        ({"type": "affine", "matrix": matrix, "offset": ones}, mg.AffineMap(matrix, ones)),
+        ({"type": "identical"}, pts),
+        ({"type": "constant"}, np.broadcast_to(0, pts.shape)),
+        ({"type": "constant", "value": ones}, np.broadcast_to(ones, pts.shape)),
+        ({"type": "permutation"}, pts[:, rotation]),
+        ({"type": "permutation", "perm": rotation[::-1]}, pts[:, rotation[::-1]]),
+        ({"type": "affine", "matrix": matrix}, affine([0] * n)),
+        ({"type": "affine", "matrix": matrix, "offset": ones}, affine(ones)),
     ]
 
 
@@ -499,36 +528,38 @@ def _explicit_maps(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_source_from_json_builds_the_explicit_maps(spec, n):
     pts = code_points(np.arange(spec.q ** n), spec.q, n)
-    for data, want in _explicit_maps(n):
+    for data, want in _explicit_images(spec, n, pts):
         src = mg.source_from_json(spec, n, 3, data)
         assert src.label == data["type"] and src.uniform_index == 0
         assert sorted(src.block_maps) == [1, 2]
-        for bm in src.block_maps.values():
-            assert type(bm) is type(want), data
-            got = np.broadcast_to(bm.apply_all(spec, pts), pts.shape)
-            expected = np.broadcast_to(want.apply_all(spec, pts), pts.shape)
-            assert np.array_equal(got, expected), data
+        bm = src.block_maps[1]
+        assert type(bm) is mg.AffineMap and src.block_maps[2] is bm, data
+        assert np.array_equal(bm.apply_all(spec, pts), want), data
     assert mg.source_from_json(spec, n, 2, {"type": "identical"}, label="x").label == "x"
 
 
 @pytest.mark.parametrize("spec", [F4, field_make(2, 3)], ids=["4", "8"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_default_family_matches_the_explicit_classes(spec, n):
-    ones = (1,) * n
-    rotation = tuple((j + 1) % n for j in range(n))
-    band = tuple(tuple(1 if c in (r, r + 1) else 0 for c in range(n)) for r in range(n))
+    # each source against a TableMap of its formula: x, 0, all ones, the
+    # rotation x_(r+1 mod n), and the band x_r + x_(r+1) + 1
+    def band(v):
+        return tuple(spec.add(spec.add(v[r], v[r + 1] if r + 1 < n else 0), 1) for r in range(n))
+
     explicit = [
-        ("identical-blocks", mg.IdentityMap()),
-        ("constant-zero", mg.ConstantMap((0,) * n)),
-        ("constant-ones", mg.ConstantMap(ones)),
-        ("coordinate-rotation", mg.CoordinatePermutationMap(rotation)),
-        ("affine-image", mg.AffineMap(band, ones)),
+        ("identical-blocks", lambda v: v),
+        ("constant-zero", lambda v: (0,) * n),
+        ("constant-ones", lambda v: (1,) * n),
+        ("coordinate-rotation", lambda v: v[1:] + v[:1]),
+        ("affine-image", band),
     ]
+    pts = list(itertools.product(range(spec.q), repeat=n))
     for L in (1, 2, 3):
         ms = mg.merger_make(spec, n, L)
         family = mg.default_adversarial_family(spec, n, L)
         assert [src.label for src in family] == [label for label, _ in explicit]
-        for src, (label, bm) in zip(family, explicit, strict=True):
+        for src, (label, image) in zip(family, explicit, strict=True):
+            bm = mg.TableMap({v: image(v) for v in pts})
             want = mg.SourceSpec(spec, n, L, 0, {j: bm for j in range(1, L)}, label=label)
             assert np.array_equal(mg.output_counts(ms, src), mg.output_counts(ms, want)), label
 
@@ -536,6 +567,10 @@ def test_default_family_matches_the_explicit_classes(spec, n):
 def test_source_rejects_negative_dimension():
     with pytest.raises(errors.InvalidParameters):
         mg.SourceSpec(F5, -1, 1, 0, {})
+    for kind in ("identical", "constant", "permutation", "affine"):
+        for num_blocks in (1, 2):
+            with pytest.raises(errors.InvalidParameters, match="block dimension -1 is negative"):
+                mg.source_from_json(F5, -1, num_blocks, {"type": kind})
 
 
 def test_merger_make_guards_raise(monkeypatch):
@@ -854,8 +889,8 @@ def test_output_counts_refuse_oversized_spaces_before_any_array():
         spec = field_make(2, 10)
         start = time.perf_counter()
         for n in (3, 10 ** 8):
-            ms = mg.merger_make(spec, n, 2)
-            src = mg.SourceSpec(spec, n, 2, 0, {1: mg.IdentityMap()})
+            ms = mg.merger_make(spec, n, 1)
+            src = mg.SourceSpec(spec, n, 1, 0, {})
             for enumerate_all in (mg.output_counts, mg.exact_output_distribution):
                 try:
                     enumerate_all(ms, src)

@@ -39,7 +39,7 @@ from ffmult.selftest import random_poly
 SMALL_EXTENSIONS = sorted(
     (p, e) for (p, e) in _modulus_table() if p ** e <= 2 ** 10
 )
-PRIMES = [(2, 1), (3, 1), (257, 1), (1048573, 1)]
+PRIMES = [(2, 1), (3, 1), (5, 1), (7, 1), (257, 1), (1048573, 1)]
 EXHAUSTIVE_CAP = 256
 SAMPLE = 10 ** 5
 
