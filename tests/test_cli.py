@@ -489,9 +489,8 @@ def test_merger_run_malformed_source_is_usage_error(capsys):
 def test_merger_run_bad_source_is_domain_error(capsys, source, error):
     # one block holds no map of the source, and its map is checked all the same
     for lam in ("2", "1"):
-        argv = [*MERGER_RUN, "--source", source]
-        argv[argv.index("--lambda") + 1] = lam
-        code, out = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, "merger-run", "--delta", "1/2", "--eps", "1/2",
+                            "--lambda", lam, "--n", "2", "--source", source)
         assert code == 1, lam
         assert json.loads(out)["error"] == error, lam
 
