@@ -8,7 +8,6 @@ Reed-Solomon list decoding.
 
 from . import errors
 from .ff import (
-    FieldElement,
     FieldSpec,
     field_enumerate,
     field_make,
@@ -76,7 +75,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "FieldElement",
     "FieldSpec",
     "field_enumerate",
     "field_make",

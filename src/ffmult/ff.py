@@ -4,10 +4,11 @@ Elements are canonically encoded as integers in [0, q): the code
 ``c_0 + c_1*p + ... + c_{e-1}*p^{e-1}`` stands for the residue polynomial
 ``c_0 + c_1*X + ... + c_{e-1}*X^{e-1}`` modulo the canonical irreducible
 modulus shipped in ``moduli.txt``.  For e = 1 the code is just the residue
-mod p.  :class:`FieldElement` wraps a code together with its field; hot
-loops use ``FieldSpec.vec``, the same arithmetic on numpy arrays of codes, in
-three families: prime fields mod p, GF(2^e) by log/exp tables and XOR, and
-odd p^e by log/exp tables and Zech logarithms.
+mod p.  An element is its code everywhere in the API, checked on the way in
+by ``FieldSpec.check_code``; hot loops use ``FieldSpec.vec``, the same
+arithmetic on numpy arrays of codes, in three families: prime fields mod p,
+GF(2^e) by log/exp tables and XOR, and odd p^e by log/exp tables and Zech
+logarithms.
 
 Enumeration order is code order, i.e. lexicographic on coefficient vectors
 with the constant term varying fastest, which is stable across runs because
@@ -32,7 +33,6 @@ from .errors import (
     InvalidParameters,
     MissingModulusEntry,
     NonPrimeCharacteristic,
-    SpecMismatch,
     UnsupportedSize,
 )
 
@@ -82,95 +82,6 @@ def _modulus_table() -> dict[tuple[int, int], tuple[int, ...]]:
     return table
 
 
-class FieldElement:
-    """An element of F_q in canonical (fully reduced) representation.
-
-    Equality is on (field, code), and a bare int code compares equal to the
-    element it encodes, so the hash is the hash of the code.  The coefficient
-    vector is available via :attr:`coeffs`.
-    """
-
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: FieldSpec, code: int):
-        self.spec = spec
-        self.code = code
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.code_to_coeffs(self.code)
-
-    def _other_code(self, other) -> int:
-        # bare ints are element codes, same as everywhere else in the API
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec:
-                raise SpecMismatch("operands belong to different fields")
-            return other.code
-        if isinstance(other, int):
-            return self.spec.coerce(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._other_code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._other_code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._other_code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._other_code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._other_code(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.code, self.spec.inv(c)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.spec, self.spec.pow(self.code, n))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec is other.spec and self.code == other.code
-        if isinstance(other, int):
-            return 0 <= other < self.spec.q and self.code == other
-        return NotImplemented
-
-    def __hash__(self):
-        # equal to the hash of the int code, since __eq__ accepts bare codes
-        return hash(self.code)
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"F{self.spec.q}({self.code})"
-
-
 class FieldSpec:
     """A finite field F_q, q = p^e, with canonical modulus and element codes.
 
@@ -205,23 +116,9 @@ class FieldSpec:
             code = code * self.p + (c % self.p)
         return code
 
-    def element(self, value) -> FieldElement:
-        return FieldElement(self, self.coerce(value))
-
-    def coerce(self, value) -> int:
-        """Accept a FieldElement of this field or an integer code in [0, q);
-        anything else, a float, a string or a bool included, raises
-        InvalidParameters."""
-        if isinstance(value, FieldElement):
-            if value.spec is not self:
-                raise SpecMismatch("element belongs to a different field")
-            return value.code
-        return self.check_code(value)
-
     def check_code(self, value) -> int:
-        """An integer code in [0, q), as an int; anything else, a
-        FieldElement, a float, a string or a bool included, raises
-        InvalidParameters."""
+        """An integer code in [0, q), as an int; anything else, a float, a
+        string or a bool included, raises InvalidParameters."""
         try:
             code = strict_index(value)
         except TypeError:
@@ -229,16 +126,6 @@ class FieldSpec:
         if not 0 <= code < self.q:
             raise InvalidParameters(f"code {code} outside [0, {self.q})")
         return code
-
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All q elements in canonical enumeration order."""
-        return [FieldElement(self, c) for c in range(self.q)]
 
     # -- integer-code arithmetic ----------------------------------------------
 
@@ -746,9 +633,9 @@ def parse_prime_power(q: int) -> FieldSpec:
     return field_make(q)
 
 
-def field_enumerate(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements, zero first, constant term fastest; stable across runs."""
-    return spec.elements()
+def field_enumerate(spec: FieldSpec) -> list[int]:
+    """All q codes, zero first, constant term fastest; stable across runs."""
+    return list(range(spec.q))
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -756,9 +643,9 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.array([seed % 2 ** 64, stream % 2 ** 64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-def field_sample(spec: FieldSpec, rng: np.random.Generator) -> FieldElement:
-    """Uniform draw over the q elements; identical seed => identical sequence."""
-    return FieldElement(spec, int(rng.integers(spec.q)))
+def field_sample(spec: FieldSpec, rng: np.random.Generator) -> int:
+    """A uniform draw over the q codes; identical seed => identical sequence."""
+    return int(rng.integers(spec.q))
 
 
 # -- modulus verification (used by the self-test suite) ------------------------

@@ -234,7 +234,7 @@ def merger_make(spec: FieldSpec, n: int, num_blocks: int, gamma=None) -> MergerS
     if gamma is None:
         gamma = tuple(range(num_blocks))
     else:
-        gamma = tuple(spec.coerce(g) for g in gamma)
+        gamma = tuple(spec.check_code(g) for g in gamma)
     if len(gamma) != num_blocks:
         raise DimensionMismatch(f"{len(gamma)} nodes for {num_blocks} blocks")
     if len(set(gamma)) != num_blocks:
@@ -288,7 +288,7 @@ def f_dw(ms: MergerSpec, blocks, u) -> tuple[int, ...]:
         raise DimensionMismatch(f"{len(blocks)} blocks, expected {ms.num_blocks}")
     spec, vec = ms.spec, ms.spec.vec
     pts = np.array([coerce_point(spec, ms.n, b) for b in blocks], dtype=np.int64)
-    mix = vec.poly_eval_rows(ms.basis, [spec.coerce(u)])  # (L, 1)
+    mix = vec.poly_eval_rows(ms.basis, [spec.check_code(u)])  # (L, 1)
     return tuple(vec.sum(vec.mul(mix, pts), axis=0).tolist())
 
 
@@ -391,6 +391,11 @@ class SourceSpec:
         ]
         if missing:
             raise InvalidParameters(f"missing block maps for indices {missing}")
+        # every block but the uniform one has its map, so any further map is unused
+        if len(self.block_maps) >= self.num_blocks:
+            unused = [j for j in self.block_maps
+                      if j == self.uniform_index or j not in range(self.num_blocks)]
+            raise InvalidParameters(f"block maps for indices {unused} that no block uses")
         for j, bm in self.block_maps.items():
             if not isinstance(bm, BlockMap):
                 raise InvalidParameters(f"block {j} is not a BlockMap: {bm!r}")

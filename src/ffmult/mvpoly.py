@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedSize,
     ZeroPolynomial,
 )
-from .ff import FieldElement, FieldSpec, code_points
+from .ff import FieldSpec, code_points
 
 NEG_INF = float("-inf")   # degree of the zero polynomial
 INF_MULT = inf            # multiplicity of the zero polynomial
@@ -58,7 +58,7 @@ def exponents_below_weight(max_weight: int, parts: int):
 
 
 def coerce_point(spec: FieldSpec, n: int, point) -> tuple[int, ...]:
-    pt = tuple(spec.coerce(x) for x in point)
+    pt = tuple(spec.check_code(x) for x in point)
     if len(pt) != n:
         raise DimensionMismatch(f"point has length {len(pt)}, expected {n}")
     return pt
@@ -74,7 +74,7 @@ def _from_rows(spec: FieldSpec, n: int, rows: list, coeffs) -> "MultiPoly":
             raise DimensionMismatch(f"bad exponent vector {r} for n={n}")
         if sum(r) > MAX_DEGREE:
             raise UnsupportedSize(f"exponent vector {r} has total degree above {MAX_DEGREE}")
-    return _canonical(spec, n, _code_rows(rows, n), [spec.coerce(c) for c in coeffs])
+    return _canonical(spec, n, _code_rows(rows, n), [spec.check_code(c) for c in coeffs])
 
 
 def _canonical(spec: FieldSpec, n: int, exps: np.ndarray, coeffs) -> "MultiPoly":
@@ -110,9 +110,8 @@ def _sum(spec: FieldSpec, n: int, polys) -> "MultiPoly":
 
 class MultiPoly:
     """Sparse polynomial in n variables over a fixed field, built from a
-    dict mapping exponent tuples of length n to element codes (or
-    FieldElements).  Instances are immutable, their arrays read-only; all
-    operations return new objects.
+    dict mapping exponent tuples of length n to element codes.  Instances are
+    immutable, their arrays read-only; all operations return new objects.
     """
 
     __slots__ = ("spec", "n", "exps", "coeffs")
@@ -138,7 +137,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, spec: FieldSpec, n: int, value) -> "MultiPoly":
-        code = spec.coerce(value)
+        code = spec.check_code(value)
         return cls._make(spec, n, np.zeros((1 if code else 0, n), dtype=np.int64),
                          [code] if code else ())
 
@@ -198,7 +197,7 @@ class MultiPoly:
         return _canonical(self.spec, self.n, exps.reshape(-1, self.n), coeffs.ravel())
 
     def scale(self, value) -> "MultiPoly":
-        code = self.spec.coerce(value)
+        code = self.spec.check_code(value)
         if not code:
             return MultiPoly.zero(self.spec, self.n)
         return MultiPoly._make(self.spec, self.n, self.exps, self.spec.vec.mul(self.coeffs, code))
@@ -243,7 +242,7 @@ class MultiPoly:
             if len(exps) != n:
                 term = f"{coeff}:{','.join(map(str, exps))}"
                 raise DimensionMismatch(f"term {term!r} has wrong arity for n={n}")
-            if spec.coerce(coeff):
+            if spec.check_code(coeff):
                 rows.append(exps)
                 codes.append(coeff)
         return _from_rows(spec, n, rows, codes)
@@ -272,13 +271,12 @@ def parse_terms(text: str) -> list[tuple[int, tuple[int, ...]]]:
 # -- operations ---------------------------------------------------------------------
 
 
-def poly_eval(P: MultiPoly, point) -> FieldElement:
-    """Exact evaluation of P at a point of F_q^n."""
-    pt = coerce_point(P.spec, P.n, point)
-    return FieldElement(P.spec, P.eval_codes(pt))
+def poly_eval(P: MultiPoly, point) -> int:
+    """Exact evaluation of P at a point of F_q^n, as a code."""
+    return P.eval_codes(coerce_point(P.spec, P.n, point))
 
 
-def vector_binomial(i, j, spec: FieldSpec) -> FieldElement:
+def vector_binomial(i, j, spec: FieldSpec) -> int:
     """Product of coordinatewise binomials C(i_k, j_k), reduced into F_q.
 
     Zero whenever some j_k exceeds i_k.
@@ -290,12 +288,12 @@ def vector_binomial(i, j, spec: FieldSpec) -> FieldElement:
         raise InvalidParameters(f"binomial arguments must be non-negative, got {i} and {j}")
     # decided on the ints, before any entry has to fit int64
     if any(jk > ik for ik, jk in zip(i, j)):
-        return FieldElement(spec, 0)
+        return 0
     if max(i, default=0) > MAX_DEGREE:
         raise UnsupportedSize(f"binomial argument {max(i)} above {MAX_DEGREE}")
     binom = lucas_binomial(spec.p, max(i, default=0))
     coef, _ = hasse_coefficients(_code_rows([i], len(i)), _code_rows([j], len(j)), binom, spec.p)
-    return FieldElement(spec, int(coef[0, 0]))
+    return int(coef[0, 0])
 
 
 def hasse_derivative(P: MultiPoly, i) -> MultiPoly:
@@ -360,7 +358,7 @@ class Curve:
     def from_coeff_lists(cls, spec: FieldSpec, coeff_lists) -> "Curve":
         """Components with the codes of each list as coefficients, low to
         high: once its zeros are dropped, a dense list is in graded-lex order."""
-        codes = [[spec.coerce(c) for c in coeffs] for coeffs in coeff_lists]
+        codes = [[spec.check_code(c) for c in coeffs] for coeffs in coeff_lists]
         return cls(spec, [MultiPoly._make(spec, 1, _code_rows([(k,) for k, c in enumerate(cs) if c], 1),
                                           [c for c in cs if c]) for cs in codes])
 
@@ -381,7 +379,7 @@ class Curve:
         return self.spec.vec.poly_eval_rows(rows, ts).T
 
     def eval(self, t) -> tuple[int, ...]:
-        return tuple(self.values(np.array([self.spec.coerce(t)]))[0].tolist())
+        return tuple(self.values(np.array([self.spec.check_code(t)]))[0].tolist())
 
     def shifted_by_value_at(self, t) -> list[MultiPoly]:
         """The tuple C - C(t), one component polynomial per coordinate."""
@@ -425,7 +423,7 @@ def grid_multiplicities(P: MultiPoly, S) -> np.ndarray:
     """mult(P, a) for every a in S^n (S taken as a set, in increasing code
     order), listed in ``itertools.product`` order; P must be nonzero."""
     spec, n = P.spec, P.n
-    codes = np.array(sorted({spec.coerce(s) for s in S}), dtype=np.int64)
+    codes = np.array(sorted({spec.check_code(s) for s in S}), dtype=np.int64)
     if not codes.size:
         raise EmptySet("S must be non-empty")
     size = len(codes) ** n
@@ -572,9 +570,9 @@ def _shell_nonzero(vec, coef, shifts, powers, alive) -> np.ndarray:
 
 
 def multiplicities(P: MultiPoly, points) -> np.ndarray:
-    """mult(P, a) for every point a (n-tuples of elements or element codes,
-    checked as ``multiplicity`` checks one point), as an int64 array; P must
-    be nonzero."""
+    """mult(P, a) for every point a (n-tuples of element codes, checked as
+    ``multiplicity`` checks one point), as an int64 array; P must be
+    nonzero."""
     return _multiplicities(P, _code_rows([coerce_point(P.spec, P.n, a) for a in points], P.n))
 
 

@@ -57,8 +57,8 @@ class RSInstance:
     t: int
 
     def __post_init__(self):
-        alphas = tuple(self.spec.coerce(a) for a in self.alphas)
-        betas = tuple(self.spec.coerce(b) for b in self.betas)
+        alphas = tuple(self.spec.check_code(a) for a in self.alphas)
+        betas = tuple(self.spec.check_code(b) for b in self.betas)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         if len(set(alphas)) != len(alphas):

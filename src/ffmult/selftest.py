@@ -20,7 +20,7 @@ from . import kakeya as kk
 from . import merger as mg
 from . import rs_decode as rs
 from .errors import FFMultError, UnsatisfiedCountHypothesis
-from .ff import field_make, parse_prime_power, rng_stream, verify_modulus_irreducible
+from .ff import field_enumerate, field_make, parse_prime_power, rng_stream, verify_modulus_irreducible
 from .interpolate import (
     InterpolationProblem,
     TotalDegreeBasis,
@@ -204,10 +204,11 @@ def check_field_fermat(rng, trials: int) -> str:
 def check_field_enumeration(rng, trials: int) -> str:
     for p, e in [(2, 1), (3, 1), (2, 2), (2, 6), (5, 1)]:
         spec = field_make(p, e)
-        elems = spec.elements()
-        _check(len(elems) == spec.q and len({x.code for x in elems}) == spec.q)
-        _check(elems[0].code == 0 and elems[1].code == 1)
-        _check([x.code for x in elems] == list(range(spec.q)))
+        vectors = [spec.code_to_coeffs(c) for c in field_enumerate(spec)]
+        _check(len(set(vectors)) == spec.q, f"repeated coefficient vector in ({p},{e})")
+        # zero first, then (1, 0, ...): the constant term varies fastest
+        _check(vectors[0] == (0,) * e and vectors[1] == (1,) + (0,) * (e - 1))
+        _check([spec.coeffs_to_code(v) for v in vectors] == list(range(spec.q)))
     f4 = field_make(2, 2)
     # residue of X is code 2; X^2 = X + 1 modulo the canonical X^2+X+1
     _check(f4.mul(2, 2) == 3)

@@ -240,7 +240,7 @@ def dict_from_text(spec, text: str) -> dict:
     """The terms of 'coeff:e1,...,en;...', a repeated exponent vector summed."""
     out = {}
     for coeff, exps in parse_terms(text):
-        out = dict_add(spec, out, {exps: spec.coerce(coeff)} if coeff else {})
+        out = dict_add(spec, out, {exps: spec.check_code(coeff)} if coeff else {})
     return out
 
 

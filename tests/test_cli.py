@@ -251,6 +251,13 @@ def test_usage_error_exit_code():
     ("interpolate", "--field", "3", "--n", "1", "--points", "[[true]]",
      "--multiplicity", "1", "--degree", "1"),
     ("kakeya-verify", "--field", "3", "--n", "2", "--points", "[[true, 0]]"),
+    # a slack of 0, betas that do not align with the alphas, multiplicity 0
+    ("rs-decode", "--field", "5", "--alphas", "0,1,2,3,4", "--betas", "0,1,2,0,0",
+     "--k", "1", "--t", "3", "--eps", "0"),
+    ("rs-decode", "--field", "5", "--alphas", "0,1,2,3,4", "--betas", "0,1,2,0",
+     "--k", "1", "--t", "3"),
+    ("interpolate", "--field", "5", "--n", "2", "--points", "[[0,0]]",
+     "--multiplicity", "0", "--degree", "3"),
 ])
 def test_out_of_range_input_is_domain_error(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -33,6 +33,8 @@ def test_total_degree_counts():
     assert count_total_degree_monomials(2, 1) == 3
     assert count_total_degree_monomials(1, 5) == 6
     assert count_total_degree_monomials(3, 4) == 35
+    with pytest.raises(errors.InvalidParameters):
+        count_total_degree_monomials(0, 1)
 
 
 def test_weighted_counts():

@@ -116,6 +116,15 @@ def test_duplicate_nodes_rejected():
         mg.merger_make(F5, 1, 2, gamma=(1, 1))
 
 
+@pytest.mark.parametrize("num_blocks,gamma,error", [
+    (0, None, errors.InvalidParameters),
+    (2, (0,), errors.DimensionMismatch),
+], ids=["no-blocks", "short-gamma"])
+def test_merger_make_refuses_bad_block_counts(num_blocks, gamma, error):
+    with pytest.raises(error):
+        mg.merger_make(F5, 1, num_blocks, gamma=gamma)
+
+
 def test_f_dw_node_interpolation_and_unity():
     ms = mg.merger_make(F4, 2, 3)
     blocks = [(0, 1), (2, 3), (1, 1)]
@@ -562,6 +571,21 @@ def test_default_family_matches_the_explicit_classes(spec, n):
             bm = mg.TableMap({v: image(v) for v in pts})
             want = mg.SourceSpec(spec, n, L, 0, {j: bm for j in range(1, L)}, label=label)
             assert np.array_equal(mg.output_counts(ms, src), mg.output_counts(ms, want)), label
+
+
+@pytest.mark.parametrize("num_blocks,ui,keys,match", [
+    (2, 2, [], "uniform block index 2 out of range"),
+    (3, 0, [1], r"missing block maps for indices \[2\]"),
+    (2, 0, [0, 1], r"block maps for indices \[0\] that no block uses"),
+    (2, 0, [1, 7], r"block maps for indices \[7\] that no block uses"),
+    (2, 0, [0, 1, 7], r"block maps for indices \[0, 7\] that no block uses"),
+    (1, 0, [0], r"block maps for indices \[0\] that no block uses"),
+], ids=["uniform-index", "missing", "uniform-mapped", "beyond", "both", "one-block"])
+def test_source_refuses_block_maps_that_do_not_fit_its_blocks(num_blocks, ui, keys, match):
+    # realize_all reads exactly the maps of the blocks other than the uniform one
+    maps = {j: mg.AffineMap([[(j + 1) % 5]], [3]) for j in keys}
+    with pytest.raises(errors.InvalidParameters, match=match):
+        mg.SourceSpec(F5, 1, num_blocks, ui, maps)
 
 
 def test_source_rejects_negative_dimension():

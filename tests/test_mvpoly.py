@@ -41,11 +41,12 @@ F5 = field_make(5)
 
 def test_poly_eval_examples():
     P = MultiPoly(F3, 2, {(1, 1): 1})
-    assert poly_eval(P, (2, 2)) == F3.one()  # 4 mod 3
+    assert poly_eval(P, (2, 2)) == 1  # 4 mod 3
+    assert type(poly_eval(P, (2, 2))) is int
     Z = MultiPoly.zero(F3, 2)
-    assert poly_eval(Z, (1, 2)) == F3.zero()
+    assert poly_eval(Z, (1, 2)) == 0
     Q = MultiPoly(F2, 2, {(2, 0): 1, (0, 1): 1})
-    assert poly_eval(Q, (1, 1)) == F2.zero()
+    assert poly_eval(Q, (1, 1)) == 0
 
 
 EVAL_FIELDS = [(7, 1), (257, 1), (2, 6), (3, 3), (2, 17), (5, 7)]
@@ -103,13 +104,14 @@ def test_serialization_roundtrip_and_order():
 # ---------------------------------------------------------------------------
 
 def test_vector_binomial_examples():
-    assert vector_binomial((2, 1), (1, 1), F5) == F5.element(2)
-    assert vector_binomial((2, 0), (0, 1), F5) == F5.zero()
+    assert vector_binomial((2, 1), (1, 1), F5) == 2
+    assert vector_binomial((2, 0), (0, 1), F5) == 0
     # C(3,1)*C(3,2) = 9 = 1 mod 2
-    assert vector_binomial((3, 3), (1, 2), F2) == F2.one()
+    assert vector_binomial((3, 3), (1, 2), F2) == 1
     with pytest.raises(errors.DimensionMismatch):
         vector_binomial((1, 2), (1,), F5)
-    assert vector_binomial((), (), F5) == F5.one()
+    assert vector_binomial((), (), F5) == 1
+    assert all(type(vector_binomial(i, (1, 1), F5)) is int for i in ((2, 1), (0, 0)))
     for i, j in (((-1, 2), (0, 0)), ((3,), (-1,))):  # no binomial: refused, not looped on
         with pytest.raises(errors.InvalidParameters):
             vector_binomial(i, j, F5)
@@ -117,13 +119,13 @@ def test_vector_binomial_examples():
 
 def test_vector_binomial_past_int64():
     # decided on the ints: zero for j_k > i_k, a refusal for i_k above MAX_DEGREE
-    assert vector_binomial((1,), (10 ** 20,), F5) == F5.zero()
-    assert vector_binomial((3, 1), (1, 10 ** 20), F5) == F5.zero()
+    assert vector_binomial((1,), (10 ** 20,), F5) == 0
+    assert vector_binomial((3, 1), (1, 10 ** 20), F5) == 0
     for i, j in (((10 ** 20,), (1,)), ((2 ** 63,), (0,)), ((2 ** 63 - 1, 0), (1, 0))):
         with pytest.raises(errors.UnsupportedSize):
             vector_binomial(i, j, F5)
     # the largest argument kept: C(2^63 - 2, 1) = 1 mod 5
-    assert vector_binomial((2 ** 63 - 2,), (1,), F5) == F5.one()
+    assert vector_binomial((2 ** 63 - 2,), (1,), F5) == 1
 
 
 def test_hasse_examples():
@@ -233,6 +235,17 @@ def test_compose_mismatch_errors():
         compose_curve(P, Curve.from_coeff_lists(F3, [(0, 1)]))
     with pytest.raises(errors.SpecMismatch):
         compose_curve(P, Curve.from_coeff_lists(F5, [(0, 1), (0, 1)]))
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+@pytest.mark.parametrize("other,error", [
+    (MultiPoly(F3, 2, {(1, 0): 1}), errors.SpecMismatch),
+    (MultiPoly(F5, 3, {(1, 0, 0): 1}), errors.DimensionMismatch),
+], ids=["field", "variables"])
+def test_ring_operations_refuse_another_ring(op, other, error):
+    P = MultiPoly(F5, 2, {(1, 0): 1})
+    with pytest.raises(error):
+        P + other if op == "+" else P * other
 
 
 def test_restrict_to_line_examples():
@@ -418,9 +431,6 @@ def test_multiplicities_zero_polynomial_and_bad_points():
         multiplicities(P, [(1.7, 2)])
     with pytest.raises(errors.InvalidParameters):
         multiplicity(P, (1.7, 2))
-    with pytest.raises(errors.SpecMismatch):
-        multiplicities(P, [(F3.element(1), 0)])
-    assert multiplicities(P, [(F5.element(0), F5.element(3))]).tolist() == [1]
 
 
 def test_multiplicities_in_small_blocks(monkeypatch):
@@ -520,7 +530,7 @@ def test_binomials_of_large_exponents():
     spec = field_make(1048573)
     # C(10^6, 5*10^5) = 743907 and C(10^6, 3) = 512797 mod p, by math.comb once
     t0 = time.perf_counter()
-    assert vector_binomial((10 ** 6, 10 ** 6), (5 * 10 ** 5, 3), spec) == spec.element(323333)
+    assert vector_binomial((10 ** 6, 10 ** 6), (5 * 10 ** 5, 3), spec) == 323333
     assert time.perf_counter() - t0 < 0.5
     X = MultiPoly(spec, 1, {(1,): 1})
     P = (X - MultiPoly.constant(spec, 1, 1)).power(50) * X.power(10 ** 5 - 50)

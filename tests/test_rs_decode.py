@@ -151,6 +151,8 @@ def test_y_roots_no_roots():
 def test_y_roots_zero_polynomial_rejected():
     with pytest.raises(errors.ZeroPolynomial):
         rs.y_roots(MultiPoly.zero(F3, 2), 1)
+    with pytest.raises(errors.ZeroPolynomial):
+        rs.y_roots_bruteforce(MultiPoly.zero(F3, 2), 1)
 
 
 def test_y_roots_with_x_power_factor():

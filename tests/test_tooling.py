@@ -2,7 +2,8 @@
 ``TRACED`` table, and counts the scalar ``FieldSpec`` methods named in its
 ``COUNTED`` table; a name the library no longer defines makes ``--trace 1``
 fail at install.  The tracer and the runner are read as source, so no
-bytecode is written next to them."""
+bytecode is written next to them.  The library sources are read the same way,
+to check that they hold no ``assert`` statement."""
 
 import ast
 import types
@@ -14,6 +15,7 @@ from ffmult.ff import FieldSpec, field_make, parse_field_spec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 RUNNER = TRACER.with_name("run.py")
+LIBRARY = TRACER.parents[1] / "src" / "ffmult"
 # every extension field a perfbench workload makes
 WORKLOAD_TABLE_FIELDS = ["2^2", "2^3", "2^4", "2^6", "2^8", "2^16", "3^2", "3^3"]
 
@@ -67,3 +69,14 @@ def test_setup_builds_the_one_copy_of_each_fields_tables():
         assert spec.mul(1, 1) == 1
         assert spec._exp is not None
         assert spec.vec.log is spec._log and spec.vec.exp is spec._exp
+
+
+def test_library_holds_no_assert_statement():
+    # python -O strips asserts, so a library invariant must be an explicit raise
+    sources = sorted(LIBRARY.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{node.lineno}"
+             for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the library: {found}"
