@@ -42,7 +42,6 @@ from .merger import (
     exact_output_distribution,
     f_dw,
     merger_make,
-    min_entropy,
     seed_length,
     statistical_distance,
     verify_merger_theorem,
@@ -103,7 +102,6 @@ __all__ = [
     "exact_output_distribution",
     "f_dw",
     "merger_make",
-    "min_entropy",
     "seed_length",
     "statistical_distance",
     "verify_merger_theorem",

@@ -4,18 +4,16 @@ The merger evaluates the canonical degree-(L-1) curve through L input
 blocks at a seed point u: output = sum_i c_i(u) * x_i, where the c_i are
 the Lagrange basis polynomials on L distinct nodes.  Output distributions
 of adversarial somewhere-random sources are computed by full enumeration
-with exact rational probabilities; closeness to a min-entropy threshold is
-the excess-mass distance, which the merger check reads off the output
-counts alone.
+and held as integer output counts, so every probability is exact;
+closeness to a min-entropy threshold is the excess-mass distance.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import ceil, lcm, log2
+from math import ceil, log2
 
 import numpy as np
 
@@ -41,112 +39,72 @@ BLOCK_CELLS = 2 ** 16
 
 
 class Distribution:
-    """A finite probability distribution with exact rational masses.
+    """A finite distribution over the outcomes 0..universe_size-1, held as
+    its integer counts: outcome i has mass counts[i] / total exactly."""
 
-    Only the support is stored; ``universe_size`` fixes the ambient outcome
-    space (needed by min-entropy thresholds on sparse supports).
-    """
+    __slots__ = ("counts", "total")
 
-    __slots__ = ("probs", "universe_size")
-
-    def __init__(self, probs: dict, universe_size: int):
-        clean = {}
-        parts = []  # (numerator, denominator) of each nonzero mass
-        for outcome, mass in probs.items():
-            if not isinstance(mass, Fraction):
-                mass = Fraction(mass)
-            num = mass.numerator
-            if num < 0:
-                raise InvalidParameters(f"negative probability for {outcome}")
-            if num:
-                clean[outcome] = mass
-                parts.append((num, mass.denominator))
-        # the exact sum, as an integer over the common denominator
-        den = lcm(*(d for _, d in parts))
-        total = sum(num * (den // d) for num, d in parts)
-        if total != den:
-            raise InvalidParameters(f"probabilities sum to {Fraction(total, den)}, not 1")
-        if len(clean) > universe_size:
-            raise InvalidParameters("support exceeds the declared universe")
-        self.probs = clean
-        self.universe_size = universe_size
+    def __init__(self, counts):
+        counts = np.asarray(counts)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            raise InvalidParameters(
+                f"counts must be a 1-D integer array, got {counts.dtype} of shape {counts.shape}"
+            )
+        counts = counts.astype(np.int64, copy=False)
+        if counts.size and counts.min() < 0:
+            raise InvalidParameters(f"negative count for outcome {int(counts.argmin())}")
+        # the int64 sum is exact while size * max fits
+        big = counts.size and int(counts.max()) > np.iinfo(np.int64).max // counts.size
+        self.total = sum(counts.tolist()) if big else int(counts.sum())
+        if not self.total:
+            raise InvalidParameters("counts sum to 0")
+        self.counts = counts
 
     @classmethod
-    def uniform(cls, outcomes) -> "Distribution":
-        outcomes = list(outcomes)
-        mass = Fraction(1, len(outcomes))
-        return cls({o: mass for o in outcomes}, len(outcomes))
+    def uniform(cls, size: int) -> "Distribution":
+        if size < 1:
+            raise InvalidParameters(f"a distribution needs an outcome, got size {size}")
+        return cls(np.ones(size, dtype=np.int64))
 
     @classmethod
-    def point_mass(cls, outcome, universe_size: int = 1) -> "Distribution":
-        return cls({outcome: Fraction(1)}, universe_size)
+    def point_mass(cls, outcome: int, universe_size: int = 1) -> "Distribution":
+        if not 0 <= outcome < universe_size:
+            raise InvalidParameters(f"outcome {outcome} outside [0, {universe_size})")
+        counts = np.zeros(universe_size, dtype=np.int64)
+        counts[outcome] = 1
+        return cls(counts)
 
-    def mass(self, outcome) -> Fraction:
-        return self.probs.get(outcome, Fraction(0))
+    @property
+    def universe_size(self) -> int:
+        return len(self.counts)
+
+    def mass(self, outcome: int) -> Fraction:
+        if not 0 <= outcome < len(self.counts):
+            raise InvalidParameters(f"outcome {outcome} outside [0, {len(self.counts)})")
+        return Fraction(int(self.counts[outcome]), self.total)
 
     def max_prob(self) -> Fraction:
-        return max(self.probs.values())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Distribution)
-            and self.universe_size == other.universe_size
-            and self.probs == other.probs
-        )
-
-    def __repr__(self):
-        return f"Distribution({len(self.probs)} outcomes of {self.universe_size})"
+        return Fraction(int(self.counts.max()), self.total)
 
 
 def statistical_distance(p: Distribution, r: Distribution) -> Fraction:
-    """Half the L1 distance, equal to the max probability gap over events."""
+    """Half the L1 distance, equal to the max probability gap over events:
+    sum |a*T_r - b*T_p| / (2*T_p*T_r) over the counts a of p and b of r,
+    in integers (Python ones once the products could pass int64)."""
     if p.universe_size != r.universe_size:
         raise UniverseMismatch(
             f"universes of size {p.universe_size} and {r.universe_size}"
         )
-    keys = set(p.probs) | set(r.probs)
-    return sum((abs(p.mass(o) - r.mass(o)) for o in keys), Fraction(0)) / 2
-
-
-class MinEntropy:
-    """Min-entropy as the exact rational max outcome probability.
-
-    Comparisons against a threshold m go through max_prob <= 2^(-m), done on
-    integers, so no floating point enters the decision.
-    """
-
-    __slots__ = ("max_prob",)
-
-    def __init__(self, max_prob: Fraction):
-        self.max_prob = Fraction(max_prob)
-
-    @property
-    def bits(self) -> float:
-        return -log2(self.max_prob)
-
-    def at_least(self, m) -> bool:
-        m = Fraction(m)
-        a, b = m.numerator, m.denominator
-        num, den = self.max_prob.numerator, self.max_prob.denominator
-        if a >= 0:
-            return num ** b * 2 ** a <= den ** b
-        return num ** b <= den ** b * 2 ** (-a)
-
-    def __eq__(self, other):
-        if isinstance(other, MinEntropy):
-            return self.max_prob == other.max_prob
-        return NotImplemented
-
-    def __repr__(self):
-        return f"MinEntropy(max_prob={self.max_prob})"
-
-
-def min_entropy(p: Distribution) -> MinEntropy:
-    return MinEntropy(p.max_prob())
+    a, b, den = p.counts, r.counts, 2 * p.total * r.total
+    if den > np.iinfo(np.int64).max:
+        a, b = a.astype(object), b.astype(object)
+    return Fraction(int(np.abs(a * r.total - b * p.total).sum()), den)
 
 
 def min_entropy_threshold(m) -> Fraction:
-    """The probability cap 2^(-m) for an integer-valued threshold m."""
+    """The probability cap 2^(-m) for an integer-valued threshold m: a
+    distribution has min-entropy >= m exactly when its max_prob() is at most
+    this cap."""
     m = Fraction(m)
     if m.denominator != 1 or m < 0:
         raise InvalidParameters(
@@ -161,6 +119,9 @@ def distance_to_min_entropy(p: Distribution, m=None, *, threshold: Fraction | No
 
     Pass either an integer bit threshold m or the probability cap 2^(-m)
     directly as ``threshold`` (useful when 2^(-m) is rational but m is not).
+    The excess mass depends only on how many outcomes share each count: over
+    cap = a/b, the k outcomes of count c with c*b > a*T add k*(c*b - a*T),
+    summed in integers over the denominator b*T, with one Fraction at the end.
     """
     if (m is None) == (threshold is None):
         raise InvalidParameters("pass exactly one of m and threshold")
@@ -171,18 +132,11 @@ def distance_to_min_entropy(p: Distribution, m=None, *, threshold: Fraction | No
         raise UniverseTooSmall(
             f"no distribution on {p.universe_size} outcomes has max probability <= {cap}"
         )
-    den = lcm(*(x.denominator for x in p.probs.values()))
-    tally = Counter(x.numerator * (den // x.denominator) for x in p.probs.values())
-    return _excess_mass(tally.items(), den, cap)
-
-
-def _excess_mass(tally, total: int, cap: Fraction) -> Fraction:
-    """The excess mass over cap = a/b of k outcomes of mass c/total, summed
-    over the pairs (c, k) of ``tally``: in integers over the denominator
-    b*total, with one Fraction at the end."""
     a, b = cap.numerator, cap.denominator
-    over = a * total
-    return Fraction(sum((c * b - over) * k for c, k in tally if c * b > over), b * total)
+    over = a * p.total
+    values, mults = np.unique(p.counts, return_counts=True)
+    excess = sum((c * b - over) * k for c, k in zip(values.tolist(), mults.tolist()) if c * b > over)
+    return Fraction(excess, b * p.total)
 
 
 # -- the curve merger -------------------------------------------------------------
@@ -502,15 +456,9 @@ def output_counts(ms: MergerSpec, src: SourceSpec) -> np.ndarray:
 
 
 def exact_output_distribution(ms: MergerSpec, src: SourceSpec) -> Distribution:
-    """The exact distribution of the merger output, enumerating all q^n
-    values of the uniform block against all q seeds with weight q^-(n+1)."""
-    counts = output_counts(ms, src)
-    q, n = ms.spec.q, ms.n
-    support = np.flatnonzero(counts)
-    outcomes = map(tuple, code_points(support, q, n).tolist())
-    weights = counts[support].tolist()
-    mass = {c: Fraction(c, q ** (n + 1)) for c in set(weights)}  # one Fraction per count
-    return Distribution(dict(zip(outcomes, map(mass.__getitem__, weights))), len(counts))
+    """The exact distribution of the merger output over all q^(n+1) (seed,
+    uniform block) pairs: outcome i is the point with ``point_codes`` code i."""
+    return Distribution(output_counts(ms, src))
 
 
 def _seed_length_floor(delta, eps, num_blocks: int) -> tuple[int, Fraction, Fraction]:
@@ -613,12 +561,9 @@ def verify_merger_theorem(delta, eps, num_blocks: int, n: int, sources=None) -> 
     ms = merger_make(spec, n, num_blocks)
     if sources is None:
         sources = default_adversarial_family(spec, n, num_blocks)
-    # the distance depends only on how many outputs share each count
-    cap, total = min_entropy_threshold(m_int), q ** (n + 1)
     entries = []
     for src in sources:
-        values, mults = np.unique(output_counts(ms, src), return_counts=True)
-        gap = _excess_mass(zip(values.tolist(), mults.tolist()), total, cap)
+        gap = distance_to_min_entropy(Distribution(output_counts(ms, src)), m_int)
         entries.append({"label": src.label, "distance": gap, "ok": gap <= eps})
     return {
         "seed_length": d,

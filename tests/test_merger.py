@@ -217,14 +217,14 @@ def test_single_block_distribution_uniform():
     ms = mg.merger_make(F4, 1, 1)
     src = mg.SourceSpec(F4, 1, 1, 0, {})
     dist = mg.exact_output_distribution(ms, src)
-    assert dist == mg.Distribution.uniform([(c,) for c in range(4)])
+    assert dist.counts.tolist() == [4] * 4 and dist.total == 16
 
 
 def test_identical_blocks_distribution_uniform():
     ms = mg.merger_make(F4, 1, 2)
     src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.AffineMap([[1]], [0])})
     dist = mg.exact_output_distribution(ms, src)
-    assert dist == mg.Distribution.uniform([(c,) for c in range(4)])
+    assert dist.counts.tolist() == [4] * 4 and dist.total == 16
 
 
 def test_constant_zero_block_hand_table():
@@ -232,9 +232,8 @@ def test_constant_zero_block_hand_table():
     ms = mg.merger_make(F4, 1, 2)
     src = mg.SourceSpec(F4, 1, 2, 0, {1: mg.AffineMap([[0]], [0])})
     dist = mg.exact_output_distribution(ms, src)
-    expected = {(0,): Fraction(7, 16), (1,): Fraction(3, 16),
-                (2,): Fraction(3, 16), (3,): Fraction(3, 16)}
-    assert dist == mg.Distribution(expected, 4)
+    assert dist.counts.tolist() == [7, 3, 3, 3]
+    assert dist.mass(0) == Fraction(7, 16) and dist.max_prob() == Fraction(7, 16)
 
 
 def test_distribution_dimension_mismatch():
@@ -249,7 +248,7 @@ def test_uniform_index_placement():
     ms = mg.merger_make(F5, 1, 2)
     src = mg.SourceSpec(F5, 1, 2, 1, {0: mg.AffineMap([[0]], [2])})
     dist = mg.exact_output_distribution(ms, src)
-    assert sum(dist.probs.values()) == 1
+    assert dist.total == 25 and dist.counts.sum() == 25
     assert dist.universe_size == 5
 
 
@@ -257,8 +256,16 @@ def test_uniform_index_placement():
 # exact distributions against scalar references
 # ---------------------------------------------------------------------------
 
+def _product_order_counts(tally, q, n):
+    """A {point: count} tally as a count array over F_q^n in
+    itertools.product order, which is the order of ``point_codes``."""
+    points = itertools.product(range(q), repeat=n)
+    return np.array([tally.get(v, 0) for v in points], dtype=np.int64)
+
+
 def _scalar_distribution(ms, src):
-    """Scalar enumeration of every (block, seed) pair, kept as the reference."""
+    """Scalar enumeration of every (block, seed) pair, kept as the reference:
+    the output counts, indexed by ``point_codes``."""
     spec, n, q = ms.spec, ms.n, ms.spec.q
     mix_tabs = []
     for u in range(q):
@@ -277,20 +284,19 @@ def _scalar_distribution(ms, src):
                 out.append(acc)
             key = tuple(out)
             counts[key] = counts.get(key, 0) + 1
-    total = q ** (n + 1)
-    return mg.Distribution({o: Fraction(c, total) for o, c in counts.items()}, q ** n)
+    return _product_order_counts(counts, q, n)
 
 
 def _f_dw_distribution(ms, src):
-    """The merger output counted by f_dw over every (v, u)."""
+    """The merger output counted by f_dw over every (v, u), indexed by
+    ``point_codes``."""
     q, n = ms.spec.q, ms.n
     counts = Counter(
         mg.f_dw(ms, scalar_ref.realize(src, v), u)
         for v in itertools.product(range(q), repeat=n)
         for u in range(q)
     )
-    total = q ** (n + 1)
-    return mg.Distribution({o: Fraction(c, total) for o, c in counts.items()}, q ** n)
+    return _product_order_counts(counts, q, n)
 
 
 def _every_map_kind(spec, n, rng):
@@ -333,9 +339,9 @@ def test_exact_distribution_matches_scalar_references(p, e, n):
                     # with two correlated blocks, pair each kind with the next
                     block_maps = {j: maps[(k + t) % len(maps)] for t, j in enumerate(others)}
                     src = mg.SourceSpec(spec, n, L, ui, block_maps)
-                    dist = mg.exact_output_distribution(ms, src)
-                    assert dist == _scalar_distribution(ms, src), (L, gamma, ui, k)
-                    assert dist == _f_dw_distribution(ms, src), (L, gamma, ui, k)
+                    got = mg.exact_output_distribution(ms, src).counts.tolist()
+                    assert got == _scalar_distribution(ms, src).tolist(), (L, gamma, ui, k)
+                    assert got == _f_dw_distribution(ms, src).tolist(), (L, gamma, ui, k)
                     checked += 1
                     if L == 1:
                         break  # no correlated blocks: every kind is the same source
@@ -372,16 +378,17 @@ def test_exact_distribution_matches_scalar_reference_gf256():
     for k, bm in enumerate(maps):
         ui = 0 if k % 2 else 2
         src = mg.SourceSpec(spec, 1, 3, ui, {j: bm for j in range(3) if j != ui})
-        dist = mg.exact_output_distribution(ms, src)
-        assert dist == _scalar_distribution(ms, src)
+        got = mg.exact_output_distribution(ms, src).counts.tolist()
+        assert got == _scalar_distribution(ms, src).tolist()
         if isinstance(bm, mg.TableMap):  # f_dw on all 2^16 pairs costs seconds
-            assert dist == _f_dw_distribution(ms, src)
+            assert got == _f_dw_distribution(ms, src).tolist()
 
 
 def test_exact_distribution_zero_dimensional_blocks():
     ms = mg.merger_make(F5, 0, 2)
     src = mg.SourceSpec(F5, 0, 2, 0, {1: mg.AffineMap((), ())})
-    assert mg.exact_output_distribution(ms, src) == mg.Distribution.point_mass((), 1)
+    dist = mg.exact_output_distribution(ms, src)
+    assert dist.counts.tolist() == [5] and dist.max_prob() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -444,23 +451,27 @@ def _excess_or_refusal(dist, m):
 
 @pytest.mark.parametrize("p,e,n", DIFF_FIELDS)
 def test_counted_distribution_matches_init(p, e, n):
+    # the distribution holds the output counts as they are; its masses, max
+    # and excess mass against one Fraction per outcome
     spec = field_make(p, e)
     rng = rng_stream(4247, spec.q * 10 + n)
     ms = mg.merger_make(spec, n, 2)
     refused = 0
     for bm in _every_map_kind(spec, n, rng):
-        dist = mg.exact_output_distribution(ms, mg.SourceSpec(spec, n, 2, 0, {1: bm}))
-        ref = mg.Distribution(dist.probs, dist.universe_size)
-        assert dist == ref
-        assert dist.max_prob() == ref.max_prob() == max(ref.probs.values())
+        src = mg.SourceSpec(spec, n, 2, 0, {1: bm})
+        dist = mg.exact_output_distribution(ms, src)
+        assert dist.counts.dtype == np.int64 and dist.total == spec.q ** (n + 1)
+        assert dist.counts.tolist() == mg.output_counts(ms, src).tolist()
+        masses = [dist.mass(i) for i in range(dist.universe_size)]
+        assert sum(masses) == 1 and dist.max_prob() == max(masses)
         for m in range(n * spec.q.bit_length() + 1):
             got = _excess_or_refusal(dist, m)
-            assert got == _excess_or_refusal(ref, m), m
+            assert (got == "UniverseTooSmall") == (spec.q ** n < 2 ** m), m
             if got == "UniverseTooSmall":
                 refused += 1
             else:  # the excess-mass sum over every outcome, one at a time
                 cap = Fraction(1, 2 ** m)
-                assert got == sum((x - cap for x in ref.probs.values() if x > cap), Fraction(0))
+                assert got == sum((x - cap for x in masses if x > cap), Fraction(0))
     assert refused
 
 
@@ -638,30 +649,29 @@ def test_merger_make_guards_survive_optimize():
 # ---------------------------------------------------------------------------
 
 def test_statistical_distance_examples():
-    u = mg.Distribution.uniform([0, 1])
+    u = mg.Distribution.uniform(2)
     assert mg.statistical_distance(u, u) == 0
     a = mg.Distribution.point_mass(0, universe_size=2)
     b = mg.Distribution.point_mass(1, universe_size=2)
     assert mg.statistical_distance(a, b) == 1
-    p = mg.Distribution({0: Fraction(3, 4), 1: Fraction(1, 4)}, 2)
+    p = mg.Distribution([3, 1])
     assert mg.statistical_distance(p, u) == Fraction(1, 4)
+    # equal masses from different totals are at distance 0
+    assert mg.statistical_distance(mg.Distribution([6, 2]), p) == 0
+    # counts whose products pass int64 are summed as Python ints
+    big = mg.Distribution([2 ** 62, 2 ** 62 - 1])
+    assert mg.statistical_distance(big, u) == Fraction(1, 2 ** 64 - 2)
 
 
 def test_statistical_distance_universe_mismatch():
     with pytest.raises(errors.UniverseMismatch):
-        mg.statistical_distance(
-            mg.Distribution.uniform([0, 1]), mg.Distribution.uniform([0, 1, 2])
-        )
+        mg.statistical_distance(mg.Distribution.uniform(2), mg.Distribution.uniform(3))
 
 
 def rational_dists(size):
     return st.lists(
         st.integers(0, 12), min_size=size, max_size=size
-    ).filter(lambda w: sum(w) > 0).map(
-        lambda w: mg.Distribution(
-            {i: Fraction(x, sum(w)) for i, x in enumerate(w) if x}, size
-        )
-    )
+    ).filter(lambda w: sum(w) > 0).map(mg.Distribution)
 
 
 @settings(max_examples=40, deadline=None)
@@ -682,29 +692,26 @@ def test_half_l1_equals_subset_maximum(p, r):
 
 
 def test_min_entropy_examples():
-    u8 = mg.Distribution.uniform(range(8))
-    h = mg.min_entropy(u8)
-    assert h.max_prob == Fraction(1, 8)
-    assert h.at_least(3) and not h.at_least(4)
-    assert h.bits == 3.0
-    assert mg.min_entropy(mg.Distribution.point_mass("x")).bits == 0.0
-    p = mg.Distribution({0: Fraction(3, 4), 1: Fraction(1, 4)}, 2)
-    assert mg.min_entropy(p).max_prob == Fraction(3, 4)
-    assert mg.min_entropy(p).at_least(Fraction(2, 5))  # 3/4 <= 2^(-2/5)
-    assert not mg.min_entropy(p).at_least(Fraction(1, 2))  # 3/4 > 2^(-1/2)
+    # min-entropy >= m exactly when max_prob() <= min_entropy_threshold(m)
+    u8 = mg.Distribution.uniform(8)
+    assert u8.max_prob() == Fraction(1, 8) == mg.min_entropy_threshold(3)
+    assert mg.min_entropy_threshold(4) < u8.max_prob()
+    assert mg.Distribution.point_mass(0).max_prob() == 1 == mg.min_entropy_threshold(0)
+    p = mg.Distribution([3, 1])
+    assert mg.min_entropy_threshold(1) < p.max_prob() == Fraction(3, 4)
 
 
 def test_distance_to_min_entropy_examples():
-    u4 = mg.Distribution.uniform(range(4))
+    u4 = mg.Distribution.uniform(4)
     assert mg.distance_to_min_entropy(u4, 2) == 0
     point = mg.Distribution.point_mass(0, universe_size=2)
     assert mg.distance_to_min_entropy(point, 1) == Fraction(1, 2)
-    tri = mg.Distribution({0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}, 3)
+    tri = mg.Distribution([2, 1, 1])
     assert mg.distance_to_min_entropy(tri, threshold=Fraction(1, 3)) == Fraction(1, 6)
 
 
 def test_distance_zero_iff_capped():
-    p = mg.Distribution({0: Fraction(1, 2), 1: Fraction(1, 2)}, 4)
+    p = mg.Distribution([1, 1, 0, 0])
     assert mg.distance_to_min_entropy(p, 1) == 0
     assert mg.distance_to_min_entropy(p, 2) > 0
 
@@ -716,7 +723,7 @@ def test_universe_too_small():
 
 
 def test_distance_parameter_validation():
-    u = mg.Distribution.uniform(range(4))
+    u = mg.Distribution.uniform(4)
     with pytest.raises(errors.InvalidParameters):
         mg.distance_to_min_entropy(u)
     with pytest.raises(errors.InvalidParameters):
@@ -733,10 +740,7 @@ def test_excess_mass_against_lp_oracle():
         weights = [int(w) for w in rng.integers(0, 10, size=size)]
         if sum(weights) == 0:
             continue
-        total = sum(weights)
-        p = mg.Distribution(
-            {i: Fraction(w, total) for i, w in enumerate(weights) if w}, size
-        )
+        p = mg.Distribution(weights)
         cap = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1)][int(rng.integers(4))]
         if size * cap < 1:
             continue
@@ -778,10 +782,7 @@ def test_excess_mass_against_exact_grid_oracle():
         weights = [int(w) for w in rng.integers(0, 6, size=size)]
         if sum(weights) == 0:
             continue
-        total = sum(weights)
-        p = mg.Distribution(
-            {i: Fraction(w, total) for i, w in enumerate(weights) if w}, size
-        )
+        p = mg.Distribution(weights)
         cap = Fraction(1, 2)
         if size * cap < 1:
             continue
@@ -829,8 +830,8 @@ COUNT_PATH_SETTINGS = [
 
 
 def test_theorem_distances_match_the_distribution_path():
-    # the distance read off the output counts against the excess mass of the
-    # exact output distribution, for every map kind and uniform block 0 and L-1
+    # each reported distance against the excess mass summed one outcome at a
+    # time over the output counts, for every map kind and uniform block 0 and L-1
     nonzero = 0
     for delta, eps, L, n in COUNT_PATH_SETTINGS:
         d = mg.seed_length(delta, eps, L)
@@ -845,24 +846,13 @@ def test_theorem_distances_match_the_distribution_path():
         report = mg.verify_merger_theorem(delta, eps, L, n, sources=sources)
         assert report["q"] in (4, 8, 16, 64) and report["entropy_threshold_bits"] == m
         ms = mg.merger_make(spec, n, L)
+        total, cap = spec.q ** (n + 1), Fraction(1, 2 ** m)
         for entry, src in zip(report["sources"], sources, strict=True):
-            want = mg.distance_to_min_entropy(mg.exact_output_distribution(ms, src), m)
+            counts = mg.output_counts(ms, src).tolist()
+            want = sum((max(Fraction(c, total) - cap, 0) for c in counts), Fraction(0))
             assert entry["distance"] == want, (report["q"], src.label)
             nonzero += want > 0
     assert nonzero
-
-
-def test_theorem_check_builds_no_distribution(monkeypatch):
-    want = mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 2)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the merger check built a Distribution")
-
-    monkeypatch.setattr(mg, "Distribution", refuse)
-    with pytest.raises(AssertionError):
-        mg.exact_output_distribution(mg.merger_make(F4, 1, 1),
-                                     mg.SourceSpec(F4, 1, 1, 0, {}))
-    assert mg.verify_merger_theorem(Fraction(1, 2), Fraction(1, 2), 2, 2) == want
 
 
 def test_enumeration_cap():
@@ -941,18 +931,33 @@ def test_non_integer_threshold_rejected():
         mg.verify_merger_theorem(Fraction(1, 3), Fraction(1, 3), 2, 1)
 
 
-def test_distribution_accepts_non_fraction_masses():
-    dist = mg.Distribution({0: "1/4", 1: 0.25, 2: Fraction(1, 2), 3: 0}, 4)
-    assert dist.probs == {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2)}
-    assert mg.Distribution({"a": 1}, 1) == mg.Distribution.point_mass("a")
-    with pytest.raises(errors.InvalidParameters, match="sum to 5/6"):
-        mg.Distribution({0: Fraction(1, 2), 1: Fraction(1, 3)}, 2)
-    with pytest.raises(errors.InvalidParameters, match="sum to 0"):
-        mg.Distribution({}, 1)
-
-
 def test_distribution_validation():
+    # any integer counts are held as int64 over their sum; zeros are outcomes
+    for counts in ([0, 3, 1], np.array([0, 3, 1], dtype=np.uint8), (0, 3, 1)):
+        dist = mg.Distribution(counts)
+        assert dist.counts.dtype == np.int64 and dist.counts.tolist() == [0, 3, 1]
+        assert dist.total == 4 and dist.universe_size == 3
+        assert [dist.mass(i) for i in range(3)] == [0, Fraction(3, 4), Fraction(1, 4)]
+    # a sum past int64 is taken in Python ints
+    assert mg.Distribution([2 ** 62] * 4).total == 2 ** 64
+
+
+# the parent's faults (a bare ZeroDivisionError, and an outcome outside its
+# universe accepted and then read as mass 0), then each refused count array
+@pytest.mark.parametrize("make", [
+    lambda: mg.Distribution.uniform(0),
+    lambda: mg.Distribution.point_mass(5, 1),
+    lambda: mg.Distribution([1, 1]).mass(2),
+    lambda: mg.Distribution([1, 1]).mass(-1),
+    lambda: mg.Distribution({5: 1}),
+    lambda: mg.Distribution([2, -1]),
+    lambda: mg.Distribution([[1, 1]]),
+    lambda: mg.Distribution([0.5, 0.5]),
+    lambda: mg.Distribution([True, False]),
+    lambda: mg.Distribution([0, 0]),
+    lambda: mg.Distribution([]),
+], ids=["uniform-0", "point-outside", "mass-outside", "mass-negative", "dict",
+        "negative", "2-d", "float", "bool", "all-zero", "empty"])
+def test_distribution_refuses_what_is_not_a_count_array(make):
     with pytest.raises(errors.InvalidParameters):
-        mg.Distribution({0: Fraction(1, 2)}, 2)  # masses do not sum to 1
-    with pytest.raises(errors.InvalidParameters):
-        mg.Distribution({0: Fraction(3, 2), 1: Fraction(-1, 2)}, 2)
+        make()

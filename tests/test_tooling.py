@@ -3,7 +3,8 @@
 ``COUNTED`` table; a name the library no longer defines makes ``--trace 1``
 fail at install.  The tracer and the runner are read as source, so no
 bytecode is written next to them.  The library sources are read the same way,
-to check that they hold no ``assert`` statement."""
+to check that they hold no ``assert`` statement.  Every name the package
+exports in ``__all__`` must resolve on it."""
 
 import ast
 import types
@@ -24,6 +25,12 @@ def _tracer():
     module = types.ModuleType("perfbench_tracer")
     exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
     return module
+
+
+def test_package_exports_resolve():
+    # a name left in __all__ after its object is gone breaks `import *`
+    missing = [name for name in ffmult.__all__ if not hasattr(ffmult, name)]
+    assert not missing, f"ffmult.__all__ names no attribute: {missing}"
 
 
 def test_traced_names_resolve_on_ffmult():
